@@ -8,6 +8,7 @@ order so files are byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -33,6 +34,7 @@ def save_weights(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; any malformed file raises ``CheckpointMismatch``."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[:5] != MAGIC:
@@ -40,22 +42,34 @@ def load_weights(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     pos = 5
     total = len(blob)
+
+    def read_u64s(count: int, what: str) -> tuple:
+        nonlocal pos
+        if count > (total - pos) // 8:
+            raise CheckpointMismatch(f"{path}: truncated {what} at byte {pos}")
+        values = struct.unpack_from(f"<{count}Q", blob, pos)
+        pos += 8 * count
+        return values
+
     while pos < total:
-        if pos + 8 > total:
-            raise CheckpointMismatch(f"{path}: truncated record header")
-        (name_len,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        name = blob[pos:pos + name_len].decode("utf-8")
+        (name_len,) = read_u64s(1, "name length")
+        if name_len > total - pos:
+            raise CheckpointMismatch(f"{path}: truncated name at byte {pos}")
+        try:
+            name = blob[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointMismatch(f"{path}: name at byte {pos} is not UTF-8") from exc
         pos += name_len
-        (rank,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        dims = np.frombuffer(blob, dtype="<u8", count=rank, offset=pos)
-        pos += 8 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        end = pos + 8 * count
-        if end > total:
+        (rank,) = read_u64s(1, "rank")
+        dims = read_u64s(rank, f"dims of {name!r}")
+        count = math.prod(dims)
+        if count > (total - pos) // 8:
             raise CheckpointMismatch(f"{path}: truncated data for {name!r}")
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-        out[name] = data.reshape(tuple(int(d) for d in dims)).copy()
-        pos = end
+        try:
+            # only an empty tensor can get here with a shape numpy refuses
+            out[name] = data.reshape(dims).copy()
+        except ValueError as exc:
+            raise CheckpointMismatch(f"{path}: bad shape {dims} for {name!r}") from exc
+        pos += 8 * count
     return out

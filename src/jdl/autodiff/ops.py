@@ -1,9 +1,13 @@
 """Differentiable primitives.
 
 Forward functions compute with plain numpy and register a backward closure
-via ``record``. Convolutions use strided window views plus BLAS tensordot;
-the scatter in their backward loops over the (small) kernel footprint so the
-reduction order is fixed and results do not depend on worker count.
+via ``record``. The spatial primitives (``conv2d``, ``avg_pool2d``,
+``upsample_nearest``, ``group_norm``) take and return channel-last NHWC
+batches, the cache-friendly direction for the im2col gather; no other axis
+order exists inside the graph. Convolutions gather windows from strided
+views and multiply with one BLAS GEMM; the scatter in their backward loops
+over the (small) kernel footprint so the reduction order is fixed and
+results do not depend on worker count.
 
 Broadcasting is deliberately narrow: identical shapes, scalar against
 tensor, and singleton-dimension bias adds. Anything else needs an explicit
@@ -17,10 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ShapeMismatch, UnsupportedKind
+from ..errors import ShapeMismatch
 from .tensor import Tensor, record
-
-_EXP_CAP = 700.0  # exp(700) is near the float64 overflow edge
 
 
 def _as_tensor(x) -> Tensor:
@@ -87,14 +89,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record("matmul", (a, b), out, backward_fn)
 
 
-def _to_nhwc(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
-
-
-def _to_nchw(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
-
-
 def _im2col_nhwc(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
     """Materialize windows of a padded NHWC batch as (N*OH*OW, KH*KW*C).
 
@@ -127,28 +121,18 @@ def _pad_hw_nhwc(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
 
 
-def _layout_dims(x: Tensor, layout: str):
+def _nhwc_dims(x: Tensor) -> tuple:
     if x.data.ndim != 4:
-        raise ShapeMismatch(f"need a 4-d batch, got {x.shape}")
-    if layout == "nchw":
-        n, c, h, w = x.shape
-    elif layout == "nhwc":
-        n, h, w, c = x.shape
-    else:
-        raise ShapeMismatch(f"unknown layout {layout!r}")
-    return n, c, h, w
+        raise ShapeMismatch(f"need a 4-d NHWC batch, got {x.shape}")
+    return x.shape
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-           layout: str = "nchw") -> Tensor:
-    """2-d cross-correlation with (C_out, C_in, KH, KW) weights.
-
-    The public contract is NCHW input; ``layout="nhwc"`` is the fast path
-    used internally by the models (identical math, channel-last storage).
-    """
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-d cross-correlation of an NHWC batch with (C_out, C_in, KH, KW)
+    weights; the output is NHWC as well."""
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
-    n, c, h, wid = _layout_dims(x, layout)
+    n, h, wid, c = _nhwc_dims(x)
     co, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
@@ -158,79 +142,33 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     if oh < 1 or ow < 1:
         raise ShapeMismatch("conv2d: empty output")
 
-    nhwc = x.data if layout == "nhwc" else _to_nhwc(x.data)
-    xp = _pad_hw_nhwc(nhwc, padding)
+    xp = _pad_hw_nhwc(x.data, padding)
     hp, wp = xp.shape[1], xp.shape[2]
     cols = _im2col_nhwc(xp, kh, kw, stride, oh, ow)
     wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, co)
     out = (cols @ wmat).reshape(n, oh, ow, co)
-    if layout == "nchw":
-        out = _to_nchw(out)
 
     def backward_fn(g):
-        g2 = (g if layout == "nhwc" else _to_nhwc(g)).reshape(n * oh * ow, co)
+        g2 = g.reshape(n * oh * ow, co)
         dw = (cols.T @ g2).reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
         dxp = _col2im_nhwc(g2 @ wmat.T, n, c, hp, wp, kh, kw, stride, oh, ow)
         dx = dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
-        return (dx if layout == "nhwc" else _to_nchw(dx)), dw
+        return dx, dw
 
     return record("conv2d", (x, w), out, backward_fn)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-                     layout: str = "nchw") -> Tensor:
-    """Adjoint of conv2d; weights laid out (C_in, C_out, KH, KW)."""
-    if w.data.ndim != 4:
-        raise ShapeMismatch(f"conv2d_transpose: weights {w.shape}")
-    n, c, h, wid = _layout_dims(x, layout)
-    ci, co, kh, kw = w.shape
-    if ci != c:
-        raise ShapeMismatch(f"conv2d_transpose: {c} input channels, weights expect {ci}")
-    oh = (h - 1) * stride - 2 * padding + kh
-    ow = (wid - 1) * stride - 2 * padding + kw
-    if oh < 1 or ow < 1:
-        raise ShapeMismatch("conv2d_transpose: empty output")
-
-    hf, wf = (h - 1) * stride + kh, (wid - 1) * stride + kw
-    nhwc = x.data if layout == "nhwc" else _to_nhwc(x.data)
-    xmat = nhwc.reshape(n * h * wid, c)
-    # taps laid out to match the NHWC col2im: (kh, kw, co) per input channel
-    wmat = w.data.transpose(0, 2, 3, 1).reshape(c, kh * kw * co)
-    full = _col2im_nhwc((xmat @ wmat).reshape(n, h, wid, kh, kw, co),
-                        n, co, hf, wf, kh, kw, stride, h, wid)
-    out = full[:, padding:padding + oh, padding:padding + ow, :] if padding else full
-    if layout == "nchw":
-        out = _to_nchw(out)
-
-    def backward_fn(g):
-        gn = g if layout == "nhwc" else _to_nhwc(g)
-        gp = _pad_hw_nhwc(gn, padding)
-        gcols = _im2col_nhwc(gp, kh, kw, stride, h, wid)   # (N*H*W, KH*KW*Co)
-        # reorder gathered taps (kh,kw,co) -> rows to match wmat columns
-        dx = (gcols @ wmat.T).reshape(n, h, wid, c)
-        dw = (xmat.T @ gcols).reshape(c, kh, kw, co).transpose(0, 3, 1, 2)
-        return (dx if layout == "nhwc" else _to_nchw(dx)), dw
-
-    return record("conv2d_transpose", (x, w), out, backward_fn)
-
-
-def avg_pool2d(x: Tensor, kernel: int, layout: str = "nchw") -> Tensor:
-    """Non-overlapping average pooling; spatial dims must divide exactly."""
-    n, c, h, w = _layout_dims(x, layout)
+def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
+    """Non-overlapping average pooling of an NHWC batch; spatial dims must
+    divide exactly."""
+    n, h, w, c = _nhwc_dims(x)
     k = int(kernel)
     if k < 1 or h % k or w % k:
         raise ShapeMismatch(f"avg_pool2d: kernel {k} does not tile {h}x{w}")
     oh, ow = h // k, w // k
-    if layout == "nchw":
-        out = x.data.reshape(n, c, oh, k, ow, k).mean(axis=(3, 5))
-    else:
-        out = x.data.reshape(n, oh, k, ow, k, c).mean(axis=(2, 4))
+    out = x.data.reshape(n, oh, k, ow, k, c).mean(axis=(2, 4))
 
     def backward_fn(g):
-        if layout == "nchw":
-            gd = np.broadcast_to(g[:, :, :, None, :, None] / (k * k),
-                                 (n, c, oh, k, ow, k))
-            return (gd.reshape(n, c, h, w).copy(),)
         gd = np.broadcast_to(g[:, :, None, :, None, :] / (k * k),
                              (n, oh, k, ow, k, c))
         return (gd.reshape(n, h, w, c).copy(),)
@@ -238,17 +176,15 @@ def avg_pool2d(x: Tensor, kernel: int, layout: str = "nchw") -> Tensor:
     return record("avg_pool2d", (x,), out, backward_fn)
 
 
-def upsample_nearest(x: Tensor, scale: int, layout: str = "nchw") -> Tensor:
-    n, c, h, w = _layout_dims(x, layout)
+def upsample_nearest(x: Tensor, scale: int) -> Tensor:
+    """Nearest-neighbour upsampling of an NHWC batch by an integer scale."""
+    n, h, w, c = _nhwc_dims(x)
     s = int(scale)
     if s < 1:
         raise ShapeMismatch("upsample_nearest: scale must be >= 1")
-    ax = (2, 3) if layout == "nchw" else (1, 2)
-    out = x.data.repeat(s, axis=ax[0]).repeat(s, axis=ax[1])
+    out = x.data.repeat(s, axis=1).repeat(s, axis=2)
 
     def backward_fn(g):
-        if layout == "nchw":
-            return (g.reshape(n, c, h, s, w, s).sum(axis=(3, 5)),)
         return (g.reshape(n, h, s, w, s, c).sum(axis=(2, 4)),)
 
     return record("upsample_nearest", (x,), out, backward_fn)
@@ -288,22 +224,11 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return record("leaky_relu", (x,), out, backward_fn)
 
 
-def exp(x: Tensor) -> Tensor:
-    """Elementwise exp, input capped so finite inputs stay finite."""
-    capped = np.minimum(x.data, _EXP_CAP)
-    out = np.exp(capped)
-
-    def backward_fn(g):
-        return (g * out * (x.data < _EXP_CAP),)
-
-    return record("exp", (x,), out, backward_fn)
-
-
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               groups: int | None = None, eps: float = 1e-5,
-               layout: str = "nchw") -> Tensor:
-    """Group normalization over (C/G, H, W) per sample and group."""
-    n, c, h, w = _layout_dims(x, layout)
+               groups: int | None = None, eps: float = 1e-5) -> Tensor:
+    """Group normalization of an NHWC batch over (H, W, C/G) per sample and
+    group, with per-channel ``gamma`` and ``beta`` of shape (C,)."""
+    n, h, w, c = _nhwc_dims(x)
     g_ = int(groups) if groups is not None else builtins.min(4, c)
     if c % g_:
         raise ShapeMismatch(f"group_norm: {g_} groups do not divide {c} channels")
@@ -311,30 +236,20 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeMismatch("group_norm: gamma/beta must have shape (C,)")
     cg = c // g_
 
-    if layout == "nchw":
-        xg = x.data.reshape(n, g_, cg * h * w)
-        red = (2,)
-    else:
-        xg = x.data.reshape(n, h * w, g_, cg)
-        red = (1, 3)
+    xg = x.data.reshape(n, h * w, g_, cg)
+    red = (1, 3)
     mu = xg.mean(axis=red, keepdims=True)
     var = xg.var(axis=red, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xg - mu) * inv
-    if layout == "nchw":
-        xhat4 = xhat.reshape(n, c, h, w)
-        gshape = (1, c, 1, 1)
-        sum_axes = (0, 2, 3)
-    else:
-        xhat4 = xhat.reshape(n, h, w, c)
-        gshape = (c,)
-        sum_axes = (0, 1, 2)
-    out = xhat4 * gamma.data.reshape(gshape) + beta.data.reshape(gshape)
+    xhat4 = xhat.reshape(n, h, w, c)
+    sum_axes = (0, 1, 2)
+    out = xhat4 * gamma.data + beta.data
 
     def backward_fn(gr):
         dgamma = (gr * xhat4).sum(axis=sum_axes)
         dbeta = gr.sum(axis=sum_axes)
-        dxhat = (gr * gamma.data.reshape(gshape)).reshape(xg.shape)
+        dxhat = (gr * gamma.data).reshape(xg.shape)
         mean_dxhat = dxhat.mean(axis=red, keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=red, keepdims=True)
         dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
@@ -431,45 +346,3 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
         return dx, dy
 
     return record("bce_with_logits", (logits, targets), out, backward_fn)
-
-
-_DISPATCH = {
-    "add": add,
-    "mul": mul,
-    "matmul": matmul,
-    "conv2d": conv2d,
-    "conv2d_transpose": conv2d_transpose,
-    "avg_pool2d": avg_pool2d,
-    "upsample_nearest": upsample_nearest,
-    "silu": silu,
-    "leaky_relu": leaky_relu,
-    "sigmoid": sigmoid,
-    "group_norm": group_norm,
-    "concat": concat,
-    "reshape": reshape,
-    "sum": sum,
-    "mean": mean,
-    "mse": mse,
-    "bce_with_logits": bce_with_logits,
-    "exp": exp,
-}
-
-
-def forward_primitive(kind: str, inputs, **params) -> Tensor:
-    """Apply a primitive by name.
-
-    ``inputs`` is a Tensor or a sequence of Tensors; op-specific arguments
-    (stride, padding, kernel, axis, shape, slope, groups, eps, scale) go in
-    ``params``.
-    """
-    fn = _DISPATCH.get(kind)
-    if fn is None:
-        raise UnsupportedKind(f"unknown primitive kind {kind!r}")
-    if kind == "concat":
-        return fn(inputs, **params)
-    if isinstance(inputs, Tensor):
-        inputs = (inputs,)
-    return fn(*inputs, **params)
-
-
-PRIMITIVE_KINDS = tuple(_DISPATCH)

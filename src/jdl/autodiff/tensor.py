@@ -81,10 +81,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording; forward values are still computed."""

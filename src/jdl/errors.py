@@ -9,10 +9,6 @@ class ShapeMismatch(ValueError):
     """Operands have incompatible shapes for the requested operation."""
 
 
-class UnsupportedKind(ValueError):
-    """Unknown primitive kind passed to the op dispatcher."""
-
-
 class NotScalar(ValueError):
     """Backward was started from a non-scalar tensor."""
 
@@ -49,32 +45,12 @@ class BadSubsequence(ValueError):
     """DDIM timestep subsequence violates its invariants."""
 
 
-class EmptySelection(ValueError):
-    """Counterfactual batch selection matched no items."""
-
-
 class GeometryInfeasible(ValueError):
     """Requested phantom lesion cannot fit inside its region."""
 
 
 class InvalidPrior(ValueError):
     """Class prior outside [0, 1]."""
-
-
-class DegenerateLabels(ValueError):
-    """AUC needs at least one positive and one negative label."""
-
-
-class EmptyResults(ValueError):
-    """Evaluation table requested over an empty result list."""
-
-
-class MissingBbox(ValueError):
-    """Localization scoring needs a bounding box for the target class."""
-
-
-class TooFewSamples(ValueError):
-    """Feature-distance estimate needs more samples."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,13 +61,5 @@ class CheckpointMismatch(RuntimeError):
     """Checkpoint tensors do not match the model being loaded."""
 
 
-class OracleMissing(RuntimeError):
-    """Evaluation step requires a trained oracle checkpoint."""
-
-
 class IoError(RuntimeError):
     """Filesystem problem while reading or writing run artifacts."""
-
-
-class UntrainedModelWarning(UserWarning):
-    """Counterfactual generation invoked on an apparently untrained model."""

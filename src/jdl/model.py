@@ -7,10 +7,12 @@ MLP; the decoder (psi) runs the up path and the output head; the classifier
 Encoder weights are stored once and referenced by both tasks, so gradients
 from either loss land in the same arrays.
 
-Array boundaries are NCHW like the rest of the package; internally the
-network runs channel-last, which is the cache-friendly direction for the
-im2col convolutions. ``DenoiserOutput.eps_hat`` therefore carries the
-channel-last graph tensor, with ``eps_nchw`` for array consumers.
+The graph is NHWC only, like every spatial primitive in ``autodiff``. NCHW
+appears only at ``JointModel``'s public numpy methods: inputs are turned
+channel-last once on entry (``_as_nhwc_leaf``), and arrays handed back
+(``DenoiserOutput.eps_nchw``, ``predict_noise``, ``class_score_grad``) are
+turned back on exit. ``DenoiserOutput.eps_hat`` carries the channel-last
+graph tensor itself.
 """
 
 from __future__ import annotations
@@ -62,19 +64,6 @@ class DenoiserOutput:
         return np.ascontiguousarray(self.eps_hat.data.transpose(0, 3, 1, 2))
 
 
-def time_embedding(t: int, dim: int) -> np.ndarray:
-    """Sinusoidal embedding as interleaved (sin, cos) pairs."""
-    if dim % 2:
-        raise OddDim(f"embedding dim must be even, got {dim}")
-    half = dim // 2
-    freqs = 10_000.0 ** (-2.0 * np.arange(half) / dim)
-    ang = float(t) * freqs
-    out = np.empty(dim)
-    out[0::2] = np.sin(ang)
-    out[1::2] = np.cos(ang)
-    return out
-
-
 def _embed_batch(t, dim: int, n: int) -> np.ndarray:
     t = np.broadcast_to(np.asarray(t), (n,))
     half = dim // 2
@@ -84,6 +73,13 @@ def _embed_batch(t, dim: int, n: int) -> np.ndarray:
     out[:, 0::2] = np.sin(ang)
     out[:, 1::2] = np.cos(ang)
     return out
+
+
+def time_embedding(t: int, dim: int) -> np.ndarray:
+    """Sinusoidal embedding as interleaved (sin, cos) pairs."""
+    if dim % 2:
+        raise OddDim(f"embedding dim must be even, got {dim}")
+    return _embed_batch(t, dim, 1)[0]
 
 
 def feature_pool_kernel(channels: int, side: int, cap: int) -> int:
@@ -198,7 +194,7 @@ class JointModel:
 
     def _conv(self, name, h, stride=1, padding=1):
         h = ad.conv2d(h, self.params[f"{name}.w"], stride=stride,
-                      padding=padding, layout="nhwc")
+                      padding=padding)
         return ad.add(h, self.params[f"{name}.b"])
 
     def _linear(self, name, h):
@@ -207,13 +203,13 @@ class JointModel:
 
     def _res(self, name, x, temb, cin, cout):
         h = ad.group_norm(x, self.params[f"{name}.gn1.g"],
-                          self.params[f"{name}.gn1.b"], layout="nhwc")
+                          self.params[f"{name}.gn1.b"])
         h = self._conv(f"{name}.conv1", ad.silu(h))
         tproj = self._linear(f"{name}.time", temb)
         n = tproj.shape[0]
         h = ad.add(h, ad.reshape(tproj, (n, 1, 1, cout)))
         h = ad.group_norm(h, self.params[f"{name}.gn2.g"],
-                          self.params[f"{name}.gn2.b"], layout="nhwc")
+                          self.params[f"{name}.gn2.b"])
         h = self._conv(f"{name}.conv2", ad.silu(h))
         skip = x if cin == cout else self._conv(f"{name}.skip", x, padding=0)
         return ad.add(h, skip)
@@ -247,7 +243,7 @@ class JointModel:
     def _pool_features(self, bottleneck: Tensor) -> Tensor:
         n, side, c = bottleneck.shape[0], bottleneck.shape[1], bottleneck.shape[3]
         k = feature_pool_kernel(c, side, self.cfg.feature_cap)
-        h = ad.avg_pool2d(bottleneck, k, layout="nhwc") if k > 1 else bottleneck
+        h = ad.avg_pool2d(bottleneck, k) if k > 1 else bottleneck
         return ad.reshape(h, (n, c * (side // k) ** 2))
 
     def _decode(self, bottleneck: Tensor, skips, temb) -> Tensor:
@@ -260,11 +256,11 @@ class JointModel:
                           temb, cur + chans[i], chans[i])
             cur = chans[i]
             if i > 0:
-                h = ad.upsample_nearest(h, 2, layout="nhwc")
+                h = ad.upsample_nearest(h, 2)
                 h = self._conv(f"dec.up{i}", h)
                 cur = chans[i - 1]
         h = ad.group_norm(h, self.params["dec.outgn.g"],
-                          self.params["dec.outgn.b"], layout="nhwc")
+                          self.params["dec.outgn.b"])
         return self._conv("dec.out", ad.silu(h))
 
     def _head(self, features: Tensor) -> Tensor:
@@ -341,13 +337,3 @@ class JointModel:
 
     def load(self, path) -> None:
         self.load_state(ad.load_weights(path))
-
-
-def denoise_forward(model: JointModel, z, t) -> DenoiserOutput:
-    """Functional wrapper over JointModel.denoise."""
-    return model.denoise(z, t)
-
-
-def classify(model: JointModel, z, t) -> Tensor:
-    """Functional wrapper over JointModel.classify."""
-    return model.classify(z, t)

@@ -22,7 +22,3 @@ def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(tag.encode("utf-8")), int(index))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
-
-def normal(seed: int, tag: str, index: int, shape) -> np.ndarray:
-    """One-shot standard normal draw from a fresh stream."""
-    return stream(seed, tag, index).standard_normal(shape)

@@ -30,6 +30,9 @@ class GuidanceConfig:
             raise ValueError(f"unknown guidance direction {self.direction!r}")
         if not np.isfinite(self.scale) or self.scale < 0:
             raise ValueError("guidance scale must be finite and >= 0")
+        # the upper bound needs num_classes; JointModel.class_score_grad checks it
+        if self.target_class < 0:
+            raise BadClassIndex(f"bad class index {self.target_class}")
 
     @property
     def active(self) -> bool:
@@ -60,8 +63,6 @@ def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
     eps = model.predict_noise(z_t, t)
     if not g.active:
         return eps
-    if not 0 <= g.target_class:
-        raise BadClassIndex(f"bad class index {g.target_class}")
     grad = model.class_score_grad(z_t, t, g.target_class,
                                   toward=(g.direction == "toward"))
     flat = grad.reshape(grad.shape[0], -1)

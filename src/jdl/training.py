@@ -41,7 +41,6 @@ class TrainConfig:
     # the noise window later used for guided counterfactual generation
     t_class_max_frac: float = 0.3
     diffusion_enabled: bool = True   # False: classification-only ablation
-    checkpoint_every: int = 0        # 0 = final checkpoint only
 
     def validate(self) -> None:
         if self.total_steps < 1:
@@ -144,7 +143,7 @@ def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
     eps = rng.standard_normal(z0_batch.shape)
     zt = q_sample(z0_batch, t, eps, sched)
     out = model.denoise(zt, t)
-    # the graph tensor is channel-last; compare against eps in the same layout
+    # the graph tensor is channel-last; compare against eps transposed to match
     return ad.mse(out.eps_hat, Tensor(eps.transpose(0, 2, 3, 1)))
 
 

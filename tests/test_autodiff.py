@@ -1,10 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jdl.autodiff as ad
-from jdl.errors import NotScalar, ShapeMismatch, UnsupportedKind
+from jdl.errors import CheckpointMismatch, NotScalar, ShapeMismatch
 
 RNG = np.random.default_rng(0)
 
@@ -25,7 +28,7 @@ def test_sigmoid_at_zero():
 
 def test_conv2d_single_receptive_field():
     # brute-force oracle: 3x3 ones against 3x3 ones is a dot product of 9 ones
-    x = ad.tensor(np.ones((1, 1, 3, 3)))
+    x = ad.tensor(np.ones((1, 3, 3, 1)))
     w = ad.tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, w, stride=1, padding=0)
     assert out.shape == (1, 1, 1, 1)
@@ -72,18 +75,6 @@ def test_no_grad_suppresses_recording():
     with ad.no_grad():
         out = ad.sum(ad.silu(x))
     assert out.node is None and not out.requires_grad
-
-
-def test_unsupported_kind():
-    with pytest.raises(UnsupportedKind):
-        ad.forward_primitive("gelu", ad.tensor([1.0]))
-
-
-def test_forward_primitive_dispatch():
-    out = ad.forward_primitive("add", (ad.tensor([1.0]), ad.tensor([2.0])))
-    assert out.data[0] == 3.0
-    out = ad.forward_primitive("reshape", ad.tensor(np.arange(6.0)), shape=(2, 3))
-    assert out.shape == (2, 3)
 
 
 def test_broadcast_policy_rejects_rank_mismatch():
@@ -137,43 +128,20 @@ def test_grad_matmul():
 def test_grad_conv2d(stride, padding):
     w = ad.tensor(rand(3, 2, 3, 3))
     _check(lambda x: ad.sum(ad.conv2d(x, w, stride=stride, padding=padding)),
-           rand(2, 2, 6, 6))
-    x0 = ad.tensor(rand(2, 2, 6, 6))
+           rand(2, 6, 6, 2))
+    x0 = ad.tensor(rand(2, 6, 6, 2))
     _check(lambda w_: ad.sum(ad.conv2d(x0, w_, stride=stride, padding=padding)),
            rand(3, 2, 3, 3))
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
-def test_grad_conv2d_transpose(stride, padding):
-    w = ad.tensor(rand(2, 3, 3, 3))
-    _check(lambda x: ad.sum(ad.conv2d_transpose(x, w, stride=stride, padding=padding)),
-           rand(2, 2, 5, 5))
-    x0 = ad.tensor(rand(2, 2, 5, 5))
-    _check(lambda w_: ad.sum(ad.conv2d_transpose(x0, w_, stride=stride, padding=padding)),
-           rand(2, 3, 3, 3))
-
-
-def test_conv2d_transpose_matches_manual_scatter():
-    # oracle: place each input pixel times the kernel at its strided location
-    x = rand(1, 1, 3, 3)
-    w = rand(1, 1, 3, 3)
-    s = 2
-    expect = np.zeros((1, 1, (3 - 1) * s + 3, (3 - 1) * s + 3))
-    for i in range(3):
-        for j in range(3):
-            expect[0, 0, i * s:i * s + 3, j * s:j * s + 3] += x[0, 0, i, j] * w[0, 0]
-    got = ad.conv2d_transpose(ad.tensor(x), ad.tensor(w), stride=s, padding=0)
-    assert np.allclose(got.data, expect)
-
-
 def test_grad_avg_pool2d():
-    _check(lambda x: ad.sum(ad.avg_pool2d(x, kernel=2)), rand(2, 3, 4, 4))
+    _check(lambda x: ad.sum(ad.avg_pool2d(x, kernel=2)), rand(2, 4, 4, 3))
 
 
 def test_grad_upsample_nearest():
-    weight = ad.tensor(rand(2, 3, 8, 8))
+    weight = ad.tensor(rand(2, 8, 8, 3))
     _check(lambda x: ad.sum(ad.mul(ad.upsample_nearest(x, scale=2), weight)),
-           rand(2, 3, 4, 4))
+           rand(2, 4, 4, 3))
 
 
 def test_grad_silu():
@@ -190,17 +158,13 @@ def test_grad_sigmoid():
     _check(lambda x: ad.sum(ad.sigmoid(x)), rand(5, 5))
 
 
-def test_grad_exp():
-    _check(lambda x: ad.sum(ad.exp(x)), rand(4, 4))
-
-
 def test_grad_group_norm():
     gamma = ad.tensor(1.0 + 0.1 * rand(4))
     beta = ad.tensor(0.1 * rand(4))
-    wgt = ad.tensor(rand(2, 4, 3, 3))
+    wgt = ad.tensor(rand(2, 3, 3, 4))
     _check(lambda x: ad.sum(ad.mul(ad.group_norm(x, gamma, beta), wgt)),
-           rand(2, 4, 3, 3), tol=2e-4)
-    x0 = ad.tensor(rand(2, 4, 3, 3))
+           rand(2, 3, 3, 4), tol=2e-4)
+    x0 = ad.tensor(rand(2, 3, 3, 4))
     _check(lambda g: ad.sum(ad.mul(ad.group_norm(x0, g, beta), wgt)),
            1.0 + 0.1 * rand(4))
 
@@ -236,7 +200,7 @@ def test_grad_conv_group_norm_composite():
         h = ad.group_norm(h, gamma, beta)
         return ad.sum(ad.silu(h))
 
-    _check(f, rand(1, 2, 4, 4))
+    _check(f, rand(1, 4, 4, 2))
 
 
 def test_two_layer_net_against_finite_differences():
@@ -301,8 +265,39 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    from jdl.errors import CheckpointMismatch
     path = tmp_path / "bad.jdlw"
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(CheckpointMismatch):
         ad.load_weights(path)
+
+
+def _checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.jdlw"
+        ad.save_weights(path, {"b": np.asarray(2.5), "conv.w": np.arange(4.0).reshape(2, 2)})
+        return path.read_bytes()
+
+
+GOOD_CHECKPOINT = _checkpoint_bytes()
+# byte offsets inside the first record ("b"): name length 5..12, name 13, rank 14..21
+NAME_BYTE, RANK_HIGH_BYTE = 13, 21
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(GOOD_CHECKPOINT) - 1), st.integers(1, 255)),
+                max_size=3))
+@example([])
+@example([(NAME_BYTE, 0x80)])        # name no longer UTF-8
+@example([(RANK_HIGH_BYTE, 0x40)])   # rank far beyond the file
+def test_checkpoint_loader_raises_only_checkpoint_mismatch(flips):
+    blob = bytearray(GOOD_CHECKPOINT)
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.jdlw"
+        for cut in range(len(blob) + 1):
+            path.write_bytes(bytes(blob[:cut]))
+            try:
+                ad.load_weights(path)
+            except CheckpointMismatch:
+                pass

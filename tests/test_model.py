@@ -4,8 +4,7 @@ import pytest
 import jdl.autodiff as ad
 from jdl.autodiff import Tensor
 from jdl.errors import OddDim, ShapeMismatch
-from jdl.model import (JointModel, UNetConfig, classify, denoise_forward,
-                       feature_pool_kernel, time_embedding)
+from jdl.model import JointModel, UNetConfig, feature_pool_kernel, time_embedding
 
 SMALL = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
                    time_embed_dim=8, classifier_hidden=16, num_classes=3)
@@ -36,7 +35,7 @@ def test_time_embedding_distinct_over_full_range():
 
 def test_zero_init_head_gives_zero_noise(model):
     z = np.random.default_rng(0).standard_normal((2, 1, 8, 8))
-    out = denoise_forward(model, z, 3)
+    out = model.denoise(z, 3)
     assert np.array_equal(out.eps_nchw, np.zeros_like(z))
 
 
@@ -45,7 +44,7 @@ def test_output_shape_matches_input():
                      time_embed_dim=8, classifier_hidden=16)
     m = JointModel.build(cfg, seed=1)
     z = np.zeros((4, 1, 16, 16))
-    out = denoise_forward(m, z, np.array([1, 2, 3, 4]))
+    out = m.denoise(z, np.array([1, 2, 3, 4]))
     assert out.eps_nchw.shape == z.shape
     assert m.predict_noise(z, 1).shape == z.shape
 
@@ -58,7 +57,7 @@ def test_feature_dimension_spec_case():
     m = JointModel.build(cfg, seed=0)
     assert m.feature_dim == 2048
     z = np.zeros((1, 1, 32, 32))
-    out = denoise_forward(m, z, 1)
+    out = m.denoise(z, 1)
     assert out.features.shape == (1, 2048)
 
 
@@ -77,13 +76,13 @@ def test_zero_init_classifier_probs_half(model):
 
 def test_classifier_finite_at_max_noise(model):
     z = np.random.default_rng(2).standard_normal((2, 1, 8, 8))
-    logits = classify(model, z, 200)
+    logits = model.classify(z, 200)
     assert np.isfinite(logits.data).all()
 
 
 def test_rejects_wrong_input_shape(model):
     with pytest.raises(ShapeMismatch):
-        denoise_forward(model, np.zeros((1, 1, 4, 4)), 1)
+        model.denoise(np.zeros((1, 1, 4, 4)), 1)
 
 
 def test_parameter_sharing_sensitivity():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jdl.errors import BadSubsequence
+from jdl.errors import BadClassIndex, BadSubsequence
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.sampling import (GuidanceConfig, GuidanceStats, SamplerConfig,
@@ -60,6 +60,12 @@ def test_guided_epsilon_moves_prediction(model, sched):
 def test_guidance_direction_validation():
     with pytest.raises(ValueError):
         GuidanceConfig(direction="sideways")
+
+
+def test_guidance_rejects_negative_class_at_construction():
+    # checked once up front, even when the scale means no step would use it
+    with pytest.raises(BadClassIndex):
+        GuidanceConfig(direction="toward", target_class=-1, scale=0.0)
 
 
 def test_ddpm_guidance_zero_equivalence(model, sched):
