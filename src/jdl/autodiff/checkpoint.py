@@ -3,13 +3,17 @@
 Layout: 5-byte magic ``JDLW1``, then per-tensor records until EOF. Each
 record is u64-LE name length, UTF-8 name, u64-LE rank, rank u64-LE dims,
 then the row-major float64-LE data. Records are written in sorted name
-order so files are byte-reproducible.
+order so files are byte-reproducible. A save writes a temporary file next to
+the target and renames it over the target, so a failed save leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +25,22 @@ MAGIC = b"JDLW1"
 
 def save_weights(path, named: dict[str, np.ndarray]) -> None:
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        for name in sorted(named):
-            arr = np.asarray(named[name], dtype="<f8")  # tobytes() emits C order
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<Q", arr.ndim))
-            f.write(np.asarray(arr.shape, dtype="<u8").tobytes())
-            f.write(arr.tobytes())
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(MAGIC)
+            for name in sorted(named):
+                arr = np.asarray(named[name], dtype="<f8")  # tobytes() emits C order
+                raw = name.encode("utf-8")
+                f.write(struct.pack("<Q", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<Q", arr.ndim))
+                f.write(np.asarray(arr.shape, dtype="<u8").tobytes())
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_weights(path) -> dict[str, np.ndarray]:

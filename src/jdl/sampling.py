@@ -1,15 +1,22 @@
-"""Reverse-process samplers with score-based classifier guidance.
+"""Reverse-process sampler with score-based classifier guidance.
+
+One loop, ``ddim_reverse_from``, runs every reverse chain: each step
+estimates z0 from the guided noise and moves to the previous timestep of an
+ascending subsequence, adding noise scaled by eta (Song et al. 2021, Eq. 16).
+Ancestral DDPM (Ho et al. 2020) is the member with eta = 1 over every t in
+1..T: sigma_t is then the DDPM posterior std and the means agree up to
+rounding, so ``SamplerConfig(kind="ddpm")`` runs exactly that.
 
 Guidance adjusts the predicted noise by the scaled classifier gradient:
 eps' = eps_hat - s * sqrt(1 - abar_t) * d/dz log p(y_k | z_t), with the
-log-complement used when steering away from a class. With scale 0 or
-direction "none" the prediction is returned untouched (bitwise), so guided
-and unguided runs share identical rng streams and trajectories.
+log-complement used when steering away from a class. Scale 0 turns guidance
+off and returns the prediction untouched (bitwise), so guided and unguided
+runs share identical rng streams and trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +29,11 @@ GRAD_CLIP_NORM = 1e3  # per-item cap against off-manifold classifier blow-ups
 @dataclass(frozen=True)
 class GuidanceConfig:
     target_class: int = 0
-    direction: str = "none"     # "toward" | "away" | "none"
-    scale: float = 0.0
+    direction: str = "toward"   # "toward" | "away"
+    scale: float = 0.0          # 0 turns guidance off
 
     def __post_init__(self):
-        if self.direction not in ("toward", "away", "none"):
+        if self.direction not in ("toward", "away"):
             raise ValueError(f"unknown guidance direction {self.direction!r}")
         if not np.isfinite(self.scale) or self.scale < 0:
             raise ValueError("guidance scale must be finite and >= 0")
@@ -36,18 +43,20 @@ class GuidanceConfig:
 
     @property
     def active(self) -> bool:
-        return self.direction != "none" and self.scale > 0
+        return self.scale > 0
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "ddpm"          # "ddpm" | "ddim"
+    kind: str = "ddpm"          # "ddpm": every t at eta 1 | "ddim": ddim_steps at eta
     ddim_steps: int = 50
     eta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("ddpm", "ddim"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if not 0.0 <= self.eta <= 1.0:     # also false for NaN
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
 @dataclass
@@ -67,49 +76,14 @@ def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
                                   toward=(g.direction == "toward"))
     flat = grad.reshape(grad.shape[0], -1)
     norms = np.sqrt((flat * flat).sum(axis=1))
-    over = norms > GRAD_CLIP_NORM
     if stats is not None:
         stats.total += grad.shape[0]
-        stats.clipped += int(over.sum())
-    if over.any():
-        scale_back = np.where(over, GRAD_CLIP_NORM / np.maximum(norms, 1e-12), 1.0)
-        grad = grad * scale_back.reshape(-1, *([1] * (grad.ndim - 1)))
+        stats.clipped += int((norms > GRAD_CLIP_NORM).sum())
+    # exactly 1.0 for items under the cap, zero-norm items included
+    keep = np.minimum(1.0, GRAD_CLIP_NORM / np.maximum(norms, 1e-12))
+    grad = grad * keep.reshape(-1, *([1] * (grad.ndim - 1)))
     coef = g.scale * np.sqrt(1.0 - sched.alpha_bar(t))
     return eps - coef * grad
-
-
-def _batch_shape(model, n: int):
-    cfg = getattr(model, "cfg", None)
-    if cfg is None:
-        raise ValueError("model has no cfg; pass an explicit shape")
-    return (n, cfg.input_channels, cfg.image_side, cfg.image_side)
-
-
-def ddpm_reverse_from(model, z: np.ndarray, t_start: int, g: GuidanceConfig,
-                      sched: NoiseSchedule, rng: np.random.Generator,
-                      stats: GuidanceStats | None = None) -> np.ndarray:
-    """Ancestral reverse chain from z_{t_start} down to z_0."""
-    z = np.asarray(z, dtype=np.float64)
-    for t in range(t_start, 0, -1):
-        eps = guided_epsilon(model, z, t, g, sched, stats)
-        beta = sched.beta(t)
-        mu = (z - beta / np.sqrt(1.0 - sched.alpha_bar(t)) * eps) / np.sqrt(sched.alpha(t))
-        if t > 1:
-            sigma = np.sqrt(beta * (1.0 - sched.alpha_bar_prev(t))
-                            / (1.0 - sched.alpha_bar(t)))
-            z = mu + sigma * rng.standard_normal(z.shape)
-        else:
-            z = mu
-    return z
-
-
-def ddpm_sample(model, n: int, g: GuidanceConfig, sched: NoiseSchedule,
-                rng: np.random.Generator, shape=None,
-                stats: GuidanceStats | None = None) -> np.ndarray:
-    """Draw z_T ~ N(0, I) and run the full ancestral chain."""
-    shape = shape or _batch_shape(model, n)
-    z = rng.standard_normal(shape)
-    return ddpm_reverse_from(model, z, sched.T, g, sched, rng, stats)
 
 
 def ddim_subsequence(T: int, steps: int) -> np.ndarray:
@@ -128,7 +102,8 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
                       sched: NoiseSchedule, rng: np.random.Generator,
                       eta: float = 0.0,
                       stats: GuidanceStats | None = None) -> np.ndarray:
-    """DDIM updates over the timestep subsequence ``taus`` (ascending)."""
+    """Reverse updates from z at ``taus[-1]`` down to z_0 over the ascending
+    timestep subsequence ``taus``; eta = 1 over ``1..t`` is ancestral DDPM."""
     z = np.asarray(z, dtype=np.float64)
     for i in range(len(taus) - 1, -1, -1):
         t = int(taus[i])
@@ -149,11 +124,14 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
 
 
 def ddim_sample(model, n: int, g: GuidanceConfig, cfg: SamplerConfig,
-                sched: NoiseSchedule, rng: np.random.Generator, shape=None,
-                z_init: np.ndarray | None = None,
+                sched: NoiseSchedule, rng: np.random.Generator,
                 stats: GuidanceStats | None = None) -> np.ndarray:
-    """Deterministic (eta=0) DDIM over an evenly spaced subsequence."""
-    taus = ddim_subsequence(sched.T, cfg.ddim_steps)
-    shape = shape or _batch_shape(model, n)
-    z = z_init if z_init is not None else rng.standard_normal(shape)
-    return ddim_reverse_from(model, z, taus, g, sched, rng, eta=cfg.eta, stats=stats)
+    """Draw z_T ~ N(0, I) for n images of ``model.cfg``'s shape, then run
+    t = T..1 at eta 1 ("ddpm") or ``cfg.ddim_steps`` steps at ``cfg.eta`` ("ddim")."""
+    if cfg.kind == "ddpm":
+        taus, eta = np.arange(1, sched.T + 1), 1.0
+    else:
+        taus, eta = ddim_subsequence(sched.T, cfg.ddim_steps), cfg.eta
+    m = model.cfg
+    z = rng.standard_normal((n, m.input_channels, m.image_side, m.image_side))
+    return ddim_reverse_from(model, z, taus, g, sched, rng, eta=eta, stats=stats)

@@ -6,7 +6,7 @@ t=0 row reserved for clean data (alpha_bar[0] == 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +22,8 @@ class NoiseSchedule:
     alphas: np.ndarray       # 1 - beta, same indexing
     alpha_bars: np.ndarray   # cumulative products, alpha_bars[0] == 1
 
-    def beta(self, t):
-        return self.betas[np.asarray(t)]
-
-    def alpha(self, t):
-        return self.alphas[np.asarray(t)]
-
     def alpha_bar(self, t):
         return self.alpha_bars[np.asarray(t)]
-
-    def alpha_bar_prev(self, t):
-        return self.alpha_bars[np.asarray(t) - 1]
 
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:

@@ -47,6 +47,9 @@ class TrainConfig:
             raise ConfigInvalid("total_steps must be >= 1")
         if self.class_start_step >= self.total_steps and self.class_loss_weight > 0:
             raise ConfigInvalid("class_start_step must be < total_steps")
+        if not self.diffusion_enabled and self.class_start_step > 0:
+            # a warm-up step would run neither objective
+            raise ConfigInvalid("without diffusion, class_start_step must be 0")
         if self.batch_diffusion < 1 or self.batch_classification < 1:
             raise ConfigInvalid("batch sizes must be >= 1")
         if not (0.0 < self.label_fraction <= 1.0):
@@ -84,7 +87,6 @@ class TrainData:
 class TrainSummary:
     reports: list
     class_indices_used: set = field(default_factory=set)
-    final_step: int = 0
 
 
 class Adam:
@@ -232,7 +234,6 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
         if on_step is not None:
             on_step(report)
 
-    summary.final_step = cfg.total_steps
     return summary
 
 

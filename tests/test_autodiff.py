@@ -271,6 +271,24 @@ def test_checkpoint_rejects_garbage(tmp_path):
         ad.load_weights(path)
 
 
+class _FailingArray:
+    """Raises when the writer converts it to float64."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    path = tmp_path / "w.jdlw"
+    ad.save_weights(path, {"a": rand(2, 2)})
+    before = path.read_bytes()
+    # "a" sorts first, so its record is written before "b" fails
+    with pytest.raises(OSError):
+        ad.save_weights(path, {"a": rand(3, 3), "b": _FailingArray()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.jdlw"]
+
+
 def _checkpoint_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "w.jdlw"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import TrainingDiverged
+from jdl.errors import ConfigInvalid, TrainingDiverged
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.schedule import make_linear_schedule
@@ -55,6 +55,32 @@ def test_same_seed_is_bitwise_reproducible():
     other = JointModel.build(CFG, seed=1)
     s3 = train_joint(other, _data(), _cfg(seed=6), SCHED)
     assert _losses(s3) != _losses(s1)
+
+
+def test_classifier_sees_only_labeled_samples():
+    data = _data()
+    summary = train_joint(JointModel.build(CFG, seed=1), data, _cfg(), SCHED)
+    used = summary.class_indices_used
+    assert used and used <= set(np.flatnonzero(data.labeled_mask).tolist())
+
+
+def test_classification_only_leaves_decoder_untouched():
+    model = JointModel.build(CFG, seed=1)
+    before = {k: v.data.copy() for k, v in model.params.items()}
+    summary = train_joint(model, _data(),
+                          _cfg(diffusion_enabled=False, class_start_step=0), SCHED)
+    assert all(r.diffusion_loss is None for r in summary.reports)
+    assert all(r.classification_loss is not None for r in summary.reports)
+    for name in model.decoder_params():
+        assert np.array_equal(model.params[name].data, before[name]), name
+    assert any(not np.array_equal(p.data, before[k])
+               for k, p in model.encoder_params().items())
+
+
+def test_classification_only_rejects_warm_up():
+    with pytest.raises(ConfigInvalid):
+        train_joint(JointModel.build(CFG, seed=1), _data(),
+                    _cfg(diffusion_enabled=False), SCHED)
 
 
 def test_resume_from_checkpoint_equals_uninterrupted_run(tmp_path):
