@@ -9,6 +9,13 @@ views and multiply with one BLAS GEMM; the scatter in their backward loops
 over the (small) kernel footprint so the reduction order is fixed and
 results do not depend on worker count.
 
+The backward rules of ``conv2d`` and ``matmul`` compute the gradient of a
+parent only if that parent requires grad, as decided at forward time, and
+return ``None`` for the other: a convolution over frozen weights does not
+keep its window matrix, and an input-only backward runs no weight-gradient
+GEMM. The other rules return every parent's gradient, and ``backward`` drops
+those nothing needs.
+
 Broadcasting is deliberately narrow: identical shapes, scalar against
 tensor, and singleton-dimension bias adds. Anything else needs an explicit
 reshape so every backward rule stays auditable.
@@ -82,9 +89,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if need_a else None,
+                a.data.T @ g if need_b else None)
 
     return record("matmul", (a, b), out, backward_fn)
 
@@ -147,12 +156,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     cols = _im2col_nhwc(xp, kh, kw, stride, oh, ow)
     wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, co)
     out = (cols @ wmat).reshape(n, oh, ow, co)
+    need_x = x.requires_grad
+    # the windows are needed only for dw; frozen weights let them go now
+    wcols = cols if w.requires_grad else None
 
     def backward_fn(g):
         g2 = g.reshape(n * oh * ow, co)
-        dw = (cols.T @ g2).reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
-        dxp = _col2im_nhwc(g2 @ wmat.T, n, c, hp, wp, kh, kw, stride, oh, ow)
-        dx = dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
+        dx = dw = None
+        if wcols is not None:
+            dw = (wcols.T @ g2).reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
+        if need_x:
+            dxp = _col2im_nhwc(g2 @ wmat.T, n, c, hp, wp, kh, kw, stride, oh, ow)
+            dx = dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
         return dx, dw
 
     return record("conv2d", (x, w), out, backward_fn)
@@ -191,9 +206,9 @@ def upsample_nearest(x: Tensor, scale: int) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; branchless select keeps this fast
+    # exp(-|x|) never overflows; select the numerator, then divide once
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -239,9 +254,11 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     xg = x.data.reshape(n, h * w, g_, cg)
     red = (1, 3)
     mu = xg.mean(axis=red, keepdims=True)
-    var = xg.var(axis=red, keepdims=True)
+    xc = xg - mu
+    # the same sum and division as xg.var, without a second centring pass
+    var = (xc * xc).sum(axis=red, keepdims=True) / (h * w * cg)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xg - mu) * inv
+    xhat = xc * inv
     xhat4 = xhat.reshape(n, h, w, c)
     sum_axes = (0, 1, 2)
     out = xhat4 * gamma.data + beta.data

@@ -6,6 +6,12 @@ number; ``backward`` replays the nodes reachable from the loss in reverse
 insertion order, visiting each exactly once and accumulating gradients
 additively across fan-out.
 
+``backward`` consumes the graph: each node drops its backward rule and its
+parents once replayed, so the activations and buffers the rules hold are
+freed while backward runs, not when the caller lets go of the loss. Output
+tensors keep their data. A second ``backward`` that reaches a consumed node
+raises ``GraphConsumed``.
+
 Graph construction and backward are single-threaded. A tensor whose data is
 populated and which is not part of a pending graph is immutable by
 convention and safe to share across threads.
@@ -19,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import NotScalar
+from ..errors import GraphConsumed, NotScalar
 
 _node_seq = itertools.count()
 
@@ -128,7 +134,8 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
     Gradients accumulate additively into existing ``grad`` buffers, so call
-    ``zero_grad`` between optimization steps.
+    ``zero_grad`` between optimization steps. The graph behind ``loss`` is
+    consumed: build it again to run backward again.
     """
     if loss.data.shape not in ((), (1,)):
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -145,6 +152,9 @@ def backward(loss: Tensor) -> None:
         node = stack.pop()
         if id(node) in seen:
             continue
+        if node.backward_fn is None:
+            raise GraphConsumed(
+                f"backward already ran over this graph (at a {node.kind} node)")
         seen.add(id(node))
         reachable.append(node)
         for p in node.parents:
@@ -157,10 +167,11 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss.node): np.ones_like(loss.data)}
     for node in reachable:
         out_grad = grads.pop(id(node), None)
+        parents, backward_fn = node.parents, node.backward_fn
+        node.parents, node.backward_fn = (), None
         if out_grad is None:
             continue  # node feeds nothing on the path to the loss
-        parent_grads = node.backward_fn(out_grad)
-        for parent, g in zip(node.parents, parent_grads):
+        for parent, g in zip(parents, backward_fn(out_grad)):
             if g is None or not parent.requires_grad:
                 continue
             if parent.node is None:

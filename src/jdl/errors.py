@@ -13,6 +13,10 @@ class NotScalar(ValueError):
     """Backward was started from a non-scalar tensor."""
 
 
+class GraphConsumed(RuntimeError):
+    """Backward reached graph nodes that an earlier backward already ran."""
+
+
 class NonFiniteFunction(ValueError):
     """Function under gradient check produced NaN or Inf."""
 

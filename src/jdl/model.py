@@ -13,6 +13,16 @@ channel-last once on entry (``_as_nhwc_leaf``), and arrays handed back
 (``DenoiserOutput.eps_nchw``, ``predict_noise``, ``class_score_grad``) are
 turned back on exit. ``DenoiserOutput.eps_hat`` carries the channel-last
 graph tensor itself.
+
+A guided sampling step needs the noise prediction and the classifier's input
+gradient at the same (z_t, t), and both start from the same encoder pass.
+``encode`` runs that pass once and returns an ``Encoding``: a requires-grad
+input leaf, the bottleneck, the skips and the time vector, graph-linked over
+detached views of the weights. ``class_score_grad`` backpropagates through
+it to the leaf only, which consumes the graph and writes no ``.grad`` into
+``params``; ``predict_noise`` then decodes the kept activations under
+``no_grad``. Both methods also take a plain NCHW batch and run their own
+pass.
 """
 
 from __future__ import annotations
@@ -54,6 +64,10 @@ class UNetConfig:
         return tuple(self.base_channels * m for m in self.channel_multipliers)
 
 
+def _nchw(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
+
+
 @dataclass
 class DenoiserOutput:
     eps_hat: Tensor           # channel-last (N, H, W, C), graph-linked
@@ -61,7 +75,22 @@ class DenoiserOutput:
 
     @property
     def eps_nchw(self) -> np.ndarray:
-        return np.ascontiguousarray(self.eps_hat.data.transpose(0, 3, 1, 2))
+        return _nchw(self.eps_hat.data)
+
+
+@dataclass
+class Encoding:
+    """One encoder pass at timestep ``t``, for both halves of a guided step.
+
+    The graph runs from ``leaf`` over detached weights, so a backward from
+    it reaches the leaf alone. ``class_score_grad`` consumes it;
+    ``predict_noise`` reads only the tensors' data.
+    """
+    leaf: Tensor              # NHWC input, requires grad
+    bottleneck: Tensor
+    skips: list
+    temb: Tensor
+    t: object                 # int or per-item array, as passed to ``encode``
 
 
 def _embed_batch(t, dim: int, n: int) -> np.ndarray:
@@ -285,27 +314,51 @@ class JointModel:
         bottleneck, _, _ = self._encode(leaf, t)
         return self._head(self._pool_features(bottleneck))
 
-    def predict_noise(self, z: np.ndarray, t) -> np.ndarray:
+    def _frozen(self) -> "JointModel":
+        """The same weight arrays as graph constants (no copy): a graph built
+        through this view differentiates its input only."""
+        return JointModel(self.cfg, {k: p.detach() for k, p in self.params.items()})
+
+    def encode(self, z, t) -> Encoding:
+        """Run the encoder once on NCHW ``z`` from a requires-grad leaf."""
+        leaf = _as_nhwc_leaf(z, requires_grad=True)
+        bottleneck, skips, temb = self._frozen()._encode(leaf, t)
+        return Encoding(leaf, bottleneck, skips, temb, t)
+
+    def _encoding(self, z, t) -> Encoding:
+        if not isinstance(z, Encoding):
+            return self.encode(z, t)
+        if not np.array_equal(z.t, t):
+            raise ValueError(f"encoding was made at t={z.t}, not t={t}")
+        return z
+
+    def predict_noise(self, z, t) -> np.ndarray:
+        """Predicted noise as an NCHW array, under ``no_grad``. ``z`` is an
+        NCHW batch or an ``Encoding`` at ``t``, whose activations are decoded
+        without running the encoder again."""
         with ad.no_grad():
-            return self.denoise(z, t).eps_nchw
+            enc = self._encoding(z, t)
+            return _nchw(self._decode(enc.bottleneck, enc.skips, enc.temb).data)
 
     def class_probs(self, z: np.ndarray, t) -> np.ndarray:
         with ad.no_grad():
             return ad.sigmoid(self.classify(z, t)).data
 
-    def class_score_grad(self, z: np.ndarray, t, class_idx: int,
+    def class_score_grad(self, z, t, class_idx: int,
                          toward: bool = True) -> np.ndarray:
         """d/dz of sum_i log p(y_k | z_i) over the batch, as an NCHW array.
 
         ``toward`` uses log sigma(logit_k); otherwise log(1 - sigma(logit_k)).
-        Backward runs through encoder and head only.
+        ``z`` is an NCHW batch or an ``Encoding`` at ``t``, whose graph the
+        backward consumes. Backward runs through the head and the encoder to
+        the input only; no parameter gets a ``.grad``.
         """
         k = int(class_idx)
         if not 0 <= k < self.cfg.num_classes:
             raise BadClassIndex(f"class {k} outside [0, {self.cfg.num_classes})")
-        leaf = _as_nhwc_leaf(z, requires_grad=True)
-        bottleneck, _, _ = self._encode(leaf, t)
-        logits = self._head(self._pool_features(bottleneck))
+        enc = self._encoding(z, t)
+        frozen = self._frozen()
+        logits = frozen._head(frozen._pool_features(enc.bottleneck))
         onehot = Tensor(np.eye(self.cfg.num_classes)[:, [k]])
         picked = ad.matmul(logits, onehot)                     # (N, 1)
         n = picked.shape[0]
@@ -313,7 +366,7 @@ class JointModel:
         # log sigma(x) = -softplus(-x) = -n * bce(x, 1); complement uses bce(x, 0)
         score = ad.mul(ad.bce_with_logits(picked, Tensor(target)), -float(n))
         ad.backward(score)
-        return np.ascontiguousarray(leaf.grad.transpose(0, 3, 1, 2))
+        return _nchw(enc.leaf.grad)
 
     # -- persistence ---------------------------------------------------------
 

@@ -9,9 +9,16 @@ rounding, so ``SamplerConfig(kind="ddpm")`` runs exactly that.
 
 Guidance adjusts the predicted noise by the scaled classifier gradient:
 eps' = eps_hat - s * sqrt(1 - abar_t) * d/dz log p(y_k | z_t), with the
-log-complement used when steering away from a class. Scale 0 turns guidance
-off and returns the prediction untouched (bitwise), so guided and unguided
-runs share identical rng streams and trajectories.
+log-complement used when steering away from a class (Dhariwal & Nichol
+2021). The classifier shares the denoiser's encoder, so a guided step runs
+that encoder once (``model.encode``): the classifier gradient backpropagates
+through it first, which frees its graph, and the decoder then reads its
+activations under ``no_grad``. Scale 0 turns guidance off and returns the
+plain ``no_grad`` prediction (bitwise), so guided and unguided runs share
+identical rng streams and trajectories.
+
+``ddim_reverse_from`` validates its timesteps and the guidance target
+against the schedule and ``model.cfg`` once, before the first step.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ class GuidanceConfig:
             raise ValueError(f"unknown guidance direction {self.direction!r}")
         if not np.isfinite(self.scale) or self.scale < 0:
             raise ValueError("guidance scale must be finite and >= 0")
-        # the upper bound needs num_classes; JointModel.class_score_grad checks it
         if self.target_class < 0:
             raise BadClassIndex(f"bad class index {self.target_class}")
 
@@ -69,11 +75,13 @@ class GuidanceStats:
 def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
                    sched: NoiseSchedule, stats: GuidanceStats | None = None) -> np.ndarray:
     """Adjusted noise prediction for one reverse step (whole batch at t)."""
-    eps = model.predict_noise(z_t, t)
     if not g.active:
-        return eps
-    grad = model.class_score_grad(z_t, t, g.target_class,
+        return model.predict_noise(z_t, t)
+    # score backward before the decoder: the encoder graph is freed by then
+    enc = model.encode(z_t, t)
+    grad = model.class_score_grad(enc, t, g.target_class,
                                   toward=(g.direction == "toward"))
+    eps = model.predict_noise(enc, t)
     flat = grad.reshape(grad.shape[0], -1)
     norms = np.sqrt((flat * flat).sum(axis=1))
     if stats is not None:
@@ -103,7 +111,20 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
                       eta: float = 0.0,
                       stats: GuidanceStats | None = None) -> np.ndarray:
     """Reverse updates from z at ``taus[-1]`` down to z_0 over the ascending
-    timestep subsequence ``taus``; eta = 1 over ``1..t`` is ancestral DDPM."""
+    timestep subsequence ``taus``; eta = 1 over ``1..t`` is ancestral DDPM.
+
+    Raises ``BadSubsequence`` unless ``taus`` are strictly increasing
+    integers in [1, T], and ``BadClassIndex`` for a guidance target outside
+    ``model.cfg.num_classes``, whatever the scale.
+    """
+    taus = np.asarray(taus)
+    if (taus.ndim != 1 or taus.size == 0 or not np.issubdtype(taus.dtype, np.integer)
+            or taus[0] < 1 or taus[-1] > sched.T or np.any(np.diff(taus) <= 0)):
+        raise BadSubsequence(
+            f"timesteps must be strictly increasing integers in [1, {sched.T}], got {taus}")
+    if g.target_class >= model.cfg.num_classes:
+        raise BadClassIndex(
+            f"class {g.target_class} outside [0, {model.cfg.num_classes})")
     z = np.asarray(z, dtype=np.float64)
     for i in range(len(taus) - 1, -1, -1):
         t = int(taus[i])

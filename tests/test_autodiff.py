@@ -1,4 +1,5 @@
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jdl.autodiff as ad
-from jdl.errors import CheckpointMismatch, NotScalar, ShapeMismatch
+from jdl.errors import CheckpointMismatch, GraphConsumed, NotScalar, ShapeMismatch
 
 RNG = np.random.default_rng(0)
 
@@ -52,6 +53,18 @@ def test_backward_requires_scalar():
     x = ad.tensor(np.ones(3), requires_grad=True)
     with pytest.raises(NotScalar):
         ad.backward(ad.sigmoid(x))
+
+
+def test_backward_consumes_the_graph():
+    x = ad.tensor(rand(3), requires_grad=True)
+    h = ad.mul(x, x)
+    alive = weakref.ref(h.data)
+    loss = ad.sum(h)
+    del h
+    ad.backward(loss)
+    assert alive() is None          # freed by backward, not when loss goes
+    with pytest.raises(GraphConsumed):
+        ad.backward(loss)
 
 
 def test_fanout_accumulates_both_branches():
@@ -117,11 +130,20 @@ def test_grad_mul():
     _check(lambda x: ad.sum(ad.mul(x, other)), rand(3, 4))
 
 
+def _parent_grads(out):
+    """Which parents the backward rule of ``out`` differentiates."""
+    return [g is not None for g in out.node.backward_fn(np.ones(out.shape))]
+
+
 def test_grad_matmul():
     other = ad.tensor(rand(4, 2))
     _check(lambda x: ad.sum(ad.matmul(x, other)), rand(3, 4))
     lhs = ad.tensor(rand(3, 4))
     _check(lambda w: ad.sum(ad.matmul(lhs, w)), rand(4, 2))
+    grad = ad.tensor(rand(3, 4), requires_grad=True)
+    assert _parent_grads(ad.matmul(grad, other)) == [True, False]
+    assert _parent_grads(ad.matmul(lhs, ad.tensor(rand(4, 2), requires_grad=True))) \
+        == [False, True]
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
@@ -132,6 +154,10 @@ def test_grad_conv2d(stride, padding):
     x0 = ad.tensor(rand(2, 6, 6, 2))
     _check(lambda w_: ad.sum(ad.conv2d(x0, w_, stride=stride, padding=padding)),
            rand(3, 2, 3, 3))
+    x1 = ad.tensor(rand(2, 6, 6, 2), requires_grad=True)
+    w1 = ad.tensor(rand(3, 2, 3, 3), requires_grad=True)
+    assert _parent_grads(ad.conv2d(x1, w, stride=stride, padding=padding)) == [True, False]
+    assert _parent_grads(ad.conv2d(x0, w1, stride=stride, padding=padding)) == [False, True]
 
 
 def test_grad_avg_pool2d():

@@ -3,7 +3,7 @@ import pytest
 
 import jdl.autodiff as ad
 from jdl.autodiff import Tensor
-from jdl.errors import OddDim, ShapeMismatch
+from jdl.errors import GraphConsumed, OddDim, ShapeMismatch
 from jdl.model import JointModel, UNetConfig, feature_pool_kernel, time_embedding
 
 SMALL = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
@@ -152,6 +152,16 @@ def test_classifier_input_gradient_matches_finite_differences():
         err = abs(grad.reshape(-1)[i] - numeric) / max(1e-8, abs(numeric))
         worst = max(worst, err)
     assert worst < 1e-4
+
+
+def test_encoding_serves_one_backward_at_its_own_t():
+    m = JointModel.build(SMALL, seed=5)
+    enc = m.encode(np.random.default_rng(8).standard_normal((2, 1, 8, 8)), 3)
+    with pytest.raises(ValueError):
+        m.predict_noise(enc, 4)
+    m.class_score_grad(enc, 3, 0)
+    with pytest.raises(GraphConsumed):
+        m.class_score_grad(enc, 3, 1)
 
 
 def test_class_score_grad_rejects_bad_index():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import jdl.autodiff as ad
 from jdl.errors import BadClassIndex, BadSubsequence
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
@@ -203,6 +204,9 @@ def test_gradient_clipping_counted(sched):
     class LoudClassifier:
         cfg = CFG
 
+        def encode(self, z, t):
+            return z
+
         def predict_noise(self, z, t):
             return np.zeros_like(z)
 
@@ -222,3 +226,71 @@ def test_gradient_clipping_counted(sched):
     assert np.allclose(norms[:2], coef * GRAD_CLIP_NORM)
     # under the cap the gradient passes through unscaled, bit for bit
     assert np.array_equal(out[2:], -coef * GRADS[2:])
+
+
+class LoudItemZero:
+    """The real model, with item 0's classifier gradient scaled past the clip."""
+
+    def __init__(self, model):
+        self.model = model
+        self.cfg = model.cfg
+        self.encode = model.encode
+        self.predict_noise = model.predict_noise
+
+    def class_score_grad(self, z, t, k, toward=True):
+        grad = self.model.class_score_grad(z, t, k, toward)
+        grad[0] *= 1e7
+        return grad
+
+
+@pytest.mark.parametrize("direction", ["toward", "away"])
+def test_guided_epsilon_matches_two_pass_reference(model, sched, direction):
+    loud = LoudItemZero(model)
+    z = np.random.default_rng(12).standard_normal((3, 1, 8, 8))
+    g = GuidanceConfig(direction=direction, target_class=1, scale=2.0)
+    stats = GuidanceStats()
+    out = guided_epsilon(loud, z, 6, g, sched, stats=stats)
+
+    # reference: the noise and the gradient from two encoder passes, then the clip
+    eps = model.predict_noise(z, 6)
+    grad = loud.class_score_grad(z, 6, 1, toward=(direction == "toward"))
+    norms = np.sqrt((grad.reshape(3, -1) ** 2).sum(axis=1))
+    keep = np.minimum(1.0, GRAD_CLIP_NORM / np.maximum(norms, 1e-12))
+    ref = eps - 2.0 * np.sqrt(1.0 - sched.alpha_bar(6)) * (grad * keep.reshape(3, 1, 1, 1))
+    assert (stats.clipped, stats.total) == (1, 3) and norms[1] > 0
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_guided_step_runs_the_encoder_once(model, sched):
+    z = np.random.default_rng(13).standard_normal((2, 1, 8, 8))
+    with ad.op_count() as plain:
+        guided_epsilon(model, z, 5, GuidanceConfig(), sched)
+    with ad.op_count() as guided:
+        guided_epsilon(model, z, 5, GuidanceConfig(target_class=2, scale=1.0), sched)
+    extra = {k: n - plain.get(k, 0) for k, n in guided.items() if n != plain.get(k, 0)}
+    # pool, the two-layer head, then the picked logit and its log-sigmoid score
+    assert extra == {"avg_pool2d": 1, "reshape": 1, "matmul": 3, "add": 2,
+                     "leaky_relu": 1, "bce_with_logits": 1, "mul": 1}
+
+
+def test_guidance_writes_no_parameter_gradients(model, sched):
+    z = np.random.default_rng(14).standard_normal((2, 1, 8, 8))
+    g = GuidanceConfig(direction="away", target_class=0, scale=3.0)
+    guided_epsilon(model, z, 4, g, sched)
+    model.class_score_grad(z, 4, 1)
+    ddim_sample(model, 2, g, SamplerConfig(kind="ddim", ddim_steps=3), sched, stream(0, "g"))
+    assert all(p.grad is None for p in model.params.values())
+
+
+def test_reverse_chain_validates_its_inputs(sched):
+    model = LinearDenoiser()
+    z = np.zeros((1, 1, 8, 8))
+    rng = stream(0, "v")
+    for taus in ([sched.T + 1], [5, 3], [0, 2], [2, 2], [], [1.0, 2.0], [[1, 2]]):
+        with pytest.raises(BadSubsequence):
+            ddim_reverse_from(model, z, np.asarray(taus), GuidanceConfig(), sched, rng,
+                              eta=0.5)
+    # checked at entry, even when no step would use the classifier
+    with pytest.raises(BadClassIndex):
+        ddim_reverse_from(model, z, np.arange(1, 4),
+                          GuidanceConfig(target_class=CFG.num_classes), sched, rng)
