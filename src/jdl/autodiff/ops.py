@@ -1,20 +1,20 @@
 """Differentiable primitives.
 
-Forward functions compute with plain numpy and register a backward closure
-via ``record``. The spatial primitives (``conv2d``, ``avg_pool2d``,
-``upsample_nearest``, ``group_norm``) take and return channel-last NHWC
-batches, the cache-friendly direction for the im2col gather; no other axis
-order exists inside the graph. Convolutions gather windows from strided
-views and multiply with one BLAS GEMM; the scatter in their backward loops
-over the (small) kernel footprint so the reduction order is fixed and
-results do not depend on worker count.
+Forward functions compute with plain numpy and hand ``record`` one
+``(parent, vjp)`` pair per input, each vjp mapping the output gradient to
+that input's gradient. No primitive asks which inputs require grad:
+``record`` keeps the rules of those that do and drops the others. So a
+convolution over frozen weights lets its window matrix go at forward time,
+and an input-only backward runs no weight-gradient GEMM and no reduction
+for ``gamma``, ``beta`` or a bias.
 
-The backward rules of ``conv2d`` and ``matmul`` compute the gradient of a
-parent only if that parent requires grad, as decided at forward time, and
-return ``None`` for the other: a convolution over frozen weights does not
-keep its window matrix, and an input-only backward runs no weight-gradient
-GEMM. The other rules return every parent's gradient, and ``backward`` drops
-those nothing needs.
+The spatial primitives (``conv2d``, ``avg_pool2d``, ``upsample_nearest``,
+``group_norm``) take and return channel-last NHWC batches, the
+cache-friendly direction for the im2col gather; no other axis order exists
+inside the graph. Convolutions gather windows from strided views and
+multiply with one BLAS GEMM; the scatter in their backward loops over the
+(small) kernel footprint so the reduction order is fixed and results do not
+depend on worker count.
 
 Broadcasting is deliberately narrow: identical shapes, scalar against
 tensor, and singleton-dimension bias adds. Anything else needs an explicit
@@ -64,38 +64,26 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if not _broadcast_allowed(a.shape, b.shape):
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    out = a.data + b.data
-
-    def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return record("add", (a, b), out, backward_fn)
+    return record("add", a.data + b.data,
+                  (a, lambda g: _unbroadcast(g, a.shape)),
+                  (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if not _broadcast_allowed(a.shape, b.shape):
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    out = a.data * b.data
-
-    def backward_fn(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
-
-    return record("mul", (a, b), out, backward_fn)
+    return record("mul", a.data * b.data,
+                  (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                  (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def backward_fn(g):
-        return (g @ b.data.T if need_a else None,
-                a.data.T @ g if need_b else None)
-
-    return record("matmul", (a, b), out, backward_fn)
+    return record("matmul", a.data @ b.data,
+                  (a, lambda g: g @ b.data.T),
+                  (b, lambda g: a.data.T @ g))
 
 
 def _im2col_nhwc(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -156,21 +144,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     cols = _im2col_nhwc(xp, kh, kw, stride, oh, ow)
     wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, co)
     out = (cols @ wmat).reshape(n, oh, ow, co)
-    need_x = x.requires_grad
-    # the windows are needed only for dw; frozen weights let them go now
-    wcols = cols if w.requires_grad else None
 
-    def backward_fn(g):
-        g2 = g.reshape(n * oh * ow, co)
-        dx = dw = None
-        if wcols is not None:
-            dw = (wcols.T @ g2).reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
-        if need_x:
-            dxp = _col2im_nhwc(g2 @ wmat.T, n, c, hp, wp, kh, kw, stride, oh, ow)
-            dx = dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
-        return dx, dw
+    def dx(g):
+        dxp = _col2im_nhwc(g.reshape(n * oh * ow, co) @ wmat.T,
+                           n, c, hp, wp, kh, kw, stride, oh, ow)
+        return dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
 
-    return record("conv2d", (x, w), out, backward_fn)
+    # only dw holds the windows, so frozen weights let them go now
+    def dw(g):
+        dwmat = cols.T @ g.reshape(n * oh * ow, co)
+        return dwmat.reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
+
+    return record("conv2d", out, (x, dx), (w, dw))
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
@@ -183,12 +168,12 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     oh, ow = h // k, w // k
     out = x.data.reshape(n, oh, k, ow, k, c).mean(axis=(2, 4))
 
-    def backward_fn(g):
+    def dx(g):
         gd = np.broadcast_to(g[:, :, None, :, None, :] / (k * k),
                              (n, oh, k, ow, k, c))
-        return (gd.reshape(n, h, w, c).copy(),)
+        return gd.reshape(n, h, w, c).copy()
 
-    return record("avg_pool2d", (x,), out, backward_fn)
+    return record("avg_pool2d", out, (x, dx))
 
 
 def upsample_nearest(x: Tensor, scale: int) -> Tensor:
@@ -197,12 +182,8 @@ def upsample_nearest(x: Tensor, scale: int) -> Tensor:
     s = int(scale)
     if s < 1:
         raise ShapeMismatch("upsample_nearest: scale must be >= 1")
-    out = x.data.repeat(s, axis=1).repeat(s, axis=2)
-
-    def backward_fn(g):
-        return (g.reshape(n, h, s, w, s, c).sum(axis=(2, 4)),)
-
-    return record("upsample_nearest", (x,), out, backward_fn)
+    return record("upsample_nearest", x.data.repeat(s, axis=1).repeat(s, axis=2),
+                  (x, lambda g: g.reshape(n, h, s, w, s, c).sum(axis=(2, 4))))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -213,30 +194,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid(x.data)
-
-    def backward_fn(g):
-        return (g * out * (1.0 - out),)
-
-    return record("sigmoid", (x,), out, backward_fn)
+    return record("sigmoid", out, (x, lambda g: g * out * (1.0 - out)))
 
 
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    out = x.data * s
-
-    def backward_fn(g):
-        return (g * s * (1.0 + x.data * (1.0 - s)),)
-
-    return record("silu", (x,), out, backward_fn)
+    return record("silu", x.data * s,
+                  (x, lambda g: g * s * (1.0 + x.data * (1.0 - s))))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out = np.where(x.data >= 0, x.data, slope * x.data)
-
-    def backward_fn(g):
-        return (g * np.where(x.data >= 0, 1.0, slope),)
-
-    return record("leaky_relu", (x,), out, backward_fn)
+    return record("leaky_relu", np.where(x.data >= 0, x.data, slope * x.data),
+                  (x, lambda g: g * np.where(x.data >= 0, 1.0, slope)))
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -263,16 +232,15 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     sum_axes = (0, 1, 2)
     out = xhat4 * gamma.data + beta.data
 
-    def backward_fn(gr):
-        dgamma = (gr * xhat4).sum(axis=sum_axes)
-        dbeta = gr.sum(axis=sum_axes)
-        dxhat = (gr * gamma.data).reshape(xg.shape)
+    def dx(gr):
+        dxhat = (gr * gamma.data).reshape(xhat.shape)
         mean_dxhat = dxhat.mean(axis=red, keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=red, keepdims=True)
-        dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-        return dx.reshape(x.data.shape), dgamma, dbeta
+        return (inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)).reshape(n, h, w, c)
 
-    return record("group_norm", (x, gamma, beta), out, backward_fn)
+    return record("group_norm", out, (x, dx),
+                  (gamma, lambda gr: (gr * xhat4).sum(axis=sum_axes)),
+                  (beta, lambda gr: gr.sum(axis=sum_axes)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -287,18 +255,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
         if other[:axis] + other[axis + 1:] != base[:axis] + base[axis + 1:]:
             raise ShapeMismatch("concat: non-axis dims must match")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
-    def backward_fn(g):
-        slicer = [slice(None)] * g.ndim
-        parts = []
-        for i in range(len(ts)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            parts.append(g[tuple(slicer)])
-        return tuple(parts)
+    def rule(t, lo, hi):
+        index = [slice(None)] * out.ndim
+        index[axis] = slice(lo, hi)
+        index = tuple(index)
+        return t, lambda g: g[index]
 
-    return record("concat", ts, out, backward_fn)
+    return record("concat", out, *map(rule, ts, offsets, offsets[1:]))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -306,31 +271,18 @@ def reshape(x: Tensor, shape) -> Tensor:
     if np.prod(shape, dtype=int) != x.size:
         raise ShapeMismatch(f"reshape: {x.shape} -> {shape}")
     orig = x.shape
-    out = x.data.reshape(shape)
-
-    def backward_fn(g):
-        return (g.reshape(orig),)
-
-    return record("reshape", (x,), out, backward_fn)
+    return record("reshape", x.data.reshape(shape), (x, lambda g: g.reshape(orig)))
 
 
 def sum(x: Tensor) -> Tensor:  # noqa: A001 - mirrors the primitive name
-    out = np.asarray(x.data.sum())
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, x.shape).astype(np.float64, copy=True),)
-
-    return record("sum", (x,), out, backward_fn)
+    return record("sum", np.asarray(x.data.sum()),
+                  (x, lambda g: np.broadcast_to(g, x.shape).astype(np.float64, copy=True)))
 
 
 def mean(x: Tensor) -> Tensor:
     n = x.size
-    out = np.asarray(x.data.mean())
-
-    def backward_fn(g):
-        return (np.full(x.shape, float(g) / n),)
-
-    return record("mean", (x,), out, backward_fn)
+    return record("mean", np.asarray(x.data.mean()),
+                  (x, lambda g: np.full(x.shape, float(g) / n)))
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
@@ -340,12 +292,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     n = pred.size
     out = np.asarray((diff * diff).mean())
-
-    def backward_fn(g):
-        d = (2.0 / n) * diff * g
-        return d, -d
-
-    return record("mse", (pred, target), out, backward_fn)
+    return record("mse", out,
+                  (pred, lambda g: (2.0 / n) * diff * g),
+                  (target, lambda g: -((2.0 / n) * diff * g)))
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
@@ -356,10 +305,6 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     n = logits.size
     # max(x,0) - x*y + log(1 + exp(-|x|))
     out = np.asarray((np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))).mean())
-
-    def backward_fn(g):
-        dx = (_sigmoid(x) - y) * (g / n)
-        dy = -x * (g / n)
-        return dx, dy
-
-    return record("bce_with_logits", (logits, targets), out, backward_fn)
+    return record("bce_with_logits", out,
+                  (logits, lambda g: (_sigmoid(x) - y) * (g / n)),
+                  (targets, lambda g: -x * (g / n)))

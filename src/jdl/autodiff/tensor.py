@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every primitive records a graph node when grad recording is on and at least
-one input requires grad. Nodes carry a monotonically increasing sequence
-number; ``backward`` replays the nodes reachable from the loss in reverse
-insertion order, visiting each exactly once and accumulating gradients
-additively across fan-out.
+Every primitive hands ``record`` its output and one ``(parent, vjp)`` pair
+per input, where the vjp maps the output gradient to that input's gradient.
+``record`` alone decides which gradients exist: it keeps the pairs whose
+parent requires grad and drops the rest, and under ``no_grad`` it keeps
+none. A dropped vjp is freed with whatever it alone captured, and a node
+is built only when some pair is kept. Nodes carry a monotonically
+increasing sequence number; ``backward`` replays the nodes reachable from
+the loss in reverse insertion order, visiting each exactly once and
+accumulating gradients additively across fan-out.
 
 ``backward`` consumes the graph: each node drops its backward rule and its
 parents once replayed, so the activations and buffers the rules hold are
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,12 +40,14 @@ _grad_enabled = True
 
 
 class Node:
-    """One recorded primitive application: kind, parents, backward rule."""
+    """One recorded primitive application: its kind, the parents that
+    require grad, and a backward rule that maps the output gradient to one
+    gradient per parent, in order."""
 
     __slots__ = ("kind", "parents", "backward_fn", "seq")
 
     def __init__(self, kind: str, parents: Sequence["Tensor"],
-                 backward_fn: Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]):
+                 backward_fn: Callable[[np.ndarray], Sequence[np.ndarray]]):
         self.kind = kind
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
@@ -119,14 +125,17 @@ def _tally(kind: str) -> None:
         counter[kind] = counter.get(kind, 0) + 1
 
 
-def record(kind: str, parents: Sequence[Tensor], out_data: np.ndarray,
-           backward_fn) -> Tensor:
-    """Wrap a primitive result, attaching a graph node when tracking."""
+def record(kind: str, out_data: np.ndarray,
+           *rules: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Wrap a primitive result. ``rules`` holds one ``(parent, vjp)`` pair
+    per input; only the pairs whose parent requires grad are kept, and none
+    under ``no_grad``. The output tracks grad iff some pair is kept."""
     _tally(kind)
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=track)
-    if track:
-        out.node = Node(kind, parents, backward_fn)
+    kept = [(p, vjp) for p, vjp in rules if p.requires_grad] if _grad_enabled else []
+    out = Tensor(out_data, requires_grad=bool(kept))
+    if kept:
+        parents, vjps = zip(*kept)
+        out.node = Node(kind, parents, lambda g: [vjp(g) for vjp in vjps])
     return out
 
 
@@ -172,8 +181,6 @@ def backward(loss: Tensor) -> None:
         if out_grad is None:
             continue  # node feeds nothing on the path to the loss
         for parent, g in zip(parents, backward_fn(out_grad)):
-            if g is None or not parent.requires_grad:
-                continue
             if parent.node is None:
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)

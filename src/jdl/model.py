@@ -8,11 +8,11 @@ Encoder weights are stored once and referenced by both tasks, so gradients
 from either loss land in the same arrays.
 
 The graph is NHWC only, like every spatial primitive in ``autodiff``. NCHW
-appears only at ``JointModel``'s public numpy methods: inputs are turned
-channel-last once on entry (``_as_nhwc_leaf``), and arrays handed back
-(``DenoiserOutput.eps_nchw``, ``predict_noise``, ``class_score_grad``) are
-turned back on exit. ``DenoiserOutput.eps_hat`` carries the channel-last
-graph tensor itself.
+appears only at ``JointModel``'s public methods: inputs are turned
+channel-last once on entry (``_as_nhwc_leaf``), and the arrays that
+``predict_noise`` and ``class_score_grad`` hand back are turned back on
+exit. ``denoise`` and ``classify`` return the channel-last graph tensors
+that the training losses differentiate.
 
 A guided sampling step needs the noise prediction and the classifier's input
 gradient at the same (z_t, t), and both start from the same encoder pass.
@@ -69,16 +69,6 @@ def _nchw(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DenoiserOutput:
-    eps_hat: Tensor           # channel-last (N, H, W, C), graph-linked
-    features: Tensor          # pooled bottleneck, shape (N, D)
-
-    @property
-    def eps_nchw(self) -> np.ndarray:
-        return _nchw(self.eps_hat.data)
-
-
-@dataclass
 class Encoding:
     """One encoder pass at timestep ``t``, for both halves of a guided step.
 
@@ -124,11 +114,7 @@ def feature_pool_kernel(channels: int, side: int, cap: int) -> int:
 
 
 def _as_nhwc_leaf(z, requires_grad: bool = False) -> Tensor:
-    """Accept an NCHW numpy batch (or a leaf Tensor holding one)."""
-    if isinstance(z, Tensor):
-        if z.node is not None:
-            raise ShapeMismatch("model inputs must be leaf arrays, not graph outputs")
-        z = z.data
+    """Turn an NCHW numpy batch into an NHWC leaf."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a 4-d NCHW batch, got {z.shape}")
@@ -298,15 +284,10 @@ class JointModel:
 
     # -- public API (NCHW numpy at the boundary) ------------------------------
 
-    def denoise(self, z, t) -> DenoiserOutput:
-        """Predicted noise plus pooled features from the same encoder pass."""
-        leaf = _as_nhwc_leaf(z)
-        bottleneck, skips, temb = self._encode(leaf, t)
-        eps_hat = self._decode(bottleneck, skips, temb)
-        return DenoiserOutput(eps_hat=eps_hat, features=self._pool_features(bottleneck))
-
-    def classify_features(self, features: Tensor) -> Tensor:
-        return self._head(features)
+    def denoise(self, z, t) -> Tensor:
+        """Predicted noise for NCHW ``z`` as a channel-last (N, H, W, C)
+        graph tensor over the model's weights."""
+        return self._decode(*self._encode(_as_nhwc_leaf(z), t))
 
     def classify(self, z, t) -> Tensor:
         """Class logits; runs encoder and head only, never the decoder."""

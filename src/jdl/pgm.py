@@ -21,6 +21,7 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read an 8-bit binary PGM; a malformed file raises ``IoError``."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P5"):
         raise IoError(f"{path}: not a binary PGM")
@@ -38,9 +39,14 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
         fields.append(blob[start:pos])
+    if not all(f.isdigit() for f in fields):
+        raise IoError(f"{path}: header fields {fields} are not all decimal numbers")
     pos += 1  # single whitespace before raster
     w, h, maxval = (int(x) for x in fields)
     if maxval != 255:
         raise IoError(f"{path}: only 8-bit PGM supported")
+    if w < 1 or h < 1 or len(blob) - pos < w * h:
+        raise IoError(f"{path}: no {w}x{h} raster after a {pos}-byte header "
+                      f"in {len(blob)} bytes")
     raster = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos)
     return raster.reshape(h, w).astype(np.float64) / 127.5 - 1.0

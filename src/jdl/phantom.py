@@ -231,6 +231,8 @@ def build_dataset(n_train: int, n_test: int, class_priors=(0.3, 0.3, 0.3),
         raise InvalidPrior(f"priors must lie in [0,1], got {priors}")
     if n_train < 1 or n_test < 1:
         raise InvalidPrior("dataset sizes must be >= 1")
+    if not 0.0 <= label_fraction <= 1.0:     # also false for NaN
+        raise InvalidPrior(f"label_fraction must lie in [0, 1], got {label_fraction}")
 
     def make_split(tag: str, n: int):
         flag_rng = stream(seed, f"{tag}-flags")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigInvalid, EmptyLabeledBatch, TrainingDiverged
+from .errors import CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, TrainingDiverged
 from .model import JointModel
 from .rng import stream
 from .schedule import NoiseSchedule, q_sample
@@ -131,6 +131,17 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Restore the step and both moments; raises ``CheckpointMismatch``,
+        before changing anything, unless ``arrays`` holds each at its shape."""
+        expected = {"opt.step": ()}
+        for name in self.m:
+            expected[f"opt.m.{name}"] = expected[f"opt.v.{name}"] = self.m[name].shape
+        for key, shape in expected.items():
+            if key not in arrays:
+                raise CheckpointMismatch(f"checkpoint has no optimizer state {key!r}")
+            if arrays[key].shape != shape:
+                raise CheckpointMismatch(
+                    f"{key}: checkpoint shape {arrays[key].shape} != optimizer {shape}")
         self.t = int(arrays["opt.step"])
         for name in self.m:
             self.m[name] = np.array(arrays[f"opt.m.{name}"])
@@ -144,20 +155,17 @@ def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
     t = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal(z0_batch.shape)
     zt = q_sample(z0_batch, t, eps, sched)
-    out = model.denoise(zt, t)
-    # the graph tensor is channel-last; compare against eps transposed to match
-    return ad.mse(out.eps_hat, Tensor(eps.transpose(0, 2, 3, 1)))
+    # the prediction is channel-last; compare against eps transposed to match
+    return ad.mse(model.denoise(zt, t), Tensor(eps.transpose(0, 2, 3, 1)))
 
 
 def classification_loss(model: JointModel, images: np.ndarray, labels: np.ndarray,
                         sched: NoiseSchedule, rng: np.random.Generator,
-                        t_max: Optional[int] = None) -> Tensor:
-    """Per-class BCE on lightly noised labeled samples."""
+                        t_max: int) -> Tensor:
+    """Per-class BCE on labeled samples noised at t drawn from [1, t_max]."""
     n = images.shape[0]
     if n == 0:
         raise EmptyLabeledBatch("classification batch is empty")
-    if t_max is None:
-        t_max = max(1, round(0.3 * sched.T))
     t = rng.integers(1, t_max + 1, size=n)
     eps = rng.standard_normal(images.shape)
     zt = q_sample(images, t, eps, sched)
@@ -245,9 +253,19 @@ def save_training_checkpoint(path, model: JointModel, opt: Adam, step: int) -> N
 
 
 def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None) -> int:
-    """Restore model (and optimizer, if given); returns the stored step."""
+    """Restore model (and optimizer, if given); returns the stored step.
+
+    With ``opt`` the file must be a training checkpoint: one without
+    ``train.step`` or without the optimizer's full state raises
+    ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Without
+    ``opt`` a model-only file (``JointModel.save``) loads at step 0.
+    """
     arrays = ad.load_weights(path)
     model.load_state(arrays)
-    if opt is not None and "opt.step" in arrays:
-        opt.load_state(arrays)
-    return int(arrays.get("train.step", np.asarray(0.0)))
+    if opt is None:
+        return int(arrays.get("train.step", np.asarray(0.0)))
+    step = arrays.get("train.step")
+    if step is None or step.shape != ():
+        raise CheckpointMismatch(f"{path}: no scalar train.step, not a training checkpoint")
+    opt.load_state(arrays)
+    return int(step)

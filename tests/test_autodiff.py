@@ -95,12 +95,23 @@ def test_broadcast_policy_rejects_rank_mismatch():
         ad.add(ad.tensor(rand(2, 3)), ad.tensor(rand(3, 1, 1)))
 
 
+def _recorded(out):
+    """The parents the node of ``out`` keeps, after checking that its rule
+    returns one gradient per kept parent, shaped like that parent."""
+    grads = out.node.backward_fn(np.ones(out.shape))
+    assert [g.shape for g in grads] == [p.shape for p in out.node.parents]
+    return out.node.parents
+
+
 def test_bias_add_gradients():
     x = ad.tensor(rand(4, 3), requires_grad=True)
     b = ad.tensor(rand(3), requires_grad=True)
     ad.backward(ad.sum(ad.add(x, b)))
     assert np.allclose(b.grad, 4.0)
     assert np.allclose(x.grad, 1.0)
+    frozen = ad.tensor(rand(3))
+    assert _recorded(ad.add(x, frozen)) == (x,)
+    assert _recorded(ad.add(x, b)) == (x, b)
 
 
 def test_channel_bias_add():
@@ -130,20 +141,16 @@ def test_grad_mul():
     _check(lambda x: ad.sum(ad.mul(x, other)), rand(3, 4))
 
 
-def _parent_grads(out):
-    """Which parents the backward rule of ``out`` differentiates."""
-    return [g is not None for g in out.node.backward_fn(np.ones(out.shape))]
-
-
 def test_grad_matmul():
     other = ad.tensor(rand(4, 2))
     _check(lambda x: ad.sum(ad.matmul(x, other)), rand(3, 4))
     lhs = ad.tensor(rand(3, 4))
     _check(lambda w: ad.sum(ad.matmul(lhs, w)), rand(4, 2))
     grad = ad.tensor(rand(3, 4), requires_grad=True)
-    assert _parent_grads(ad.matmul(grad, other)) == [True, False]
-    assert _parent_grads(ad.matmul(lhs, ad.tensor(rand(4, 2), requires_grad=True))) \
-        == [False, True]
+    w = ad.tensor(rand(4, 2), requires_grad=True)
+    assert _recorded(ad.matmul(grad, other)) == (grad,)
+    assert _recorded(ad.matmul(lhs, w)) == (w,)
+    assert _recorded(ad.matmul(grad, w)) == (grad, w)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
@@ -156,8 +163,9 @@ def test_grad_conv2d(stride, padding):
            rand(3, 2, 3, 3))
     x1 = ad.tensor(rand(2, 6, 6, 2), requires_grad=True)
     w1 = ad.tensor(rand(3, 2, 3, 3), requires_grad=True)
-    assert _parent_grads(ad.conv2d(x1, w, stride=stride, padding=padding)) == [True, False]
-    assert _parent_grads(ad.conv2d(x0, w1, stride=stride, padding=padding)) == [False, True]
+    assert _recorded(ad.conv2d(x1, w, stride=stride, padding=padding)) == (x1,)
+    assert _recorded(ad.conv2d(x0, w1, stride=stride, padding=padding)) == (w1,)
+    assert _recorded(ad.conv2d(x1, w1, stride=stride, padding=padding)) == (x1, w1)
 
 
 def test_grad_avg_pool2d():
@@ -193,6 +201,13 @@ def test_grad_group_norm():
     x0 = ad.tensor(rand(2, 3, 3, 4))
     _check(lambda g: ad.sum(ad.mul(ad.group_norm(x0, g, beta), wgt)),
            1.0 + 0.1 * rand(4))
+    _check(lambda b: ad.sum(ad.mul(ad.group_norm(x0, gamma, b), wgt)),
+           0.1 * rand(4))
+    x1 = ad.tensor(rand(2, 3, 3, 4), requires_grad=True)
+    assert _recorded(ad.group_norm(x1, gamma, beta)) == (x1,)
+    g1 = ad.tensor(gamma.data, requires_grad=True)
+    b1 = ad.tensor(beta.data, requires_grad=True)
+    assert _recorded(ad.group_norm(x1, g1, b1)) == (x1, g1, b1)
 
 
 def test_grad_concat():
@@ -209,11 +224,18 @@ def test_grad_reshape_mean():
 def test_grad_mse():
     target = ad.tensor(rand(3, 4))
     _check(lambda x: ad.mse(x, target), rand(3, 4))
+    _check(lambda t: ad.mse(target, t), rand(3, 4))
+    pred = ad.tensor(rand(3, 4), requires_grad=True)
+    assert _recorded(ad.mse(pred, target)) == (pred,)
 
 
 def test_grad_bce_with_logits():
     y = ad.tensor((rand(4, 3) > 0).astype(float))
     _check(lambda x: ad.bce_with_logits(x, y), rand(4, 3))
+    logits = ad.tensor(rand(4, 3))
+    _check(lambda t: ad.bce_with_logits(logits, t), rand(4, 3))
+    graph = ad.tensor(rand(4, 3), requires_grad=True)
+    assert _recorded(ad.bce_with_logits(graph, y)) == (graph,)
 
 
 def test_grad_conv_group_norm_composite():

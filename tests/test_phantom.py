@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jdl.errors import InvalidPrior, IoError
 from jdl.pgm import read_pgm, write_pgm
@@ -129,6 +134,12 @@ def test_rejects_bad_priors():
         build_dataset(10, 10, class_priors=(0.3, 1.2, 0.3))
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_rejects_label_fraction_outside_unit_interval(fraction):
+    with pytest.raises(InvalidPrior):
+        build_dataset(20, 1, label_fraction=fraction)
+
+
 def test_dataset_bytes_reproducible():
     a, _ = build_dataset(30, 5, seed=9)
     b, _ = build_dataset(30, 5, seed=9)
@@ -156,6 +167,36 @@ def test_pgm_roundtrip(tmp_path):
     write_pgm(tmp_path / "x.pgm", img)
     back = read_pgm(tmp_path / "x.pgm")
     assert np.abs(back - img).max() <= 1.0 / 255.0
+
+
+def _pgm_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        write_pgm(path, np.linspace(-1, 1, 6).reshape(2, 3))
+        return path.read_bytes()
+
+
+GOOD_PGM = _pgm_bytes()        # b"P5\n3 2\n255\n" and a 6-byte raster
+WIDTH_BYTE = 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(GOOD_PGM) - 1), st.integers(1, 255)),
+                max_size=3))
+@example([])
+@example([(WIDTH_BYTE, 0x40)])   # width "3" becomes "s"
+def test_pgm_reader_raises_only_io_error(flips):
+    blob = bytearray(GOOD_PGM)
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        for cut in range(len(blob) + 1):
+            path.write_bytes(bytes(blob[:cut]))
+            try:
+                read_pgm(path)
+            except IoError:
+                pass
 
 
 def test_load_missing_manifest(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import ConfigInvalid, TrainingDiverged
+from jdl.errors import CheckpointMismatch, ConfigInvalid, TrainingDiverged
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.schedule import make_linear_schedule
@@ -101,6 +101,30 @@ def test_resume_from_checkpoint_equals_uninterrupted_run(tmp_path):
 
     assert _losses(rest) == _losses(straight)[k:]
     _assert_same_weights(resumed, full)
+
+
+@pytest.mark.parametrize("drop,shrink", [
+    (("opt.", "train."), None),          # what JointModel.save writes
+    (("train.step",), None),
+    (("opt.step",), None),
+    (("opt.v.enc.stem.w",), None),
+    ((), "opt.m.cls.fc1.w"),
+], ids=["model_only", "no_train_step", "no_opt_step", "missing_moment",
+        "misshaped_moment"])
+def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, shrink):
+    model = JointModel.build(CFG, seed=1)
+    opt = make_optimizer(model, _cfg())
+    path = tmp_path / "train.jdlw"
+    save_training_checkpoint(path, model, opt, 2)
+    arrays = {k: v for k, v in ad.load_weights(path).items() if not k.startswith(drop)}
+    if shrink:
+        arrays[shrink] = np.zeros(3)
+    ad.save_weights(path, arrays)
+    fresh = JointModel.build(CFG, seed=2)
+    with pytest.raises(CheckpointMismatch):
+        load_training_checkpoint(path, fresh, make_optimizer(fresh, _cfg()))
+    # without an optimizer, the model weights alone still load
+    load_training_checkpoint(path, fresh)
 
 
 def test_zero_class_weight_is_pure_diffusion():
