@@ -3,17 +3,18 @@
 Forward functions compute with plain numpy and hand ``record`` one
 ``(parent, vjp)`` pair per input, each vjp mapping the output gradient to
 that input's gradient. No primitive asks which inputs require grad:
-``record`` keeps the rules of those that do and drops the others. So a
-convolution over frozen weights lets its window matrix go at forward time,
-and an input-only backward runs no weight-gradient GEMM and no reduction
-for ``gamma``, ``beta`` or a bias.
+``record`` keeps the rules of those that do and drops the others. So an
+input-only backward runs no weight-gradient GEMM and no reduction for
+``gamma``, ``beta`` or a bias.
 
 The spatial primitives (``conv2d``, ``avg_pool2d``, ``upsample_nearest``,
 ``group_norm``) take and return channel-last NHWC batches, the
 cache-friendly direction for the im2col gather; no other axis order exists
 inside the graph. Convolutions gather windows from strided views and
-multiply with one BLAS GEMM; the scatter in their backward loops over the
-(small) kernel footprint so the reduction order is fixed and results do not
+multiply with one BLAS GEMM, and keep no window matrix for the backward:
+the weight gradient gathers the windows again from the input it already
+holds. The input gradient is one GEMM and a scatter that loops over the
+(small) kernel footprint, so the reduction order is fixed and results do not
 depend on worker count.
 
 Broadcasting is deliberately narrow: identical shapes, scalar against
@@ -126,33 +127,42 @@ def _nhwc_dims(x: Tensor) -> tuple:
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation of an NHWC batch with (C_out, C_in, KH, KW)
-    weights; the output is NHWC as well."""
+    weights; the output is NHWC as well.
+
+    No window matrix outlives the call: the weight gradient rebuilds the
+    windows from x when it runs, so a conv costs its backward one extra
+    gather instead of holding KH*KW copies of x until then.
+    """
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
     n, h, wid, c = _nhwc_dims(x)
     co, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
+    if stride < 1 or padding < 0:
+        raise ShapeMismatch(f"conv2d: stride {stride} must be >= 1 and padding {padding} >= 0")
     # floor semantics: trailing rows/cols that no window reaches get zero grad
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wid + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeMismatch("conv2d: empty output")
 
-    xp = _pad_hw_nhwc(x.data, padding)
-    hp, wp = xp.shape[1], xp.shape[2]
-    cols = _im2col_nhwc(xp, kh, kw, stride, oh, ow)
+    xd = x.data
+    hp, wp = h + 2 * padding, wid + 2 * padding
+
+    def windows():
+        return _im2col_nhwc(_pad_hw_nhwc(xd, padding), kh, kw, stride, oh, ow)
+
     wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, co)
-    out = (cols @ wmat).reshape(n, oh, ow, co)
+    out = (windows() @ wmat).reshape(n, oh, ow, co)
 
     def dx(g):
         dxp = _col2im_nhwc(g.reshape(n * oh * ow, co) @ wmat.T,
                            n, c, hp, wp, kh, kw, stride, oh, ow)
         return dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
 
-    # only dw holds the windows, so frozen weights let them go now
     def dw(g):
-        dwmat = cols.T @ g.reshape(n * oh * ow, co)
+        dwmat = windows().T @ g.reshape(n * oh * ow, co)
         return dwmat.reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
 
     return record("conv2d", out, (x, dx), (w, dw))

@@ -358,16 +358,19 @@ class JointModel:
         ad.save_weights(path, self.state_arrays())
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter by its entry in ``arrays``; raises
+        ``CheckpointMismatch``, before changing anything, unless each one
+        is there at its shape."""
         from .errors import CheckpointMismatch
         missing = set(self.params) - set(arrays)
         if missing:
             raise CheckpointMismatch(f"checkpoint missing {sorted(missing)[:3]}...")
         for k, v in self.params.items():
-            a = arrays[k]
-            if a.shape != v.data.shape:
+            if arrays[k].shape != v.data.shape:
                 raise CheckpointMismatch(
-                    f"{k}: checkpoint shape {a.shape} != model {v.data.shape}")
-            v.data = np.array(a, dtype=np.float64)
+                    f"{k}: checkpoint shape {arrays[k].shape} != model {v.data.shape}")
+        for k, v in self.params.items():
+            v.data = np.array(arrays[k], dtype=np.float64)
 
     def load(self, path) -> None:
         self.load_state(ad.load_weights(path))

@@ -133,6 +133,13 @@ class Adam:
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Restore the step and both moments; raises ``CheckpointMismatch``,
         before changing anything, unless ``arrays`` holds each at its shape."""
+        self._check_state(arrays)
+        self.t = int(arrays["opt.step"])
+        for name in self.m:
+            self.m[name] = np.array(arrays[f"opt.m.{name}"])
+            self.v[name] = np.array(arrays[f"opt.v.{name}"])
+
+    def _check_state(self, arrays: dict[str, np.ndarray]) -> None:
         expected = {"opt.step": ()}
         for name in self.m:
             expected[f"opt.m.{name}"] = expected[f"opt.v.{name}"] = self.m[name].shape
@@ -142,10 +149,6 @@ class Adam:
             if arrays[key].shape != shape:
                 raise CheckpointMismatch(
                     f"{key}: checkpoint shape {arrays[key].shape} != optimizer {shape}")
-        self.t = int(arrays["opt.step"])
-        for name in self.m:
-            self.m[name] = np.array(arrays[f"opt.m.{name}"])
-            self.v[name] = np.array(arrays[f"opt.v.{name}"])
 
 
 def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
@@ -258,14 +261,17 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
     With ``opt`` the file must be a training checkpoint: one without
     ``train.step`` or without the optimizer's full state raises
     ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Without
-    ``opt`` a model-only file (``JointModel.save``) loads at step 0.
+    ``opt`` a model-only file (``JointModel.save``) loads at step 0. A
+    rejected file changes neither the model nor the optimizer.
     """
     arrays = ad.load_weights(path)
-    model.load_state(arrays)
     if opt is None:
+        model.load_state(arrays)
         return int(arrays.get("train.step", np.asarray(0.0)))
     step = arrays.get("train.step")
     if step is None or step.shape != ():
         raise CheckpointMismatch(f"{path}: no scalar train.step, not a training checkpoint")
+    opt._check_state(arrays)
+    model.load_state(arrays)
     opt.load_state(arrays)
     return int(step)

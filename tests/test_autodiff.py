@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -153,19 +154,60 @@ def test_grad_matmul():
     assert _recorded(ad.matmul(grad, w)) == (grad, w)
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-def test_grad_conv2d(stride, padding):
-    w = ad.tensor(rand(3, 2, 3, 3))
-    _check(lambda x: ad.sum(ad.conv2d(x, w, stride=stride, padding=padding)),
-           rand(2, 6, 6, 2))
+@pytest.mark.parametrize("stride,padding,k", [
+    (1, 0, 3), (1, 1, 3), (2, 1, 3),
+    (1, 0, 1),  # the 1x1 skip convs
+    (2, 0, 3),  # floor semantics: no window reaches the last row or column
+    (1, 3, 3),  # padding >= kernel: some windows see only padding
+], ids=["1-0", "1-1", "2-1", "1x1", "2-0", "1-3"])
+def test_grad_conv2d(stride, padding, k):
+    w = ad.tensor(rand(3, 2, k, k))
     x0 = ad.tensor(rand(2, 6, 6, 2))
-    _check(lambda w_: ad.sum(ad.conv2d(x0, w_, stride=stride, padding=padding)),
-           rand(3, 2, 3, 3))
+    # a uniform output gradient would hide a gradient sent to the wrong pixel
+    r = ad.tensor(rand(*ad.conv2d(x0, w, stride=stride, padding=padding).shape))
+
+    def loss(x, w_):
+        return ad.sum(ad.mul(ad.conv2d(x, w_, stride=stride, padding=padding), r))
+
+    _check(lambda x: loss(x, w), rand(2, 6, 6, 2))
+    _check(lambda w_: loss(x0, w_), rand(3, 2, k, k))
     x1 = ad.tensor(rand(2, 6, 6, 2), requires_grad=True)
-    w1 = ad.tensor(rand(3, 2, 3, 3), requires_grad=True)
+    w1 = ad.tensor(rand(3, 2, k, k), requires_grad=True)
+    if (stride, padding, k) == (2, 0, 3):
+        # the last window covers rows 2..4 of 6, so row and column 5 get none
+        ad.backward(ad.sum(ad.conv2d(x1, w, stride=stride, padding=padding)))
+        assert not x1.grad[:, 5:].any() and not x1.grad[:, :, 5:].any()
+        assert x1.grad[:, 4].any() and x1.grad[:, :, 4].any()
     assert _recorded(ad.conv2d(x1, w, stride=stride, padding=padding)) == (x1,)
     assert _recorded(ad.conv2d(x0, w1, stride=stride, padding=padding)) == (w1,)
     assert _recorded(ad.conv2d(x1, w1, stride=stride, padding=padding)) == (x1, w1)
+
+
+def test_conv2d_geometry():
+    x = ad.tensor(rand(1, 5, 5, 2))
+    w = ad.tensor(rand(3, 2, 3, 3))
+    for stride, padding in [(0, 1), (-1, 1), (1, -1)]:
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(x, w, stride=stride, padding=padding)
+    # padding beyond the kernel still runs both ways
+    x1 = ad.tensor(rand(1, 5, 5, 2), requires_grad=True)
+    out = ad.conv2d(x1, w, stride=1, padding=3)
+    assert out.shape == (1, 9, 9, 3)
+    ad.backward(ad.sum(out))
+    assert x1.grad.shape == x1.shape
+
+
+def test_conv2d_keeps_no_window_matrix():
+    x = ad.tensor(rand(4, 16, 16, 8), requires_grad=True)
+    w = ad.tensor(rand(8, 8, 3, 3), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, stride=1, padding=1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the window matrix alone would be 9 * x.nbytes
+    assert kept < out.data.nbytes + x.data.nbytes
 
 
 def test_grad_avg_pool2d():

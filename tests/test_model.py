@@ -167,3 +167,15 @@ def test_load_rejects_shape_mismatch(tmp_path, model):
                    time_embed_dim=8, classifier_hidden=16), seed=0)
     with pytest.raises(CheckpointMismatch):
         wrong.load(path)
+
+
+def test_rejected_load_changes_no_parameter(model):
+    from jdl.errors import CheckpointMismatch
+    arrays = dict(model.state_arrays())
+    arrays["cls.fc2.b"] = np.zeros(5)  # the last parameter, mis-shaped
+    other = JointModel.build(SMALL, seed=99)
+    before = {k: p.data.copy() for k, p in other.params.items()}
+    with pytest.raises(CheckpointMismatch):
+        other.load_state(arrays)
+    for k, p in other.params.items():
+        assert np.array_equal(p.data, before[k]), k

@@ -123,8 +123,27 @@ def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, shrink):
     fresh = JointModel.build(CFG, seed=2)
     with pytest.raises(CheckpointMismatch):
         load_training_checkpoint(path, fresh, make_optimizer(fresh, _cfg()))
+    _assert_same_weights(fresh, JointModel.build(CFG, seed=2))
     # without an optimizer, the model weights alone still load
     load_training_checkpoint(path, fresh)
+
+
+def test_rejected_resume_changes_nothing(tmp_path):
+    model = JointModel.build(CFG, seed=1)
+    opt = make_optimizer(model, _cfg())
+    train_joint(model, _data(), _cfg(total_steps=2), SCHED, opt=opt)
+    path = tmp_path / "train.jdlw"
+    save_training_checkpoint(path, model, opt, 2)
+    arrays = ad.load_weights(path)
+    arrays["cls.fc2.b"] = np.zeros(5)  # a model parameter, mis-shaped
+    ad.save_weights(path, arrays)
+    fresh = JointModel.build(CFG, seed=2)
+    opt2 = make_optimizer(fresh, _cfg())
+    with pytest.raises(CheckpointMismatch):
+        load_training_checkpoint(path, fresh, opt2)
+    _assert_same_weights(fresh, JointModel.build(CFG, seed=2))
+    assert opt2.t == 0
+    assert not any(m.any() or v.any() for m, v in zip(opt2.m.values(), opt2.v.values()))
 
 
 def test_zero_class_weight_is_pure_diffusion():
