@@ -1,12 +1,12 @@
 """jdl: a desk-scale joint diffusion laboratory.
 
 A single shared network trained as a denoising diffusion model on all data
-and as a classifier on a labeled fraction, plus classifier-guided sampling,
-visual counterfactual generation, and the quantitative evaluation protocols,
-all on a procedurally generated phantom dataset.
+and as a classifier on a labeled fraction, plus classifier-guided DDPM/DDIM
+sampling, all on procedurally generated chest phantoms whose labels and
+lesion boxes are known exactly.
 
-Submodules import numpy lazily relative to this package root so the CLI can
-pin BLAS thread counts before anything heavy loads.
+The package root imports no numpy, so an entry point can pin BLAS thread
+counts before anything heavy loads.
 """
 
 __version__ = "0.1.0"

@@ -66,4 +66,4 @@ class CheckpointMismatch(RuntimeError):
 
 
 class IoError(RuntimeError):
-    """Filesystem problem while reading or writing run artifacts."""
+    """An image cannot be written as a PGM file."""

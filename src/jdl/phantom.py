@@ -17,15 +17,12 @@ rows ~14..25, the effusion scoring window is rows 26..29.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import GeometryInfeasible, InvalidPrior, IoError
-from .pgm import read_pgm, write_pgm
+from .errors import GeometryInfeasible, InvalidPrior
 from .rng import stream
 
 SIDE = 32
@@ -70,8 +67,7 @@ class PhantomSample:
     image: np.ndarray                  # (32, 32) float in [-1, 1]
     labels: np.ndarray                 # (3,) in {0, 1}
     bboxes: list                       # [(class_idx, x0, y0, x1, y1)] inclusive
-    labeled_flag: bool = True
-    spec: Optional[PhantomSpec] = None
+    spec: PhantomSpec
 
 
 def make_spec(seed: int, flags) -> PhantomSpec:
@@ -203,7 +199,7 @@ def recover_labels(image: np.ndarray, spec: PhantomSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dataset assembly and persistence
+# dataset assembly
 
 
 @dataclass
@@ -212,7 +208,7 @@ class PhantomDataset:
     labels: np.ndarray        # (N, 3)
     labeled_mask: np.ndarray  # (N,) bool
     bboxes: list              # per-sample bbox lists
-    specs: Optional[list] = None
+    specs: list               # per-sample PhantomSpec, for recover_labels
 
     @property
     def n(self) -> int:
@@ -225,7 +221,11 @@ def _draw_flags(rng: np.random.Generator, priors) -> tuple:
 
 def build_dataset(n_train: int, n_test: int, class_priors=(0.3, 0.3, 0.3),
                   label_fraction: float = 1.0, seed: int = 0):
-    """iid multi-label phantoms; train and test use disjoint seed streams."""
+    """iid multi-label phantoms; train and test use disjoint seed streams.
+
+    The same arguments give bitwise-identical splits, specs included, so a
+    dataset is recorded by its arguments, never by its images.
+    """
     priors = tuple(float(p) for p in class_priors)
     if any(not (0.0 <= p <= 1.0) for p in priors):
         raise InvalidPrior(f"priors must lie in [0,1], got {priors}")
@@ -250,69 +250,13 @@ def build_dataset(n_train: int, n_test: int, class_priors=(0.3, 0.3, 0.3),
     order = stream(seed, "labeled-subset").permutation(n_train)
     labeled = np.zeros(n_train, dtype=bool)
     labeled[order[:n_labeled]] = True
-    for i, s in enumerate(train):
-        s.labeled_flag = bool(labeled[i])
-    for s in test:
-        s.labeled_flag = True
 
-    def pack(samples) -> PhantomDataset:
+    def pack(samples, labeled_mask) -> PhantomDataset:
         return PhantomDataset(
             images=np.stack([s.image for s in samples])[:, None, :, :],
             labels=np.stack([s.labels for s in samples]),
-            labeled_mask=np.asarray([s.labeled_flag for s in samples], dtype=bool),
+            labeled_mask=labeled_mask,
             bboxes=[s.bboxes for s in samples],
             specs=[s.spec for s in samples])
 
-    return pack(train), pack(test)
-
-
-def _format_bboxes(bboxes) -> str:
-    return ";".join(f"{k}:{x0}:{y0}:{x1}:{y1}" for k, x0, y0, x1, y1 in bboxes)
-
-
-def _parse_bboxes(text: str) -> list:
-    if not text:
-        return []
-    out = []
-    for part in text.split(";"):
-        k, x0, y0, x1, y1 = (int(v) for v in part.split(":"))
-        out.append((k, x0, y0, x1, y1))
-    return out
-
-
-def save_dataset(directory, ds: PhantomDataset, prefix: str = "img") -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i in range(ds.n):
-        name = f"{prefix}_{i:05d}.pgm"
-        write_pgm(directory / name, ds.images[i, 0])
-        rows.append({
-            "id": name,
-            **{cls: int(ds.labels[i, k]) for k, cls in enumerate(CLASS_NAMES)},
-            "labeled": int(ds.labeled_mask[i]),
-            "bboxes": _format_bboxes(ds.bboxes[i]),
-        })
-    with open(directory / "manifest.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def load_dataset(directory) -> PhantomDataset:
-    directory = Path(directory)
-    manifest = directory / "manifest.csv"
-    if not manifest.exists():
-        raise IoError(f"{manifest} not found")
-    images, labels, labeled, bboxes = [], [], [], []
-    with open(manifest, newline="") as f:
-        for row in csv.DictReader(f):
-            images.append(read_pgm(directory / row["id"]))
-            labels.append([float(row[cls]) for cls in CLASS_NAMES])
-            labeled.append(bool(int(row["labeled"])))
-            bboxes.append(_parse_bboxes(row["bboxes"]))
-    return PhantomDataset(
-        images=np.stack(images)[:, None, :, :],
-        labels=np.asarray(labels),
-        labeled_mask=np.asarray(labeled, dtype=bool),
-        bboxes=bboxes, specs=None)
+    return pack(train, labeled), pack(test, np.ones(n_test, dtype=bool))

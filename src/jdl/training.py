@@ -13,7 +13,7 @@ skipping one branch never shifts the draws of another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,7 +86,6 @@ class TrainData:
 @dataclass
 class TrainSummary:
     reports: list
-    class_indices_used: set = field(default_factory=set)
 
 
 class Adam:
@@ -218,7 +217,6 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
             pick = stream(cfg.seed, "class-batch", step).integers(
                 0, labeled_idx.size, cfg.batch_classification)
             cidx = labeled_idx[pick]
-            summary.class_indices_used.update(int(i) for i in cidx)
             c_term = classification_loss(model, data.z0[cidx], data.labels[cidx],
                                          sched, stream(cfg.seed, "class-draw", step),
                                          t_max=t_class_max)

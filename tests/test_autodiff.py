@@ -211,7 +211,10 @@ def test_conv2d_keeps_no_window_matrix():
 
 
 def test_grad_avg_pool2d():
-    _check(lambda x: ad.sum(ad.avg_pool2d(x, kernel=2)), rand(2, 4, 4, 3))
+    # a uniform output gradient would hide a gradient sent to the wrong window
+    weight = ad.tensor(np.random.default_rng(1).standard_normal((2, 2, 2, 3)))
+    _check(lambda x: ad.sum(ad.mul(ad.avg_pool2d(x, kernel=2), weight)),
+           rand(2, 4, 4, 3))
 
 
 def test_grad_upsample_nearest():
@@ -260,7 +263,8 @@ def test_grad_concat():
 
 
 def test_grad_reshape_mean():
-    _check(lambda x: ad.mean(ad.reshape(x, (6,))), rand(2, 3))
+    weight = ad.tensor(np.random.default_rng(2).standard_normal(6))
+    _check(lambda x: ad.mean(ad.mul(ad.reshape(x, (6,)), weight)), rand(2, 3))
 
 
 def test_grad_mse():
