@@ -3,7 +3,7 @@
 from .tensor import Tensor, tensor, backward, no_grad, op_count
 from .ops import (
     add, mul, matmul, conv2d, avg_pool2d, upsample_nearest, silu, leaky_relu,
-    sigmoid, group_norm, concat, reshape, sum, mean, mse, bce_with_logits,
+    sigmoid, group_norm, concat, reshape, sum, mse, bce_with_logits,
 )
 from .gradcheck import grad_check
 from .checkpoint import save_weights, load_weights, MAGIC
@@ -12,6 +12,6 @@ __all__ = [
     "Tensor", "tensor", "backward", "no_grad", "op_count",
     "add", "mul", "matmul", "conv2d", "avg_pool2d", "upsample_nearest",
     "silu", "leaky_relu", "sigmoid", "group_norm", "concat", "reshape",
-    "sum", "mean", "mse", "bce_with_logits", "grad_check",
+    "sum", "mse", "bce_with_logits", "grad_check",
     "save_weights", "load_weights", "MAGIC",
 ]

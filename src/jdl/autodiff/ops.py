@@ -24,7 +24,6 @@ reshape so every backward rule stays auditable.
 
 from __future__ import annotations
 
-import builtins
 from typing import Sequence
 
 import numpy as np
@@ -213,17 +212,18 @@ def silu(x: Tensor) -> Tensor:
                   (x, lambda g: g * s * (1.0 + x.data * (1.0 - s))))
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    return record("leaky_relu", np.where(x.data >= 0, x.data, slope * x.data),
-                  (x, lambda g: g * np.where(x.data >= 0, 1.0, slope)))
+def leaky_relu(x: Tensor) -> Tensor:
+    """Leaky ReLU with negative slope 0.2."""
+    return record("leaky_relu", np.where(x.data >= 0, x.data, 0.2 * x.data),
+                  (x, lambda g: g * np.where(x.data >= 0, 1.0, 0.2)))
 
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               groups: int | None = None, eps: float = 1e-5) -> Tensor:
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Group normalization of an NHWC batch over (H, W, C/G) per sample and
-    group, with per-channel ``gamma`` and ``beta`` of shape (C,)."""
+    group, with G = min(4, C), eps 1e-5 and per-channel ``gamma`` and
+    ``beta`` of shape (C,)."""
     n, h, w, c = _nhwc_dims(x)
-    g_ = int(groups) if groups is not None else builtins.min(4, c)
+    g_ = min(4, c)
     if c % g_:
         raise ShapeMismatch(f"group_norm: {g_} groups do not divide {c} channels")
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -236,7 +236,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     xc = xg - mu
     # the same sum and division as xg.var, without a second centring pass
     var = (xc * xc).sum(axis=red, keepdims=True) / (h * w * cg)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     xhat4 = xhat.reshape(n, h, w, c)
     sum_axes = (0, 1, 2)
@@ -253,25 +253,19 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                   (beta, lambda gr: gr.sum(axis=sum_axes)))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the last (channel) axis."""
     ts = list(tensors)
     if len(ts) < 2:
         raise ShapeMismatch("concat: need at least two tensors")
-    base = list(ts[0].shape)
     for t in ts[1:]:
-        other = list(t.shape)
-        if len(other) != len(base):
-            raise ShapeMismatch("concat: rank mismatch")
-        if other[:axis] + other[axis + 1:] != base[:axis] + base[axis + 1:]:
-            raise ShapeMismatch("concat: non-axis dims must match")
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
+        if t.data.ndim != ts[0].data.ndim or t.shape[:-1] != ts[0].shape[:-1]:
+            raise ShapeMismatch(f"concat: {t.shape} against {ts[0].shape}")
+    out = np.concatenate([t.data for t in ts], axis=-1)
+    offsets = np.cumsum([0] + [t.shape[-1] for t in ts])
 
     def rule(t, lo, hi):
-        index = [slice(None)] * out.ndim
-        index[axis] = slice(lo, hi)
-        index = tuple(index)
-        return t, lambda g: g[index]
+        return t, lambda g: g[..., lo:hi]
 
     return record("concat", out, *map(rule, ts, offsets, offsets[1:]))
 
@@ -287,12 +281,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 def sum(x: Tensor) -> Tensor:  # noqa: A001 - mirrors the primitive name
     return record("sum", np.asarray(x.data.sum()),
                   (x, lambda g: np.broadcast_to(g, x.shape).astype(np.float64, copy=True)))
-
-
-def mean(x: Tensor) -> Tensor:
-    n = x.size
-    return record("mean", np.asarray(x.data.mean()),
-                  (x, lambda g: np.full(x.shape, float(g) / n)))
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

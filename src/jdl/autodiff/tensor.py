@@ -78,9 +78,6 @@ class Tensor:
         detached branch is exactly zero."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -142,9 +139,9 @@ def record(kind: str, out_data: np.ndarray,
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    Gradients accumulate additively into existing ``grad`` buffers, so call
-    ``zero_grad`` between optimization steps. The graph behind ``loss`` is
-    consumed: build it again to run backward again.
+    Gradients accumulate additively into existing ``grad`` buffers, so clear
+    them between optimization steps (``training.Adam.zero_grad``). The graph
+    behind ``loss`` is consumed: build it again to run backward again.
     """
     if loss.data.shape not in ((), (1,)):
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -174,12 +171,12 @@ def backward(loss: Tensor) -> None:
 
     # Gradient buffers keyed by producing node; leaves accumulate in place.
     grads: dict[int, np.ndarray] = {id(loss.node): np.ones_like(loss.data)}
+    # every node but the loss's was reached from a child with a higher
+    # sequence number, which has run and given it a gradient by now
     for node in reachable:
-        out_grad = grads.pop(id(node), None)
+        out_grad = grads.pop(id(node))
         parents, backward_fn = node.parents, node.backward_fn
         node.parents, node.backward_fn = (), None
-        if out_grad is None:
-            continue  # node feeds nothing on the path to the loss
         for parent, g in zip(parents, backward_fn(out_grad)):
             if parent.node is None:
                 if parent.grad is None:

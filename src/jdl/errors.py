@@ -26,7 +26,8 @@ class InvalidRange(ValueError):
 
 
 class TimestepOutOfRange(ValueError):
-    """Diffusion timestep outside [1, T]."""
+    """Diffusion timestep that is not an integer in [1, T], or timesteps that
+    do not match the batch."""
 
 
 class OddDim(ValueError):

@@ -7,6 +7,13 @@ MLP; the decoder (psi) runs the up path and the output head; the classifier
 Encoder weights are stored once and referenced by both tasks, so gradients
 from either loss land in the same arrays.
 
+The architecture is fixed; ``UNetConfig`` sets only sizes. Each stage has
+one residual block on the way down (``enc.s{i}r0``) and one on the way up
+(``dec.s{i}``). Every GroupNorm uses min(4, C) groups and eps 1e-5, and the
+classifier's hidden layer is a LeakyReLU of slope 0.2. The classifier reads
+the bottleneck average-pooled by 2, with the kernel then doubled until the
+flattened features number at most ``FEATURE_CAP`` (or the side runs out).
+
 The graph is NHWC only, like every spatial primitive in ``autodiff``. NCHW
 appears only at ``JointModel``'s public methods: inputs are turned
 channel-last once on entry (``_as_nhwc_leaf``), and the arrays that
@@ -33,8 +40,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import BadClassIndex, OddDim, ShapeMismatch
+from .errors import BadClassIndex, ConfigInvalid, OddDim, ShapeMismatch
 from .rng import stream
+
+FEATURE_CAP = 10_000  # most pooled bottleneck features the classifier reads
 
 
 @dataclass(frozen=True)
@@ -42,19 +51,23 @@ class UNetConfig:
     input_channels: int = 1
     base_channels: int = 32
     channel_multipliers: tuple = (1, 2, 4)
-    num_res_blocks_per_stage: int = 1
     time_embed_dim: int = 64
     image_side: int = 32
     num_classes: int = 3
     classifier_hidden: int = 256
-    feature_cap: int = 10_000
 
     def __post_init__(self):
-        if self.base_channels < 8:
-            raise ValueError("base_channels must be >= 8")
+        if self.base_channels < 8 or self.base_channels % 4:
+            # every stage's GroupNorm splits its channels into 4 groups
+            raise ConfigInvalid("base_channels must be a multiple of 4 and >= 8")
+        if not self.channel_multipliers or min(self.channel_multipliers) < 1:
+            raise ConfigInvalid("channel_multipliers must be one or more values >= 1")
+        if min(self.input_channels, self.image_side, self.num_classes,
+               self.classifier_hidden, self.time_embed_dim) < 1:
+            raise ConfigInvalid("channel, side, class, hidden and embedding sizes must be >= 1")
         down = 2 ** (len(self.channel_multipliers) - 1)
         if self.image_side % down:
-            raise ValueError(
+            raise ConfigInvalid(
                 f"image_side {self.image_side} not divisible by {down}")
         if self.time_embed_dim % 2:
             raise OddDim("time_embed_dim must be even")
@@ -101,14 +114,14 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
     return _embed_batch(t, dim, 1)[0]
 
 
-def feature_pool_kernel(channels: int, side: int, cap: int) -> int:
+def feature_pool_kernel(channels: int, side: int) -> int:
     """Average-pool kernel used on the bottleneck before the classifier.
 
     Pools once by 2 whenever the spatial side allows it, then keeps
-    doubling while the flattened size still exceeds the cap.
+    doubling while the flattened size still exceeds ``FEATURE_CAP``.
     """
     k = 2 if side % 2 == 0 and side > 1 else 1
-    while channels * (side // k) ** 2 > cap and side % (2 * k) == 0:
+    while channels * (side // k) ** 2 > FEATURE_CAP and side % (2 * k) == 0:
         k *= 2
     return k
 
@@ -167,9 +180,8 @@ class JointModel:
         conv("enc.stem", chans[0], cfg.input_channels, 3)
         cur = chans[0]
         for i, ch in enumerate(chans):
-            for r in range(cfg.num_res_blocks_per_stage):
-                res(f"enc.s{i}r{r}", cur, ch)
-                cur = ch
+            res(f"enc.s{i}r0", cur, ch)
+            cur = ch
             if i < len(chans) - 1:
                 conv(f"enc.down{i}", cur, cur, 3)
         res("enc.mid", cur, cur)
@@ -184,7 +196,7 @@ class JointModel:
         conv("dec.out", cfg.input_channels, cur, 3, zero=True)
 
         side = cfg.image_side // 2 ** (len(chans) - 1)
-        k = feature_pool_kernel(chans[-1], side, cfg.feature_cap)
+        k = feature_pool_kernel(chans[-1], side)
         feat_dim = chans[-1] * (side // k) ** 2
         linear("cls.fc1", feat_dim, cfg.classifier_hidden)
         linear("cls.fc2", cfg.classifier_hidden, cfg.num_classes, zero=True)
@@ -246,9 +258,8 @@ class JointModel:
         cur = chans[0]
         skips = []
         for i, ch in enumerate(chans):
-            for r in range(cfg.num_res_blocks_per_stage):
-                h = self._res(f"enc.s{i}r{r}", h, temb, cur, ch)
-                cur = ch
+            h = self._res(f"enc.s{i}r0", h, temb, cur, ch)
+            cur = ch
             skips.append(h)
             if i < len(chans) - 1:
                 h = self._conv(f"enc.down{i}", h, stride=2)
@@ -257,7 +268,7 @@ class JointModel:
 
     def _pool_features(self, bottleneck: Tensor) -> Tensor:
         n, side, c = bottleneck.shape[0], bottleneck.shape[1], bottleneck.shape[3]
-        k = feature_pool_kernel(c, side, self.cfg.feature_cap)
+        k = feature_pool_kernel(c, side)
         h = ad.avg_pool2d(bottleneck, k) if k > 1 else bottleneck
         return ad.reshape(h, (n, c * (side // k) ** 2))
 
@@ -267,7 +278,7 @@ class JointModel:
         h = bottleneck
         cur = chans[-1]
         for i in reversed(range(len(chans))):
-            h = self._res(f"dec.s{i}", ad.concat([h, skips[i]], axis=3),
+            h = self._res(f"dec.s{i}", ad.concat([h, skips[i]]),
                           temb, cur + chans[i], chans[i])
             cur = chans[i]
             if i > 0:
@@ -279,7 +290,7 @@ class JointModel:
         return self._conv("dec.out", ad.silu(h))
 
     def _head(self, features: Tensor) -> Tensor:
-        h = ad.leaky_relu(self._linear("cls.fc1", features), slope=0.2)
+        h = ad.leaky_relu(self._linear("cls.fc1", features))
         return self._linear("cls.fc2", h)
 
     # -- public API (NCHW numpy at the boundary) ------------------------------

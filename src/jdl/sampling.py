@@ -90,7 +90,7 @@ def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
     # exactly 1.0 for items under the cap, zero-norm items included
     keep = np.minimum(1.0, GRAD_CLIP_NORM / np.maximum(norms, 1e-12))
     grad = grad * keep.reshape(-1, *([1] * (grad.ndim - 1)))
-    coef = g.scale * np.sqrt(1.0 - sched.alpha_bar(t))
+    coef = g.scale * np.sqrt(1.0 - sched.alpha_bars[t])
     return eps - coef * grad
 
 
@@ -130,7 +130,7 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
         t = int(taus[i])
         t_prev = int(taus[i - 1]) if i > 0 else 0
         eps = guided_epsilon(model, z, t, g, sched, stats)
-        abar = sched.alpha_bar(t)
+        abar = sched.alpha_bars[t]
         abar_prev = sched.alpha_bars[t_prev]
         z0_hat = (z - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
         if eta > 0 and t_prev > 0:

@@ -22,9 +22,6 @@ class NoiseSchedule:
     alphas: np.ndarray       # 1 - beta, same indexing
     alpha_bars: np.ndarray   # cumulative products, alpha_bars[0] == 1
 
-    def alpha_bar(self, t):
-        return self.alpha_bars[np.asarray(t)]
-
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear beta schedule inclusive of both endpoints."""
@@ -53,16 +50,21 @@ def _per_item_coef(values: np.ndarray, batch_shape: tuple) -> np.ndarray:
 def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Closed-form corruption: z_t = sqrt(abar_t) z0 + sqrt(1 - abar_t) eps.
 
-    ``t`` may be a scalar or one timestep per batch item.
+    ``t`` is an integer scalar or a 1-d integer array with one timestep per
+    batch item; anything else raises ``TimestepOutOfRange``.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != z0.shape:
         raise ShapeMismatch(f"q_sample: eps shape {eps.shape} != z0 shape {z0.shape}")
     t = np.asarray(t)
+    if t.ndim > 1 or not np.issubdtype(t.dtype, np.integer):
+        raise TimestepOutOfRange(
+            f"q_sample: t must be an integer scalar or 1-d integer array, "
+            f"got {t.dtype} of shape {t.shape}")
     if np.any(t < 1) or np.any(t > sched.T):
         raise TimestepOutOfRange(f"t must lie in [1, {sched.T}]")
-    abar = sched.alpha_bar(t)
+    abar = sched.alpha_bars[t]
     if t.ndim == 0:
         return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
     if t.shape[0] != z0.shape[0]:

@@ -25,6 +25,9 @@ from .model import JointModel
 from .rng import stream
 from .schedule import NoiseSchedule, q_sample
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -45,6 +48,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.total_steps < 1:
             raise ConfigInvalid("total_steps must be >= 1")
+        # a negative or NaN weight would switch the classifier off silently
+        if not (np.isfinite(self.class_loss_weight) and self.class_loss_weight >= 0):
+            raise ConfigInvalid("class_loss_weight must be finite and >= 0")
+        for lr in (self.lr_diffusion, self.lr_classifier):
+            if not (np.isfinite(lr) and lr > 0):
+                raise ConfigInvalid(f"learning rates must be finite and > 0, got {lr}")
         if self.class_start_step >= self.total_steps and self.class_loss_weight > 0:
             raise ConfigInvalid("class_start_step must be < total_steps")
         if not self.diffusion_enabled and self.class_start_step > 0:
@@ -89,13 +98,12 @@ class TrainSummary:
 
 
 class Adam:
-    """Adaptive moment estimation with per-group learning rates."""
+    """Adaptive moment estimation with per-group learning rates, betas
+    ``ADAM_BETAS`` and eps ``ADAM_EPS``."""
 
-    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, groups):
         # groups: list of (named_params: dict[str, Tensor], lr)
         self.groups = [(dict(named), float(lr)) for named, lr in groups]
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data)
                   for named, _ in self.groups for name, p in named.items()}
@@ -109,18 +117,19 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        b1, b2 = ADAM_BETAS
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         for named, lr in self.groups:
             for name, p in named.items():
                 if p.grad is None:
                     continue
                 g = p.grad
-                self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-                self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
+                self.m[name] = b1 * self.m[name] + (1 - b1) * g
+                self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
                 mhat = self.m[name] / c1
                 vhat = self.v[name] / c2
-                p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+                p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {"opt.step": np.asarray(float(self.t))}

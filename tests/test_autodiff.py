@@ -127,26 +127,39 @@ def test_channel_bias_add():
 # finite-difference checks, one per primitive
 
 
-def _check(f, point, tol=1e-4, coords=None):
-    err = ad.grad_check(f, ad.tensor(point), h=1e-5, coords=coords)
+def _check(f, point, tol=1e-4):
+    err = ad.grad_check(f, ad.tensor(point))
     assert err < tol, f"max relative error {err}"
+
+
+def _weights(seed, *shape):
+    """A fixed random output weighting, so each output gets its own gradient.
+
+    Under a uniform output gradient a vjp that sends it to the wrong element
+    passes. Each test draws from its own generator, which leaves the shared
+    ``RNG`` stream, and so every later test's inputs, unchanged.
+    """
+    return ad.tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
 def test_grad_add():
     other = ad.tensor(rand(3, 4))
-    _check(lambda x: ad.sum(ad.add(x, other)), rand(3, 4))
+    weight = _weights(3, 3, 4)
+    _check(lambda x: ad.sum(ad.mul(ad.add(x, other), weight)), rand(3, 4))
 
 
 def test_grad_mul():
     other = ad.tensor(rand(3, 4))
-    _check(lambda x: ad.sum(ad.mul(x, other)), rand(3, 4))
+    weight = _weights(4, 3, 4)
+    _check(lambda x: ad.sum(ad.mul(ad.mul(x, other), weight)), rand(3, 4))
 
 
 def test_grad_matmul():
     other = ad.tensor(rand(4, 2))
-    _check(lambda x: ad.sum(ad.matmul(x, other)), rand(3, 4))
+    weight = _weights(5, 3, 2)
+    _check(lambda x: ad.sum(ad.mul(ad.matmul(x, other), weight)), rand(3, 4))
     lhs = ad.tensor(rand(3, 4))
-    _check(lambda w: ad.sum(ad.matmul(lhs, w)), rand(4, 2))
+    _check(lambda w: ad.sum(ad.mul(ad.matmul(lhs, w), weight)), rand(4, 2))
     grad = ad.tensor(rand(3, 4), requires_grad=True)
     w = ad.tensor(rand(4, 2), requires_grad=True)
     assert _recorded(ad.matmul(grad, other)) == (grad,)
@@ -211,8 +224,7 @@ def test_conv2d_keeps_no_window_matrix():
 
 
 def test_grad_avg_pool2d():
-    # a uniform output gradient would hide a gradient sent to the wrong window
-    weight = ad.tensor(np.random.default_rng(1).standard_normal((2, 2, 2, 3)))
+    weight = _weights(1, 2, 2, 2, 3)
     _check(lambda x: ad.sum(ad.mul(ad.avg_pool2d(x, kernel=2), weight)),
            rand(2, 4, 4, 3))
 
@@ -224,17 +236,20 @@ def test_grad_upsample_nearest():
 
 
 def test_grad_silu():
-    _check(lambda x: ad.sum(ad.silu(x)), rand(5, 5))
+    weight = _weights(6, 5, 5)
+    _check(lambda x: ad.sum(ad.mul(ad.silu(x), weight)), rand(5, 5))
 
 
 def test_grad_leaky_relu():
     pt = rand(5, 5)
     pt[np.abs(pt) < 0.05] += 0.1  # keep clear of the kink
-    _check(lambda x: ad.sum(ad.leaky_relu(x, slope=0.2)), pt)
+    weight = _weights(7, 5, 5)
+    _check(lambda x: ad.sum(ad.mul(ad.leaky_relu(x), weight)), pt)
 
 
 def test_grad_sigmoid():
-    _check(lambda x: ad.sum(ad.sigmoid(x)), rand(5, 5))
+    weight = _weights(8, 5, 5)
+    _check(lambda x: ad.sum(ad.mul(ad.sigmoid(x), weight)), rand(5, 5))
 
 
 def test_grad_group_norm():
@@ -256,15 +271,21 @@ def test_grad_group_norm():
 
 
 def test_grad_concat():
-    other = ad.tensor(rand(2, 3, 2, 2))
-    weight = ad.tensor(rand(2, 5, 2, 2))
-    _check(lambda x: ad.sum(ad.mul(ad.concat([x, other], axis=1), weight)),
+    other = ad.tensor(rand(2, 2, 2, 3))
+    weight = ad.tensor(rand(2, 2, 2, 5))
+    _check(lambda x: ad.sum(ad.mul(ad.concat([x, other]), weight)),
            rand(2, 2, 2, 2))
+    # the channel axis is the last; every other dim, and the rank, must match
+    for bad in (np.zeros((2, 2, 3, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            ad.concat([other, ad.tensor(bad)])
 
 
 def test_grad_reshape_mean():
-    weight = ad.tensor(np.random.default_rng(2).standard_normal(6))
-    _check(lambda x: ad.mean(ad.mul(ad.reshape(x, (6,)), weight)), rand(2, 3))
+    weight = _weights(2, 6)
+    # the mean as a sum scaled by 1/n
+    _check(lambda x: ad.mul(ad.sum(ad.mul(ad.reshape(x, (6,)), weight)), 1.0 / 6),
+           rand(2, 3))
 
 
 def test_grad_mse():
@@ -304,7 +325,7 @@ def test_two_layer_net_against_finite_differences():
     y0 = ad.tensor(rand(4, 1))
 
     def net_loss(w1d, w2d):
-        h = ad.leaky_relu(ad.matmul(x0, w1d), slope=0.2)
+        h = ad.leaky_relu(ad.matmul(x0, w1d))
         return ad.mse(ad.matmul(h, w2d), y0)
 
     _check(lambda w: net_loss(w, ad.tensor(w2.data)), w1.data)
@@ -312,7 +333,7 @@ def test_two_layer_net_against_finite_differences():
 
 
 def test_grad_check_sum_of_squares_tight():
-    err = ad.grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.tensor(rand(10)), h=1e-5)
+    err = ad.grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.tensor(rand(10)))
     assert err < 1e-7
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jdl.errors import GraphConsumed, OddDim, ShapeMismatch
+from jdl.errors import ConfigInvalid, GraphConsumed, OddDim, ShapeMismatch
 from jdl.model import JointModel, UNetConfig, feature_pool_kernel, time_embedding
 
 SMALL = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
@@ -11,6 +11,17 @@ SMALL = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
 @pytest.fixture(scope="module")
 def model():
     return JointModel.build(SMALL, seed=7)
+
+
+@pytest.mark.parametrize("override", [
+    {"channel_multipliers": ()}, {"channel_multipliers": (1, 0)},
+    {"time_embed_dim": 0}, {"image_side": 0}, {"image_side": 10},
+    {"base_channels": 10}, {"base_channels": 4}, {"num_classes": 0},
+], ids=repr)
+def test_config_rejects_unbuildable_sizes(override):
+    # each used to fail only at build or at the first forward, or not at all
+    with pytest.raises(ConfigInvalid):
+        UNetConfig(**override)
 
 
 def test_time_embedding_zero_and_one():
@@ -58,9 +69,9 @@ def test_feature_dimension_spec_case():
 
 def test_feature_pool_kernel_cap_active():
     # forces extra pooling: 16x16x1024 bottleneck down to 2x2x1024 = 4096
-    assert feature_pool_kernel(1024, 16, 10_000) == 8
-    assert feature_pool_kernel(128, 8, 10_000) == 2
-    assert feature_pool_kernel(32, 1, 10_000) == 1
+    assert feature_pool_kernel(1024, 16) == 8
+    assert feature_pool_kernel(128, 8) == 2
+    assert feature_pool_kernel(32, 1) == 1
 
 
 def test_zero_init_classifier_probs_half(model):

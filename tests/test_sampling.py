@@ -26,7 +26,7 @@ class ConstantTargetDenoiser:
 
     def predict_noise(self, z, t):
         self.calls.append(int(t))
-        abar = self.sched.alpha_bar(t)
+        abar = self.sched.alpha_bars[t]
         return (z - np.sqrt(abar) * self.c) / np.sqrt(1.0 - abar)
 
 
@@ -221,7 +221,7 @@ def test_gradient_clipping_counted(sched):
     out = guided_epsilon(LoudClassifier(), np.zeros((4, 1, 8, 8)), 5, g, sched,
                          stats=stats)
     assert stats.clipped == 2 and stats.total == 4
-    coef = g.scale * np.sqrt(1 - sched.alpha_bar(5))
+    coef = g.scale * np.sqrt(1 - sched.alpha_bars[5])
     norms = np.sqrt((out.reshape(4, -1) ** 2).sum(axis=1))
     assert np.allclose(norms[:2], coef * GRAD_CLIP_NORM)
     # under the cap the gradient passes through unscaled, bit for bit
@@ -256,7 +256,7 @@ def test_guided_epsilon_matches_two_pass_reference(model, sched, direction):
     grad = loud.class_score_grad(z, 6, 1, toward=(direction == "toward"))
     norms = np.sqrt((grad.reshape(3, -1) ** 2).sum(axis=1))
     keep = np.minimum(1.0, GRAD_CLIP_NORM / np.maximum(norms, 1e-12))
-    ref = eps - 2.0 * np.sqrt(1.0 - sched.alpha_bar(6)) * (grad * keep.reshape(3, 1, 1, 1))
+    ref = eps - 2.0 * np.sqrt(1.0 - sched.alpha_bars[6]) * (grad * keep.reshape(3, 1, 1, 1))
     assert (stats.clipped, stats.total) == (1, 3) and norms[1] > 0
     assert out.tobytes() == ref.tobytes()
 

@@ -99,6 +99,14 @@ def test_q_sample_rejects_out_of_range():
         q_sample(z, 11, z, s)
 
 
+def test_q_sample_rejects_malformed_t():
+    s = make_linear_schedule(10, 1e-3, 0.1)
+    z = np.zeros((2, 1, 2, 2))
+    for t in (np.array([[1], [2]]), 2.5, np.array([1.0, 2.0]), True):
+        with pytest.raises(TimestepOutOfRange):
+            q_sample(z, t, z, s)
+
+
 def test_q_sample_mean_converges():
     # E[z_t] -> sqrt(abar) z0 within 3 sigma of the Monte-Carlo error
     s = make_linear_schedule(10, 1e-3, 0.1)

@@ -80,6 +80,17 @@ def test_classification_only_leaves_decoder_untouched():
                for k, p in model.encoder_params().items())
 
 
+@pytest.mark.parametrize("override", [
+    {"class_loss_weight": -0.05}, {"class_loss_weight": np.nan},
+    {"class_loss_weight": np.inf}, {"lr_diffusion": -1.0}, {"lr_diffusion": 0.0},
+    {"lr_diffusion": np.nan}, {"lr_classifier": -1e-4}, {"lr_classifier": np.inf},
+], ids=repr)
+def test_config_rejects_bad_weight_and_learning_rates(override):
+    # each of these once ran: the bad weights dropped the classifier silently
+    with pytest.raises(ConfigInvalid):
+        _cfg(**override).validate()
+
+
 def test_classification_only_rejects_warm_up():
     with pytest.raises(ConfigInvalid):
         train_joint(JointModel.build(CFG, seed=1), _data(),
