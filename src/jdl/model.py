@@ -14,6 +14,15 @@ classifier's hidden layer is a LeakyReLU of slope 0.2. The classifier reads
 the bottleneck average-pooled by 2, with the kernel then doubled until the
 flattened features number at most ``FEATURE_CAP`` (or the side runs out).
 
+The forward is the only description of the network. Parameters come into
+being on ``build``'s one forward pass: each layer asks ``_param`` for its
+weights by name and shape, and during that pass a missing one is created
+from the input it meets. The pass runs the encoder, then the decoder, then
+the head, and each block asks for gn1, conv1, time, gn2, conv2 and skip in
+that order, so the ``model-init`` stream is drawn in a fixed order and a
+seed fixes every initial weight (and the ``params`` order, which the
+checkpoints and the optimizer groups follow).
+
 The graph is NHWC only, like every spatial primitive in ``autodiff``. NCHW
 appears only at ``JointModel``'s public methods: inputs are turned
 channel-last once on entry (``_as_nhwc_leaf``), and the arrays that
@@ -40,7 +49,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import BadClassIndex, ConfigInvalid, OddDim, ShapeMismatch
+from .errors import (BadClassIndex, ConfigInvalid, OddDim, ShapeMismatch,
+                     TimestepOutOfRange)
 from .rng import stream
 
 FEATURE_CAP = 10_000  # most pooled bottleneck features the classifier reads
@@ -142,65 +152,41 @@ class JointModel:
     def __init__(self, cfg: UNetConfig, params: dict[str, Tensor]):
         self.cfg = cfg
         self.params = params
+        self._init_rng = None    # the ``model-init`` stream, only while ``build`` runs
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def build(cls, cfg: UNetConfig, seed: int = 0) -> "JointModel":
-        rng = stream(seed, "model-init")
-        p: dict[str, Tensor] = {}
+        """A freshly initialised model: its parameters are created by one
+        forward pass (encoder, decoder, then head) on a zero image at t = 1,
+        each where the forward first asks ``_param`` for it, drawing from the
+        ``model-init`` stream of ``seed`` in that order."""
+        model = cls(cfg, {})
+        model._init_rng = stream(seed, "model-init")
+        z = Tensor(np.zeros((1, cfg.image_side, cfg.image_side, cfg.input_channels)))
+        with ad.no_grad():
+            bottleneck, skips, temb = model._encode(z, 1)
+            model._decode(bottleneck, skips, temb)
+            model._head(model._pool_features(bottleneck))
+        model._init_rng = None
+        return model
 
-        def conv(name, co, ci, k, zero=False):
-            std = np.sqrt(2.0 / (ci * k * k))
-            w = np.zeros((co, ci, k, k)) if zero else std * rng.standard_normal((co, ci, k, k))
-            p[f"{name}.w"] = Tensor(w, requires_grad=True)
-            p[f"{name}.b"] = Tensor(np.zeros(co), requires_grad=True)
-
-        def linear(name, fin, fout, zero=False):
-            std = np.sqrt(2.0 / fin)
-            w = np.zeros((fin, fout)) if zero else std * rng.standard_normal((fin, fout))
-            p[f"{name}.w"] = Tensor(w, requires_grad=True)
-            p[f"{name}.b"] = Tensor(np.zeros(fout), requires_grad=True)
-
-        def norm(name, c):
-            p[f"{name}.g"] = Tensor(np.ones(c), requires_grad=True)
-            p[f"{name}.b"] = Tensor(np.zeros(c), requires_grad=True)
-
-        def res(name, cin, cout):
-            norm(f"{name}.gn1", cin)
-            conv(f"{name}.conv1", cout, cin, 3)
-            linear(f"{name}.time", cfg.time_embed_dim, cout)
-            norm(f"{name}.gn2", cout)
-            conv(f"{name}.conv2", cout, cout, 3)
-            if cin != cout:
-                conv(f"{name}.skip", cout, cin, 1)
-
-        chans = cfg.stage_channels
-        linear("enc.time.fc", cfg.time_embed_dim, cfg.time_embed_dim)
-        conv("enc.stem", chans[0], cfg.input_channels, 3)
-        cur = chans[0]
-        for i, ch in enumerate(chans):
-            res(f"enc.s{i}r0", cur, ch)
-            cur = ch
-            if i < len(chans) - 1:
-                conv(f"enc.down{i}", cur, cur, 3)
-        res("enc.mid", cur, cur)
-
-        for i in reversed(range(len(chans))):
-            res(f"dec.s{i}", cur + chans[i], chans[i])
-            cur = chans[i]
-            if i > 0:
-                conv(f"dec.up{i}", chans[i - 1], cur, 3)
-                cur = chans[i - 1]
-        norm("dec.outgn", cur)
-        conv("dec.out", cfg.input_channels, cur, 3, zero=True)
-
-        side = cfg.image_side // 2 ** (len(chans) - 1)
-        k = feature_pool_kernel(chans[-1], side)
-        feat_dim = chans[-1] * (side // k) ** 2
-        linear("cls.fc1", feat_dim, cfg.classifier_hidden)
-        linear("cls.fc2", cfg.classifier_hidden, cfg.num_classes, zero=True)
-        return cls(cfg, p)
+    def _param(self, name: str, shape: tuple, fill: float | None = None) -> Tensor:
+        """The parameter ``name``. While ``build`` runs, it is created at
+        ``shape``, filled with ``fill``, or He-normal over its fan-in when
+        ``fill`` is None; at any other time a missing name raises
+        ``KeyError``."""
+        if self._init_rng is None:
+            return self.params[name]
+        if fill is None:
+            # conv weights are (out, in, kh, kw), linear ones (in, out)
+            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            data = np.sqrt(2.0 / fan_in) * self._init_rng.standard_normal(shape)
+        else:
+            data = np.full(shape, fill, dtype=np.float64)
+        p = self.params[name] = Tensor(data, requires_grad=True)
+        return p
 
     # -- parameter groups ----------------------------------------------------
 
@@ -219,31 +205,31 @@ class JointModel:
 
     # -- forward pieces (channel-last throughout) ----------------------------
 
-    def _conv(self, name, h, stride=1, padding=1):
-        h = ad.conv2d(h, self.params[f"{name}.w"], stride=stride,
-                      padding=padding)
-        return ad.add(h, self.params[f"{name}.b"])
+    def _conv(self, name, h, cout, k=3, stride=1, zero=False):
+        w = self._param(f"{name}.w", (cout, h.shape[3], k, k), 0.0 if zero else None)
+        h = ad.conv2d(h, w, stride=stride, padding=k // 2)
+        return ad.add(h, self._param(f"{name}.b", (cout,), 0.0))
 
-    def _linear(self, name, h):
-        return ad.add(ad.matmul(h, self.params[f"{name}.w"]),
-                      self.params[f"{name}.b"])
+    def _linear(self, name, h, fout, zero=False):
+        w = self._param(f"{name}.w", (h.shape[-1], fout), 0.0 if zero else None)
+        return ad.add(ad.matmul(h, w), self._param(f"{name}.b", (fout,), 0.0))
 
-    def _res(self, name, x, temb, cin, cout):
-        h = ad.group_norm(x, self.params[f"{name}.gn1.g"],
-                          self.params[f"{name}.gn1.b"])
-        h = self._conv(f"{name}.conv1", ad.silu(h))
-        tproj = self._linear(f"{name}.time", temb)
-        n = tproj.shape[0]
-        h = ad.add(h, ad.reshape(tproj, (n, 1, 1, cout)))
-        h = ad.group_norm(h, self.params[f"{name}.gn2.g"],
-                          self.params[f"{name}.gn2.b"])
-        h = self._conv(f"{name}.conv2", ad.silu(h))
-        skip = x if cin == cout else self._conv(f"{name}.skip", x, padding=0)
+    def _norm(self, name, h):
+        c = h.shape[3]
+        return ad.group_norm(h, self._param(f"{name}.g", (c,), 1.0),
+                             self._param(f"{name}.b", (c,), 0.0))
+
+    def _res(self, name, x, temb, cout):
+        h = self._conv(f"{name}.conv1", ad.silu(self._norm(f"{name}.gn1", x)), cout)
+        tproj = self._linear(f"{name}.time", temb, cout)
+        h = ad.add(h, ad.reshape(tproj, (tproj.shape[0], 1, 1, cout)))
+        h = self._conv(f"{name}.conv2", ad.silu(self._norm(f"{name}.gn2", h)), cout)
+        skip = x if x.shape[3] == cout else self._conv(f"{name}.skip", x, cout, k=1)
         return ad.add(h, skip)
 
     def _time_vec(self, t, n) -> Tensor:
         emb = Tensor(_embed_batch(t, self.cfg.time_embed_dim, n))
-        return ad.silu(self._linear("enc.time.fc", emb))
+        return ad.silu(self._linear("enc.time.fc", emb, self.cfg.time_embed_dim))
 
     def _encode(self, z: Tensor, t):
         cfg = self.cfg
@@ -254,16 +240,14 @@ class JointModel:
                 f"({cfg.input_channels}, {cfg.image_side}, {cfg.image_side})")
         temb = self._time_vec(t, n)
         chans = cfg.stage_channels
-        h = self._conv("enc.stem", z)
-        cur = chans[0]
+        h = self._conv("enc.stem", z, chans[0])
         skips = []
         for i, ch in enumerate(chans):
-            h = self._res(f"enc.s{i}r0", h, temb, cur, ch)
-            cur = ch
+            h = self._res(f"enc.s{i}r0", h, temb, ch)
             skips.append(h)
             if i < len(chans) - 1:
-                h = self._conv(f"enc.down{i}", h, stride=2)
-        h = self._res("enc.mid", h, temb, cur, cur)
+                h = self._conv(f"enc.down{i}", h, ch, stride=2)
+        h = self._res("enc.mid", h, temb, chans[-1])
         return h, skips, temb
 
     def _pool_features(self, bottleneck: Tensor) -> Tensor:
@@ -273,25 +257,18 @@ class JointModel:
         return ad.reshape(h, (n, c * (side // k) ** 2))
 
     def _decode(self, bottleneck: Tensor, skips, temb) -> Tensor:
-        cfg = self.cfg
-        chans = cfg.stage_channels
+        chans = self.cfg.stage_channels
         h = bottleneck
-        cur = chans[-1]
         for i in reversed(range(len(chans))):
-            h = self._res(f"dec.s{i}", ad.concat([h, skips[i]]),
-                          temb, cur + chans[i], chans[i])
-            cur = chans[i]
+            h = self._res(f"dec.s{i}", ad.concat([h, skips[i]]), temb, chans[i])
             if i > 0:
-                h = ad.upsample_nearest(h, 2)
-                h = self._conv(f"dec.up{i}", h)
-                cur = chans[i - 1]
-        h = ad.group_norm(h, self.params["dec.outgn.g"],
-                          self.params["dec.outgn.b"])
-        return self._conv("dec.out", ad.silu(h))
+                h = self._conv(f"dec.up{i}", ad.upsample_nearest(h, 2), chans[i - 1])
+        h = ad.silu(self._norm("dec.outgn", h))
+        return self._conv("dec.out", h, self.cfg.input_channels, zero=True)
 
     def _head(self, features: Tensor) -> Tensor:
-        h = ad.leaky_relu(self._linear("cls.fc1", features))
-        return self._linear("cls.fc2", h)
+        h = ad.leaky_relu(self._linear("cls.fc1", features, self.cfg.classifier_hidden))
+        return self._linear("cls.fc2", h, self.cfg.num_classes, zero=True)
 
     # -- public API (NCHW numpy at the boundary) ------------------------------
 
@@ -321,7 +298,7 @@ class JointModel:
         if not isinstance(z, Encoding):
             return self.encode(z, t)
         if not np.array_equal(z.t, t):
-            raise ValueError(f"encoding was made at t={z.t}, not t={t}")
+            raise TimestepOutOfRange(f"encoding was made at t={z.t}, not t={t}")
         return z
 
     def predict_noise(self, z, t) -> np.ndarray:

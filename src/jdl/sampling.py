@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadClassIndex, BadSubsequence
+from .errors import BadClassIndex, BadSubsequence, ConfigInvalid
 from .schedule import NoiseSchedule
 
 GRAD_CLIP_NORM = 1e3  # per-item cap against off-manifold classifier blow-ups
@@ -41,11 +41,11 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if self.direction not in ("toward", "away"):
-            raise ValueError(f"unknown guidance direction {self.direction!r}")
+            raise ConfigInvalid(f"unknown guidance direction {self.direction!r}")
         if not np.isfinite(self.scale) or self.scale < 0:
-            raise ValueError("guidance scale must be finite and >= 0")
-        if self.target_class < 0:
-            raise BadClassIndex(f"bad class index {self.target_class}")
+            raise ConfigInvalid("guidance scale must be finite and >= 0")
+        if not isinstance(self.target_class, (int, np.integer)) or self.target_class < 0:
+            raise BadClassIndex(f"bad class index {self.target_class!r}")
 
     @property
     def active(self) -> bool:
@@ -60,9 +60,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.kind not in ("ddpm", "ddim"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
+            raise ConfigInvalid(f"unknown sampler kind {self.kind!r}")
         if not 0.0 <= self.eta <= 1.0:     # also false for NaN
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+            raise ConfigInvalid(f"eta must lie in [0, 1], got {self.eta}")
 
 
 @dataclass
@@ -133,14 +133,12 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
         abar = sched.alpha_bars[t]
         abar_prev = sched.alpha_bars[t_prev]
         z0_hat = (z - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
-        if eta > 0 and t_prev > 0:
-            sigma = (eta * np.sqrt((1.0 - abar_prev) / (1.0 - abar))
-                     * np.sqrt(1.0 - abar / abar_prev))
-            dir_coef = np.sqrt(max(1.0 - abar_prev - sigma ** 2, 0.0))
-            z = (np.sqrt(abar_prev) * z0_hat + dir_coef * eps
-                 + sigma * rng.standard_normal(z.shape))
-        else:
-            z = np.sqrt(abar_prev) * z0_hat + np.sqrt(1.0 - abar_prev) * eps
+        # 0 at eta = 0, and at t_prev = 0, where abar_prev is 1
+        sigma = (eta * np.sqrt((1.0 - abar_prev) / (1.0 - abar))
+                 * np.sqrt(1.0 - abar / abar_prev))
+        z = np.sqrt(abar_prev) * z0_hat + np.sqrt(max(1.0 - abar_prev - sigma ** 2, 0.0)) * eps
+        if sigma > 0:
+            z = z + sigma * rng.standard_normal(z.shape)
     return z
 
 

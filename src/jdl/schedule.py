@@ -30,21 +30,11 @@ def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise InvalidRange(f"need 0 < beta_start <= beta_end < 1, "
                            f"got ({beta_start}, {beta_end})")
-    if T == 1:
-        core = np.asarray([beta_start], dtype=np.float64)
-    else:
-        core = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    betas = np.concatenate([[0.0], core])
+    betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T, dtype=np.float64)])
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     alpha_bars[0] = 1.0
     return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
-
-
-def _per_item_coef(values: np.ndarray, batch_shape: tuple) -> np.ndarray:
-    """Reshape per-item scalars to broadcast over (N, ...) batches."""
-    v = np.asarray(values, dtype=np.float64)
-    return v.reshape(v.shape + (1,) * (len(batch_shape) - 1))
 
 
 def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -64,12 +54,9 @@ def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
             f"got {t.dtype} of shape {t.shape}")
     if np.any(t < 1) or np.any(t > sched.T):
         raise TimestepOutOfRange(f"t must lie in [1, {sched.T}]")
-    abar = sched.alpha_bars[t]
-    if t.ndim == 0:
-        return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
-    if t.shape[0] != z0.shape[0]:
+    if t.ndim == 1 and t.shape[0] != z0.shape[0]:
         raise TimestepOutOfRange(
             f"q_sample: {t.shape[0]} timesteps for batch of {z0.shape[0]}")
-    a = _per_item_coef(np.sqrt(abar), z0.shape)
-    b = _per_item_coef(np.sqrt(1.0 - abar), z0.shape)
-    return a * z0 + b * eps
+    # one coefficient per batch item, broadcast over the item's own axes
+    abar = sched.alpha_bars[t].reshape(t.shape + (1,) * (z0.ndim - t.ndim))
+    return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, TrainingDiverged
+from .errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, ShapeMismatch,
+                     TrainingDiverged)
 from .model import JointModel
 from .rng import stream
 from .schedule import NoiseSchedule, q_sample
@@ -56,6 +57,8 @@ class TrainConfig:
                 raise ConfigInvalid(f"learning rates must be finite and > 0, got {lr}")
         if self.class_start_step >= self.total_steps and self.class_loss_weight > 0:
             raise ConfigInvalid("class_start_step must be < total_steps")
+        if not self.diffusion_enabled and self.class_loss_weight <= 0:
+            raise ConfigInvalid("both objectives disabled")
         if not self.diffusion_enabled and self.class_start_step > 0:
             # a warm-up step would run neither objective
             raise ConfigInvalid("without diffusion, class_start_step must be 0")
@@ -86,6 +89,12 @@ class TrainData:
         self.z0 = np.asarray(self.z0, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.labeled_mask = np.asarray(self.labeled_mask, dtype=bool)
+        shapes = (self.z0.shape, self.labels.shape, self.labeled_mask.shape)
+        if ([len(s) for s in shapes] != [4, 2, 1] or self.z0.shape[0] < 1
+                or len({s[0] for s in shapes}) != 1):
+            raise ShapeMismatch(
+                f"need (N, C, H, W) images, (N, K) labels and an (N,) mask with "
+                f"N >= 1, got {shapes[0]}, {shapes[1]} and {shapes[2]}")
 
     @property
     def n(self) -> int:
@@ -95,6 +104,17 @@ class TrainData:
 @dataclass
 class TrainSummary:
     reports: list
+
+
+def _step_count(arrays: dict[str, np.ndarray], key: str) -> int:
+    """``arrays[key]`` as a step count; raises ``CheckpointMismatch`` unless
+    it is there as a scalar, finite, non-negative whole number."""
+    if key not in arrays or arrays[key].shape != ():
+        raise CheckpointMismatch(f"checkpoint has no scalar {key!r}")
+    step = float(arrays[key])
+    if not (np.isfinite(step) and step >= 0 and step.is_integer()):
+        raise CheckpointMismatch(f"{key} = {step} is not a step count")
+    return int(step)
 
 
 class Adam:
@@ -140,7 +160,8 @@ class Adam:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Restore the step and both moments; raises ``CheckpointMismatch``,
-        before changing anything, unless ``arrays`` holds each at its shape."""
+        before changing anything, unless ``arrays`` holds a step count and
+        each moment at its shape."""
         self._check_state(arrays)
         self.t = int(arrays["opt.step"])
         for name in self.m:
@@ -148,9 +169,9 @@ class Adam:
             self.v[name] = np.array(arrays[f"opt.v.{name}"])
 
     def _check_state(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = {"opt.step": ()}
-        for name in self.m:
-            expected[f"opt.m.{name}"] = expected[f"opt.v.{name}"] = self.m[name].shape
+        _step_count(arrays, "opt.step")
+        expected = {f"opt.{moment}.{name}": p.shape
+                    for name, p in self.m.items() for moment in "mv"}
         for key, shape in expected.items():
             if key not in arrays:
                 raise CheckpointMismatch(f"checkpoint has no optimizer state {key!r}")
@@ -202,8 +223,8 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
     (the "UNet without diffusion" ablation).
     """
     cfg.validate()
-    if not cfg.diffusion_enabled and cfg.class_loss_weight <= 0:
-        raise ConfigInvalid("both objectives disabled")
+    if start_step < 0:
+        raise ConfigInvalid(f"start_step must be >= 0, got {start_step}")
     opt = opt or make_optimizer(model, cfg)
     labeled_idx = np.flatnonzero(data.labeled_mask)
     t_class_max = max(1, round(cfg.t_class_max_frac * sched.T))
@@ -268,17 +289,20 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
     With ``opt`` the file must be a training checkpoint: one without
     ``train.step`` or without the optimizer's full state raises
     ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Without
-    ``opt`` a model-only file (``JointModel.save``) loads at step 0. A
-    rejected file changes neither the model nor the optimizer.
+    ``opt`` a model-only file (``JointModel.save``) loads at step 0. Either
+    way, a ``train.step`` or ``opt.step`` that is there must be a finite,
+    non-negative whole number. A rejected file changes neither the model nor
+    the optimizer.
     """
     arrays = ad.load_weights(path)
+    steps = {key: _step_count(arrays, key)
+             for key in ("train.step", "opt.step") if key in arrays}
     if opt is None:
         model.load_state(arrays)
-        return int(arrays.get("train.step", np.asarray(0.0)))
-    step = arrays.get("train.step")
-    if step is None or step.shape != ():
-        raise CheckpointMismatch(f"{path}: no scalar train.step, not a training checkpoint")
+        return steps.get("train.step", 0)
+    if "train.step" not in steps:
+        raise CheckpointMismatch(f"{path}: no train.step, not a training checkpoint")
     opt._check_state(arrays)
     model.load_state(arrays)
     opt.load_state(arrays)
-    return int(step)
+    return steps["train.step"]

@@ -37,3 +37,16 @@ def test_every_error_type_is_raised_somewhere():
                and obj.__module__ == errors.__name__}
     assert defined, "no error types found"
     assert defined - _raised_or_warned() == set()
+
+
+def test_every_raise_names_a_package_error():
+    # bad input fails with the package's own error types, never a builtin
+    own = {name for name, obj in vars(errors).items() if inspect.isclass(obj)}
+    stray = []
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a bare ``raise`` re-raises what a handler caught
+            if isinstance(node, ast.Raise) and node.exc is not None \
+                    and _name(node.exc) not in own:
+                stray.append(f"{path.name}:{node.lineno} {_name(node.exc)}")
+    assert stray == []

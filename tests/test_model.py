@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jdl.errors import ConfigInvalid, GraphConsumed, OddDim, ShapeMismatch
+from jdl.errors import (ConfigInvalid, GraphConsumed, OddDim, ShapeMismatch,
+                        TimestepOutOfRange)
 from jdl.model import JointModel, UNetConfig, feature_pool_kernel, time_embedding
 
 SMALL = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
@@ -65,6 +66,35 @@ def test_feature_dimension_spec_case():
     assert m.feature_dim == 2048
     # the head's first matmul would raise ShapeMismatch on any other width
     assert m.classify(np.zeros((1, 1, 32, 32)), 1).shape == (1, 3)
+
+
+def test_initial_weights_follow_their_init_rule():
+    # He-normal over fan-in, except the zero-initialised output layers
+    m = JointModel.build(UNetConfig(), seed=0)
+    for name, p in m.params.items():
+        w = p.data
+        if name in ("dec.out.w", "cls.fc2.w") or name.endswith(".b"):
+            assert not w.any(), name
+        elif name.endswith(".g"):
+            assert np.array_equal(w, np.ones_like(w)), name
+        else:
+            # conv weights are (out, in, kh, kw), linear ones (in, out)
+            fan_in = np.prod(w.shape[1:]) if w.ndim == 4 else w.shape[0]
+            assert abs(w.std() / np.sqrt(2.0 / fan_in) - 1) < 0.05, name
+
+
+def test_forward_creates_no_parameter(model):
+    names = list(model.params)
+    model.denoise(np.zeros((1, 1, 8, 8)), 2)
+    model.class_score_grad(np.zeros((1, 1, 8, 8)), 2, 0)
+    assert list(model.params) == names
+
+
+def test_missing_parameter_raises_key_error():
+    params = dict(JointModel.build(SMALL, seed=0).params)
+    del params["dec.s0.skip.w"]
+    with pytest.raises(KeyError):
+        JointModel(SMALL, params).denoise(np.zeros((1, 1, 8, 8)), 1)
 
 
 def test_feature_pool_kernel_cap_active():
@@ -146,7 +176,7 @@ def test_classifier_input_gradient_matches_finite_differences():
 def test_encoding_serves_one_backward_at_its_own_t():
     m = JointModel.build(SMALL, seed=5)
     enc = m.encode(np.random.default_rng(8).standard_normal((2, 1, 8, 8)), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TimestepOutOfRange):
         m.predict_noise(enc, 4)
     m.class_score_grad(enc, 3, 0)
     with pytest.raises(GraphConsumed):

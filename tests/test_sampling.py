@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import BadClassIndex, BadSubsequence
+from jdl.errors import BadClassIndex, BadSubsequence, ConfigInvalid
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.sampling import (GRAD_CLIP_NORM, GuidanceConfig, GuidanceStats,
@@ -63,15 +63,28 @@ def test_guided_epsilon_moves_prediction(model, sched):
 
 def test_guidance_direction_validation():
     for direction in ("sideways", "none"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid):
             GuidanceConfig(direction=direction)
 
 
 def test_sampler_config_rejects_bad_eta():
     for eta in (np.nan, np.inf, -0.1, 1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalid):
             SamplerConfig(kind="ddim", eta=eta)
     assert SamplerConfig(kind="ddim", eta=1.0).eta == 1.0
+
+
+@pytest.mark.parametrize("config,kw,error", [
+    (GuidanceConfig, {"scale": -1.0}, ConfigInvalid),
+    (GuidanceConfig, {"scale": np.nan}, ConfigInvalid),
+    (GuidanceConfig, {"scale": np.inf}, ConfigInvalid),
+    (SamplerConfig, {"kind": "euler"}, ConfigInvalid),
+    # used to guide class 1
+    (GuidanceConfig, {"target_class": 1.5, "scale": 1.0}, BadClassIndex),
+], ids=["negative_scale", "nan_scale", "inf_scale", "unknown_kind", "fractional_class"])
+def test_configs_reject_bad_scale_kind_and_class(config, kw, error):
+    with pytest.raises(error):
+        config(**kw)
 
 
 def test_guidance_rejects_negative_class_at_construction():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import CheckpointMismatch, ConfigInvalid, TrainingDiverged
+from jdl.errors import CheckpointMismatch, ConfigInvalid, ShapeMismatch, TrainingDiverged
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.schedule import make_linear_schedule
@@ -95,6 +95,9 @@ def test_classification_only_rejects_warm_up():
     with pytest.raises(ConfigInvalid):
         train_joint(JointModel.build(CFG, seed=1), _data(),
                     _cfg(diffusion_enabled=False), SCHED)
+    # with neither objective on, the config alone is already invalid
+    with pytest.raises(ConfigInvalid):
+        _cfg(diffusion_enabled=False, class_start_step=0, class_loss_weight=0.0).validate()
 
 
 def test_resume_from_checkpoint_equals_uninterrupted_run(tmp_path):
@@ -142,22 +145,51 @@ def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, shrink):
     load_training_checkpoint(path, fresh)
 
 
-def test_rejected_resume_changes_nothing(tmp_path):
+@pytest.mark.parametrize("key,value", [
+    ("cls.fc2.b", np.zeros(5)),          # a model parameter, mis-shaped
+    ("train.step", np.asarray(np.nan)),
+    ("opt.step", np.asarray(np.nan)),
+    ("train.step", np.asarray(-4.0)),
+    ("train.step", np.asarray(3.7)),
+    ("opt.step", np.asarray(2.5)),
+], ids=["misshaped_param", "nan_train_step", "nan_opt_step", "negative_train_step",
+        "fractional_train_step", "fractional_opt_step"])
+def test_rejected_resume_changes_nothing(tmp_path, key, value):
     model = JointModel.build(CFG, seed=1)
     opt = make_optimizer(model, _cfg())
     train_joint(model, _data(), _cfg(total_steps=2), SCHED, opt=opt)
     path = tmp_path / "train.jdlw"
     save_training_checkpoint(path, model, opt, 2)
     arrays = ad.load_weights(path)
-    arrays["cls.fc2.b"] = np.zeros(5)  # a model parameter, mis-shaped
+    arrays[key] = value
     ad.save_weights(path, arrays)
     fresh = JointModel.build(CFG, seed=2)
     opt2 = make_optimizer(fresh, _cfg())
     with pytest.raises(CheckpointMismatch):
         load_training_checkpoint(path, fresh, opt2)
+    with pytest.raises(CheckpointMismatch):
+        load_training_checkpoint(path, fresh)
     _assert_same_weights(fresh, JointModel.build(CFG, seed=2))
     assert opt2.t == 0
     assert not any(m.any() or v.any() for m, v in zip(opt2.m.values(), opt2.v.values()))
+
+
+@pytest.mark.parametrize("z0,labels,mask,error", [
+    ((4, 1, 8, 8), (3, 3), (4,), ShapeMismatch),     # labels one row short
+    ((4, 1, 8, 8), (4, 3), (6,), ShapeMismatch),     # mask too long
+    ((0, 1, 8, 8), (0, 3), (0,), ShapeMismatch),     # no samples
+    ((4, 8, 8), (4, 3), (4,), ShapeMismatch),        # images not (N, C, H, W)
+    ((4, 1, 8, 8), (4,), (4,), ShapeMismatch),       # labels not (N, K)
+    ((4, 1, 8, 8), (4, 3), (4, 1), ShapeMismatch),   # mask not (N,)
+    ((4, 1, 8, 8), (4, 3), (4,), ConfigInvalid),     # start_step -1
+], ids=["short_labels", "long_mask", "empty", "3d_images", "1d_labels", "2d_mask",
+        "negative_start"])
+def test_train_rejects_misaligned_data_and_negative_start(z0, labels, mask, error):
+    # misaligned rows used to fail mid-step with a bare IndexError, no samples
+    # and a negative start with a bare ValueError
+    with pytest.raises(error):
+        data = TrainData(np.zeros(z0), np.zeros(labels), np.ones(mask, dtype=bool))
+        train_joint(JointModel.build(CFG, seed=1), data, _cfg(), SCHED, start_step=-1)
 
 
 def test_zero_class_weight_is_pure_diffusion():
