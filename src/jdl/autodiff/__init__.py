@@ -1,17 +1,17 @@
 """Minimal reverse-mode autodiff over dense float64 arrays."""
 
-from .tensor import Tensor, tensor, backward, no_grad, op_count
+from .tensor import Tensor, backward, no_grad, op_count
 from .ops import (
     add, mul, matmul, conv2d, avg_pool2d, upsample_nearest, silu, leaky_relu,
     sigmoid, group_norm, concat, reshape, sum, mse, bce_with_logits,
 )
 from .gradcheck import grad_check
-from .checkpoint import save_weights, load_weights, MAGIC
+from .checkpoint import save_weights, load_weights, check_shapes
 
 __all__ = [
-    "Tensor", "tensor", "backward", "no_grad", "op_count",
+    "Tensor", "backward", "no_grad", "op_count",
     "add", "mul", "matmul", "conv2d", "avg_pool2d", "upsample_nearest",
     "silu", "leaky_relu", "sigmoid", "group_norm", "concat", "reshape",
     "sum", "mse", "bce_with_logits", "grad_check",
-    "save_weights", "load_weights", "MAGIC",
+    "save_weights", "load_weights", "check_shapes",
 ]

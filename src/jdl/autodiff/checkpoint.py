@@ -43,6 +43,19 @@ def save_weights(path, named: dict[str, np.ndarray]) -> None:
         raise
 
 
+def check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """Raise ``CheckpointMismatch`` unless ``arrays`` holds every name in
+    ``shapes`` at its shape. It only reads, so a caller that checks first
+    assigns nothing from a rejected checkpoint."""
+    missing = sorted(set(shapes) - set(arrays))
+    if missing:
+        raise CheckpointMismatch(f"checkpoint missing {missing[:3]}...")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise CheckpointMismatch(
+                f"{name}: checkpoint shape {arrays[name].shape} != expected {shape}")
+
+
 def load_weights(path) -> dict[str, np.ndarray]:
     """Read a checkpoint; any malformed file raises ``CheckpointMismatch``."""
     path = Path(path)

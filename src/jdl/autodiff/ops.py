@@ -158,7 +158,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     def dx(g):
         dxp = _col2im_nhwc(g.reshape(n * oh * ow, co) @ wmat.T,
                            n, c, hp, wp, kh, kw, stride, oh, ow)
-        return dxp[:, padding:padding + h, padding:padding + wid, :] if padding else dxp
+        return dxp[:, padding:padding + h, padding:padding + wid, :]
 
     def dw(g):
         dwmat = windows().T @ g.reshape(n * oh * ow, co)

@@ -73,21 +73,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """Same data, cut from the graph; gradient of anything through a
-        detached branch is exactly zero."""
-        return Tensor(self.data, requires_grad=False)
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}{flag})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 @contextlib.contextmanager

@@ -67,6 +67,11 @@ class UNetConfig:
     classifier_hidden: int = 256
 
     def __post_init__(self):
+        sizes = (self.input_channels, self.base_channels, *self.channel_multipliers,
+                 self.time_embed_dim, self.image_side, self.num_classes,
+                 self.classifier_hidden)
+        if not all(isinstance(v, (int, np.integer)) for v in sizes):
+            raise ConfigInvalid(f"sizes and channel multipliers must be integers, got {self}")
         if self.base_channels < 8 or self.base_channels % 4:
             # every stage's GroupNorm splits its channels into 4 groups
             raise ConfigInvalid("base_channels must be a multiple of 4 and >= 8")
@@ -106,8 +111,18 @@ class Encoding:
     t: object                 # int or per-item array, as passed to ``encode``
 
 
-def _embed_batch(t, dim: int, n: int) -> np.ndarray:
-    t = np.broadcast_to(np.asarray(t), (n,))
+def time_embedding(t, dim: int, n: int) -> np.ndarray:
+    """Sinusoidal embedding of timestep ``t`` for a batch of ``n``: an
+    (n, dim) array whose rows interleave (sin, cos) pairs at frequencies
+    10000^(-2i/dim). ``t`` is one timestep for the whole batch or one per
+    item. Raises ``OddDim`` for an odd ``dim`` and ``TimestepOutOfRange``
+    for a ``t`` that is neither."""
+    if dim % 2:
+        raise OddDim(f"embedding dim must be even, got {dim}")
+    t = np.asarray(t)
+    if t.shape not in ((), (n,)):
+        raise TimestepOutOfRange(f"timesteps of shape {t.shape} for a batch of {n}")
+    t = np.broadcast_to(t, (n,))
     half = dim // 2
     freqs = 10_000.0 ** (-2.0 * np.arange(half) / dim)
     ang = t[:, None].astype(np.float64) * freqs[None, :]
@@ -115,13 +130,6 @@ def _embed_batch(t, dim: int, n: int) -> np.ndarray:
     out[:, 0::2] = np.sin(ang)
     out[:, 1::2] = np.cos(ang)
     return out
-
-
-def time_embedding(t: int, dim: int) -> np.ndarray:
-    """Sinusoidal embedding as interleaved (sin, cos) pairs."""
-    if dim % 2:
-        raise OddDim(f"embedding dim must be even, got {dim}")
-    return _embed_batch(t, dim, 1)[0]
 
 
 def feature_pool_kernel(channels: int, side: int) -> int:
@@ -199,10 +207,6 @@ class JointModel:
     def classifier_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k.startswith("cls.")}
 
-    @property
-    def feature_dim(self) -> int:
-        return self.params["cls.fc1.w"].shape[0]
-
     # -- forward pieces (channel-last throughout) ----------------------------
 
     def _conv(self, name, h, cout, k=3, stride=1, zero=False):
@@ -228,7 +232,7 @@ class JointModel:
         return ad.add(h, skip)
 
     def _time_vec(self, t, n) -> Tensor:
-        emb = Tensor(_embed_batch(t, self.cfg.time_embed_dim, n))
+        emb = Tensor(time_embedding(t, self.cfg.time_embed_dim, n))
         return ad.silu(self._linear("enc.time.fc", emb, self.cfg.time_embed_dim))
 
     def _encode(self, z: Tensor, t):
@@ -286,7 +290,7 @@ class JointModel:
     def _frozen(self) -> "JointModel":
         """The same weight arrays as graph constants (no copy): a graph built
         through this view differentiates its input only."""
-        return JointModel(self.cfg, {k: p.detach() for k, p in self.params.items()})
+        return JointModel(self.cfg, {k: Tensor(p.data) for k, p in self.params.items()})
 
     def encode(self, z, t) -> Encoding:
         """Run the encoder once on NCHW ``z`` from a requires-grad leaf."""
@@ -349,14 +353,7 @@ class JointModel:
         """Replace every parameter by its entry in ``arrays``; raises
         ``CheckpointMismatch``, before changing anything, unless each one
         is there at its shape."""
-        from .errors import CheckpointMismatch
-        missing = set(self.params) - set(arrays)
-        if missing:
-            raise CheckpointMismatch(f"checkpoint missing {sorted(missing)[:3]}...")
-        for k, v in self.params.items():
-            if arrays[k].shape != v.data.shape:
-                raise CheckpointMismatch(
-                    f"{k}: checkpoint shape {arrays[k].shape} != model {v.data.shape}")
+        ad.check_shapes(arrays, {k: v.shape for k, v in self.params.items()})
         for k, v in self.params.items():
             v.data = np.array(arrays[k], dtype=np.float64)
 

@@ -148,13 +148,17 @@ def generate_phantom(spec: PhantomSpec) -> PhantomSample:
     return PhantomSample(image=image, labels=labels, bboxes=bboxes, spec=spec)
 
 
+def _neighbours(a: np.ndarray) -> list:
+    """The nine copies of ``a`` rolled by each (dy, dx) in {-1, 0, 1}^2,
+    row by row; the 3x3 neighbourhood of every pixel, wrapping at the
+    edges."""
+    return [np.roll(np.roll(a, dy, axis=0), dx, axis=1)
+            for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+
 def _erode(mask: np.ndarray) -> np.ndarray:
     """3x3 binary erosion without scipy."""
-    out = mask.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out &= np.roll(np.roll(mask, dy, axis=0), dx, axis=1)
-    return out
+    return np.logical_and.reduce(_neighbours(mask))
 
 
 def recover_labels(image: np.ndarray, spec: PhantomSpec) -> np.ndarray:
@@ -180,11 +184,7 @@ def recover_labels(image: np.ndarray, spec: PhantomSpec) -> np.ndarray:
     cardio = width / (2.0 * spec.torso.a) > 0.50
 
     # nodule: any 3x3 block mean well above the lung base level, upper lungs
-    box = np.zeros((SIDE, SIDE))
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            box += np.roll(np.roll(image, dy, axis=0), dx, axis=1)
-    box /= 9.0
+    box = sum(_neighbours(image)) / 9.0
     region = np.zeros((SIDE, SIDE), dtype=bool)
     for lung in spec.lungs:
         region |= _erode(lung.mask())

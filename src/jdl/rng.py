@@ -12,13 +12,18 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 
 def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Return the generator for stream (seed, tag, index).
 
     Calling this twice with the same arguments yields generators that
-    produce identical sequences.
+    produce identical sequences. A seed or index that is not an integer
+    raises ``ConfigInvalid``.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (seed, index)):
+        raise ConfigInvalid(f"seed and index must be integers, got {seed!r} and {index!r}")
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(tag.encode("utf-8")), int(index))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 

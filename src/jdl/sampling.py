@@ -47,10 +47,6 @@ class GuidanceConfig:
         if not isinstance(self.target_class, (int, np.integer)) or self.target_class < 0:
             raise BadClassIndex(f"bad class index {self.target_class!r}")
 
-    @property
-    def active(self) -> bool:
-        return self.scale > 0
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -75,7 +71,7 @@ class GuidanceStats:
 def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
                    sched: NoiseSchedule, stats: GuidanceStats | None = None) -> np.ndarray:
     """Adjusted noise prediction for one reverse step (whole batch at t)."""
-    if not g.active:
+    if g.scale == 0:
         return model.predict_noise(z_t, t)
     # score backward before the decoder: the encoder graph is freed by then
     enc = model.encode(z_t, t)
@@ -100,10 +96,9 @@ def ddim_subsequence(T: int, steps: int) -> np.ndarray:
         raise BadSubsequence(f"ddim_steps must lie in [1, {T}], got {steps}")
     if steps == 1:
         return np.asarray([T], dtype=np.int64)
-    seq = np.unique(np.round(np.linspace(1, T, steps)).astype(np.int64))
-    if seq[-1] != T or np.any(np.diff(seq) <= 0):
-        raise BadSubsequence("subsequence must increase strictly and end at T")
-    return seq
+    # the spacing (T - 1) / (steps - 1) is at least 1, so rounding keeps the
+    # values distinct
+    return np.round(np.linspace(1, T, steps)).astype(np.int64)
 
 
 def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,

@@ -1,7 +1,8 @@
-"""Noise schedule tables and the closed-form forward (noising) process.
+"""The noise schedule's ``alpha_bars`` table and the closed-form forward
+(noising) process.
 
-Timesteps are 1-based: ``alpha_bar[t]`` is valid for t in [0, T] with the
-t=0 row reserved for clean data (alpha_bar[0] == 1).
+Timesteps are 1-based: ``alpha_bars[t]`` is valid for t in [0, T] with the
+t=0 row reserved for clean data (alpha_bars[0] == 1).
 """
 
 from __future__ import annotations
@@ -15,26 +16,23 @@ from .errors import InvalidRange, ShapeMismatch, TimestepOutOfRange
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Precomputed beta/alpha tables. Immutable, freely shareable."""
+    """The ``alpha_bars`` table of a T-step schedule. Immutable, freely
+    shareable."""
 
     T: int
-    betas: np.ndarray        # beta_1..beta_T, index 0 unused (set to 0)
-    alphas: np.ndarray       # 1 - beta, same indexing
-    alpha_bars: np.ndarray   # cumulative products, alpha_bars[0] == 1
+    alpha_bars: np.ndarray   # prod of (1 - beta_s) for s <= t; alpha_bars[0] == 1
 
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Linear beta schedule inclusive of both endpoints."""
+    """The ``alpha_bars`` table of T betas spaced linearly from
+    ``beta_start`` to ``beta_end``, both included."""
     if T < 1:
         raise InvalidRange(f"T must be >= 1, got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise InvalidRange(f"need 0 < beta_start <= beta_end < 1, "
                            f"got ({beta_start}, {beta_end})")
     betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T, dtype=np.float64)])
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    alpha_bars[0] = 1.0
-    return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    return NoiseSchedule(T=T, alpha_bars=np.cumprod(1.0 - betas))
 
 
 def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

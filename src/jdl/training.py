@@ -30,7 +30,7 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     total_steps: int = 6000
     lr_diffusion: float = 2e-4
@@ -46,7 +46,11 @@ class TrainConfig:
     t_class_max_frac: float = 0.3
     diffusion_enabled: bool = True   # False: classification-only ablation
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        counts = (self.total_steps, self.class_start_step, self.batch_diffusion,
+                  self.batch_classification)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ConfigInvalid(f"step counts and batch sizes must be integers, got {counts}")
         if self.total_steps < 1:
             raise ConfigInvalid("total_steps must be >= 1")
         # a negative or NaN weight would switch the classifier off silently
@@ -170,14 +174,8 @@ class Adam:
 
     def _check_state(self, arrays: dict[str, np.ndarray]) -> None:
         _step_count(arrays, "opt.step")
-        expected = {f"opt.{moment}.{name}": p.shape
-                    for name, p in self.m.items() for moment in "mv"}
-        for key, shape in expected.items():
-            if key not in arrays:
-                raise CheckpointMismatch(f"checkpoint has no optimizer state {key!r}")
-            if arrays[key].shape != shape:
-                raise CheckpointMismatch(
-                    f"{key}: checkpoint shape {arrays[key].shape} != optimizer {shape}")
+        ad.check_shapes(arrays, {f"opt.{moment}.{name}": p.shape
+                                 for name, p in self.m.items() for moment in "mv"})
 
 
 def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
@@ -220,13 +218,22 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
     With ``class_loss_weight == 0`` the classification branch is skipped
     entirely, which makes the run bit-identical to pure diffusion training.
     With ``diffusion_enabled == False`` only the classifier objective runs
-    (the "UNet without diffusion" ablation).
+    (the "UNet without diffusion" ablation). A run that cannot finish (a
+    ``start_step`` past ``cfg.total_steps``, labels that do not match
+    ``model.cfg.num_classes``, or no labeled sample for a classification
+    step) raises before step 0.
     """
-    cfg.validate()
-    if start_step < 0:
-        raise ConfigInvalid(f"start_step must be >= 0, got {start_step}")
-    opt = opt or make_optimizer(model, cfg)
+    if not 0 <= start_step <= cfg.total_steps:
+        raise ConfigInvalid(f"start_step must lie in [0, {cfg.total_steps}], got {start_step}")
+    if data.labels.shape[1] != model.cfg.num_classes:
+        raise ShapeMismatch(f"{data.labels.shape[1]} label columns for a "
+                            f"{model.cfg.num_classes}-class model")
     labeled_idx = np.flatnonzero(data.labeled_mask)
+    # a config with a class weight has class_start_step < total_steps, so
+    # every run that has a step left has a classification step
+    if cfg.class_loss_weight > 0 and start_step < cfg.total_steps and labeled_idx.size == 0:
+        raise EmptyLabeledBatch("no labeled samples in the training set")
+    opt = opt or make_optimizer(model, cfg)
     t_class_max = max(1, round(cfg.t_class_max_frac * sched.T))
     summary = TrainSummary(reports=[])
 
@@ -242,8 +249,6 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
 
         use_class = cfg.class_loss_weight > 0 and step >= cfg.class_start_step
         if use_class:
-            if labeled_idx.size == 0:
-                raise EmptyLabeledBatch("no labeled samples in the training set")
             pick = stream(cfg.seed, "class-batch", step).integers(
                 0, labeled_idx.size, cfg.batch_classification)
             cidx = labeled_idx[pick]

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jdl.autodiff as ad
-from jdl.errors import CheckpointMismatch, GraphConsumed, NotScalar, ShapeMismatch
+from jdl.errors import (CheckpointMismatch, GraphConsumed, NonFiniteFunction, NotScalar,
+                        ShapeMismatch)
 
 RNG = np.random.default_rng(0)
 
@@ -19,45 +20,45 @@ def rand(*shape):
 
 
 def test_add_elementwise():
-    out = ad.add(ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0]))
+    out = ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0]))
     assert np.array_equal(out.data, [4.0, 6.0])
 
 
 def test_sigmoid_at_zero():
-    out = ad.sigmoid(ad.tensor([0.0]))
+    out = ad.sigmoid(ad.Tensor([0.0]))
     assert np.array_equal(out.data, [0.5])
 
 
 def test_conv2d_single_receptive_field():
     # brute-force oracle: 3x3 ones against 3x3 ones is a dot product of 9 ones
-    x = ad.tensor(np.ones((1, 3, 3, 1)))
-    w = ad.tensor(np.ones((1, 1, 3, 3)))
+    x = ad.Tensor(np.ones((1, 3, 3, 1)))
+    w = ad.Tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, w, stride=1, padding=0)
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == 9.0
 
 
 def test_backward_square():
-    x = ad.tensor(3.0, requires_grad=True)
+    x = ad.Tensor(3.0, requires_grad=True)
     loss = ad.mul(x, x)
     ad.backward(loss)
     assert x.grad == pytest.approx(6.0)
 
 
 def test_backward_sigmoid_sum():
-    x = ad.tensor(np.zeros(5), requires_grad=True)
+    x = ad.Tensor(np.zeros(5), requires_grad=True)
     ad.backward(ad.sum(ad.sigmoid(x)))
     assert np.allclose(x.grad, 0.25)
 
 
 def test_backward_requires_scalar():
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(NotScalar):
         ad.backward(ad.sigmoid(x))
 
 
 def test_backward_consumes_the_graph():
-    x = ad.tensor(rand(3), requires_grad=True)
+    x = ad.Tensor(rand(3), requires_grad=True)
     h = ad.mul(x, x)
     alive = weakref.ref(h.data)
     loss = ad.sum(h)
@@ -69,15 +70,15 @@ def test_backward_consumes_the_graph():
 
 
 def test_fanout_accumulates_both_branches():
-    x = ad.tensor(2.0, requires_grad=True)
+    x = ad.Tensor(2.0, requires_grad=True)
     loss = ad.add(ad.mul(x, x), ad.mul(x, 3.0))  # x^2 + 3x
     ad.backward(loss)
     assert x.grad == pytest.approx(2 * 2.0 + 3.0)
 
 
 def test_detached_branch_gets_zero_grad():
-    x = ad.tensor(rand(4), requires_grad=True)
-    frozen = ad.tensor(x.data)  # same values, no graph edge
+    x = ad.Tensor(rand(4), requires_grad=True)
+    frozen = ad.Tensor(x.data)  # same values, no graph edge
     loss = ad.sum(ad.add(ad.mul(x, 2.0), ad.mul(frozen, 5.0)))
     ad.backward(loss)
     assert np.allclose(x.grad, 2.0)
@@ -85,7 +86,7 @@ def test_detached_branch_gets_zero_grad():
 
 
 def test_no_grad_suppresses_recording():
-    x = ad.tensor(rand(3), requires_grad=True)
+    x = ad.Tensor(rand(3), requires_grad=True)
     with ad.no_grad():
         out = ad.sum(ad.silu(x))
     assert out.node is None and not out.requires_grad
@@ -93,7 +94,7 @@ def test_no_grad_suppresses_recording():
 
 def test_broadcast_policy_rejects_rank_mismatch():
     with pytest.raises(ShapeMismatch):
-        ad.add(ad.tensor(rand(2, 3)), ad.tensor(rand(3, 1, 1)))
+        ad.add(ad.Tensor(rand(2, 3)), ad.Tensor(rand(3, 1, 1)))
 
 
 def _recorded(out):
@@ -105,19 +106,19 @@ def _recorded(out):
 
 
 def test_bias_add_gradients():
-    x = ad.tensor(rand(4, 3), requires_grad=True)
-    b = ad.tensor(rand(3), requires_grad=True)
+    x = ad.Tensor(rand(4, 3), requires_grad=True)
+    b = ad.Tensor(rand(3), requires_grad=True)
     ad.backward(ad.sum(ad.add(x, b)))
     assert np.allclose(b.grad, 4.0)
     assert np.allclose(x.grad, 1.0)
-    frozen = ad.tensor(rand(3))
+    frozen = ad.Tensor(rand(3))
     assert _recorded(ad.add(x, frozen)) == (x,)
     assert _recorded(ad.add(x, b)) == (x, b)
 
 
 def test_channel_bias_add():
-    x = ad.tensor(rand(2, 3, 4, 4), requires_grad=True)
-    b = ad.tensor(rand(1, 3, 1, 1), requires_grad=True)
+    x = ad.Tensor(rand(2, 3, 4, 4), requires_grad=True)
+    b = ad.Tensor(rand(1, 3, 1, 1), requires_grad=True)
     ad.backward(ad.sum(ad.add(x, b)))
     assert b.grad.shape == (1, 3, 1, 1)
     assert np.allclose(b.grad, 16 * 2)
@@ -128,7 +129,7 @@ def test_channel_bias_add():
 
 
 def _check(f, point, tol=1e-4):
-    err = ad.grad_check(f, ad.tensor(point))
+    err = ad.grad_check(f, ad.Tensor(point))
     assert err < tol, f"max relative error {err}"
 
 
@@ -139,29 +140,29 @@ def _weights(seed, *shape):
     passes. Each test draws from its own generator, which leaves the shared
     ``RNG`` stream, and so every later test's inputs, unchanged.
     """
-    return ad.tensor(np.random.default_rng(seed).standard_normal(shape))
+    return ad.Tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
 def test_grad_add():
-    other = ad.tensor(rand(3, 4))
+    other = ad.Tensor(rand(3, 4))
     weight = _weights(3, 3, 4)
     _check(lambda x: ad.sum(ad.mul(ad.add(x, other), weight)), rand(3, 4))
 
 
 def test_grad_mul():
-    other = ad.tensor(rand(3, 4))
+    other = ad.Tensor(rand(3, 4))
     weight = _weights(4, 3, 4)
     _check(lambda x: ad.sum(ad.mul(ad.mul(x, other), weight)), rand(3, 4))
 
 
 def test_grad_matmul():
-    other = ad.tensor(rand(4, 2))
+    other = ad.Tensor(rand(4, 2))
     weight = _weights(5, 3, 2)
     _check(lambda x: ad.sum(ad.mul(ad.matmul(x, other), weight)), rand(3, 4))
-    lhs = ad.tensor(rand(3, 4))
+    lhs = ad.Tensor(rand(3, 4))
     _check(lambda w: ad.sum(ad.mul(ad.matmul(lhs, w), weight)), rand(4, 2))
-    grad = ad.tensor(rand(3, 4), requires_grad=True)
-    w = ad.tensor(rand(4, 2), requires_grad=True)
+    grad = ad.Tensor(rand(3, 4), requires_grad=True)
+    w = ad.Tensor(rand(4, 2), requires_grad=True)
     assert _recorded(ad.matmul(grad, other)) == (grad,)
     assert _recorded(ad.matmul(lhs, w)) == (w,)
     assert _recorded(ad.matmul(grad, w)) == (grad, w)
@@ -174,18 +175,18 @@ def test_grad_matmul():
     (1, 3, 3),  # padding >= kernel: some windows see only padding
 ], ids=["1-0", "1-1", "2-1", "1x1", "2-0", "1-3"])
 def test_grad_conv2d(stride, padding, k):
-    w = ad.tensor(rand(3, 2, k, k))
-    x0 = ad.tensor(rand(2, 6, 6, 2))
+    w = ad.Tensor(rand(3, 2, k, k))
+    x0 = ad.Tensor(rand(2, 6, 6, 2))
     # a uniform output gradient would hide a gradient sent to the wrong pixel
-    r = ad.tensor(rand(*ad.conv2d(x0, w, stride=stride, padding=padding).shape))
+    r = ad.Tensor(rand(*ad.conv2d(x0, w, stride=stride, padding=padding).shape))
 
     def loss(x, w_):
         return ad.sum(ad.mul(ad.conv2d(x, w_, stride=stride, padding=padding), r))
 
     _check(lambda x: loss(x, w), rand(2, 6, 6, 2))
     _check(lambda w_: loss(x0, w_), rand(3, 2, k, k))
-    x1 = ad.tensor(rand(2, 6, 6, 2), requires_grad=True)
-    w1 = ad.tensor(rand(3, 2, k, k), requires_grad=True)
+    x1 = ad.Tensor(rand(2, 6, 6, 2), requires_grad=True)
+    w1 = ad.Tensor(rand(3, 2, k, k), requires_grad=True)
     if (stride, padding, k) == (2, 0, 3):
         # the last window covers rows 2..4 of 6, so row and column 5 get none
         ad.backward(ad.sum(ad.conv2d(x1, w, stride=stride, padding=padding)))
@@ -197,13 +198,13 @@ def test_grad_conv2d(stride, padding, k):
 
 
 def test_conv2d_geometry():
-    x = ad.tensor(rand(1, 5, 5, 2))
-    w = ad.tensor(rand(3, 2, 3, 3))
+    x = ad.Tensor(rand(1, 5, 5, 2))
+    w = ad.Tensor(rand(3, 2, 3, 3))
     for stride, padding in [(0, 1), (-1, 1), (1, -1)]:
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, w, stride=stride, padding=padding)
     # padding beyond the kernel still runs both ways
-    x1 = ad.tensor(rand(1, 5, 5, 2), requires_grad=True)
+    x1 = ad.Tensor(rand(1, 5, 5, 2), requires_grad=True)
     out = ad.conv2d(x1, w, stride=1, padding=3)
     assert out.shape == (1, 9, 9, 3)
     ad.backward(ad.sum(out))
@@ -211,8 +212,8 @@ def test_conv2d_geometry():
 
 
 def test_conv2d_keeps_no_window_matrix():
-    x = ad.tensor(rand(4, 16, 16, 8), requires_grad=True)
-    w = ad.tensor(rand(8, 8, 3, 3), requires_grad=True)
+    x = ad.Tensor(rand(4, 16, 16, 8), requires_grad=True)
+    w = ad.Tensor(rand(8, 8, 3, 3), requires_grad=True)
     tracemalloc.start()
     try:
         out = ad.conv2d(x, w, stride=1, padding=1)
@@ -230,7 +231,7 @@ def test_grad_avg_pool2d():
 
 
 def test_grad_upsample_nearest():
-    weight = ad.tensor(rand(2, 8, 8, 3))
+    weight = ad.Tensor(rand(2, 8, 8, 3))
     _check(lambda x: ad.sum(ad.mul(ad.upsample_nearest(x, scale=2), weight)),
            rand(2, 4, 4, 3))
 
@@ -253,32 +254,32 @@ def test_grad_sigmoid():
 
 
 def test_grad_group_norm():
-    gamma = ad.tensor(1.0 + 0.1 * rand(4))
-    beta = ad.tensor(0.1 * rand(4))
-    wgt = ad.tensor(rand(2, 3, 3, 4))
+    gamma = ad.Tensor(1.0 + 0.1 * rand(4))
+    beta = ad.Tensor(0.1 * rand(4))
+    wgt = ad.Tensor(rand(2, 3, 3, 4))
     _check(lambda x: ad.sum(ad.mul(ad.group_norm(x, gamma, beta), wgt)),
            rand(2, 3, 3, 4), tol=2e-4)
-    x0 = ad.tensor(rand(2, 3, 3, 4))
+    x0 = ad.Tensor(rand(2, 3, 3, 4))
     _check(lambda g: ad.sum(ad.mul(ad.group_norm(x0, g, beta), wgt)),
            1.0 + 0.1 * rand(4))
     _check(lambda b: ad.sum(ad.mul(ad.group_norm(x0, gamma, b), wgt)),
            0.1 * rand(4))
-    x1 = ad.tensor(rand(2, 3, 3, 4), requires_grad=True)
+    x1 = ad.Tensor(rand(2, 3, 3, 4), requires_grad=True)
     assert _recorded(ad.group_norm(x1, gamma, beta)) == (x1,)
-    g1 = ad.tensor(gamma.data, requires_grad=True)
-    b1 = ad.tensor(beta.data, requires_grad=True)
+    g1 = ad.Tensor(gamma.data, requires_grad=True)
+    b1 = ad.Tensor(beta.data, requires_grad=True)
     assert _recorded(ad.group_norm(x1, g1, b1)) == (x1, g1, b1)
 
 
 def test_grad_concat():
-    other = ad.tensor(rand(2, 2, 2, 3))
-    weight = ad.tensor(rand(2, 2, 2, 5))
+    other = ad.Tensor(rand(2, 2, 2, 3))
+    weight = ad.Tensor(rand(2, 2, 2, 5))
     _check(lambda x: ad.sum(ad.mul(ad.concat([x, other]), weight)),
            rand(2, 2, 2, 2))
     # the channel axis is the last; every other dim, and the rank, must match
     for bad in (np.zeros((2, 2, 3, 2)), np.zeros((2, 2, 2))):
         with pytest.raises(ShapeMismatch):
-            ad.concat([other, ad.tensor(bad)])
+            ad.concat([other, ad.Tensor(bad)])
 
 
 def test_grad_reshape_mean():
@@ -289,26 +290,26 @@ def test_grad_reshape_mean():
 
 
 def test_grad_mse():
-    target = ad.tensor(rand(3, 4))
+    target = ad.Tensor(rand(3, 4))
     _check(lambda x: ad.mse(x, target), rand(3, 4))
     _check(lambda t: ad.mse(target, t), rand(3, 4))
-    pred = ad.tensor(rand(3, 4), requires_grad=True)
+    pred = ad.Tensor(rand(3, 4), requires_grad=True)
     assert _recorded(ad.mse(pred, target)) == (pred,)
 
 
 def test_grad_bce_with_logits():
-    y = ad.tensor((rand(4, 3) > 0).astype(float))
+    y = ad.Tensor((rand(4, 3) > 0).astype(float))
     _check(lambda x: ad.bce_with_logits(x, y), rand(4, 3))
-    logits = ad.tensor(rand(4, 3))
+    logits = ad.Tensor(rand(4, 3))
     _check(lambda t: ad.bce_with_logits(logits, t), rand(4, 3))
-    graph = ad.tensor(rand(4, 3), requires_grad=True)
+    graph = ad.Tensor(rand(4, 3), requires_grad=True)
     assert _recorded(ad.bce_with_logits(graph, y)) == (graph,)
 
 
 def test_grad_conv_group_norm_composite():
-    w = ad.tensor(0.3 * rand(4, 2, 3, 3))
-    gamma = ad.tensor(np.ones(4))
-    beta = ad.tensor(np.zeros(4))
+    w = ad.Tensor(0.3 * rand(4, 2, 3, 3))
+    gamma = ad.Tensor(np.ones(4))
+    beta = ad.Tensor(np.zeros(4))
 
     def f(x):
         h = ad.conv2d(x, w, stride=1, padding=1)
@@ -319,22 +320,27 @@ def test_grad_conv_group_norm_composite():
 
 
 def test_two_layer_net_against_finite_differences():
-    w1 = ad.tensor(0.5 * rand(6, 8), requires_grad=True)
-    w2 = ad.tensor(0.5 * rand(8, 1), requires_grad=True)
-    x0 = ad.tensor(rand(4, 6))
-    y0 = ad.tensor(rand(4, 1))
+    w1 = ad.Tensor(0.5 * rand(6, 8), requires_grad=True)
+    w2 = ad.Tensor(0.5 * rand(8, 1), requires_grad=True)
+    x0 = ad.Tensor(rand(4, 6))
+    y0 = ad.Tensor(rand(4, 1))
 
     def net_loss(w1d, w2d):
         h = ad.leaky_relu(ad.matmul(x0, w1d))
         return ad.mse(ad.matmul(h, w2d), y0)
 
-    _check(lambda w: net_loss(w, ad.tensor(w2.data)), w1.data)
-    _check(lambda w: net_loss(ad.tensor(w1.data), w), w2.data)
+    _check(lambda w: net_loss(w, ad.Tensor(w2.data)), w1.data)
+    _check(lambda w: net_loss(ad.Tensor(w1.data), w), w2.data)
 
 
 def test_grad_check_sum_of_squares_tight():
-    err = ad.grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.tensor(rand(10)))
+    err = ad.grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.Tensor(rand(10)))
     assert err < 1e-7
+
+
+def test_grad_check_rejects_f_not_finite_at_the_point():
+    with pytest.raises(NonFiniteFunction):
+        ad.grad_check(lambda x: ad.mul(ad.sum(x), np.nan), ad.Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +352,7 @@ def test_grad_check_sum_of_squares_tight():
 def test_fanout_linearity(n, seed):
     g = np.random.default_rng(seed)
     a = g.standard_normal(n)
-    x = ad.tensor(a, requires_grad=True)
+    x = ad.Tensor(a, requires_grad=True)
     # x feeds two consumers; grads must sum
     ad.backward(ad.add(ad.sum(ad.mul(x, 2.0)), ad.sum(ad.mul(x, 5.0))))
     assert np.allclose(x.grad, 7.0)
@@ -357,11 +363,11 @@ def test_fanout_linearity(n, seed):
 def test_mse_zero_on_identical(seed):
     g = np.random.default_rng(seed)
     a = g.standard_normal((3, 3))
-    assert ad.mse(ad.tensor(a), ad.tensor(a)).item() == 0.0
+    assert ad.mse(ad.Tensor(a), ad.Tensor(a)).item() == 0.0
 
 
 def test_op_count_context():
-    x = ad.tensor(rand(2, 2), requires_grad=True)
+    x = ad.Tensor(rand(2, 2), requires_grad=True)
     with ad.op_count() as counts:
         ad.sum(ad.mul(x, x))
     assert counts == {"mul": 1, "sum": 1}

@@ -18,29 +18,44 @@ def model():
     {"channel_multipliers": ()}, {"channel_multipliers": (1, 0)},
     {"time_embed_dim": 0}, {"image_side": 0}, {"image_side": 10},
     {"base_channels": 10}, {"base_channels": 4}, {"num_classes": 0},
+    {"base_channels": 8.0}, {"channel_multipliers": (1.5, 2)}, {"input_channels": 1.0},
+    {"time_embed_dim": 8.0}, {"image_side": 32.0}, {"num_classes": 3.0},
+    {"classifier_hidden": 16.5},
 ], ids=repr)
 def test_config_rejects_unbuildable_sizes(override):
-    # each used to fail only at build or at the first forward, or not at all
+    # each used to fail only at build or at the first forward (a bare
+    # TypeError for a fractional size), or not at all
     with pytest.raises(ConfigInvalid):
         UNetConfig(**override)
 
 
 def test_time_embedding_zero_and_one():
-    e0 = time_embedding(0, 6)
-    assert np.allclose(e0[0::2], 0.0) and np.allclose(e0[1::2], 1.0)
-    e1 = time_embedding(1, 2)
-    assert np.allclose(e1, [np.sin(1.0), np.cos(1.0)])
+    e0 = time_embedding(0, 6, 2)
+    assert np.allclose(e0[:, 0::2], 0.0) and np.allclose(e0[:, 1::2], 1.0)
+    e1 = time_embedding(1, 2, 1)
+    assert np.allclose(e1, [[np.sin(1.0), np.cos(1.0)]])
 
 
 def test_time_embedding_rejects_odd_dim():
     with pytest.raises(OddDim):
-        time_embedding(3, 5)
+        time_embedding(3, 5, 1)
 
 
 def test_time_embedding_distinct_over_full_range():
     T = 200
-    rows = np.stack([time_embedding(t, 64) for t in range(1, T + 1)])
+    rows = time_embedding(np.arange(1, T + 1), 64, T)
     assert len(np.unique(rows, axis=0)) == T
+
+
+@pytest.mark.parametrize("t", [np.array([1, 2, 3]), np.ones((4, 1), dtype=np.int64)],
+                         ids=["length_3", "shape_4x1"])
+def test_timesteps_that_do_not_fit_the_batch_raise(model, t):
+    # each used to fail with a bare ValueError from np.broadcast_to
+    z = np.zeros((4, 1, 8, 8))
+    for call in (model.denoise, model.predict_noise, model.classify,
+                 lambda z, t: model.class_score_grad(z, t, 0)):
+        with pytest.raises(TimestepOutOfRange):
+            call(z, t)
 
 
 def test_zero_init_head_gives_zero_noise(model):
@@ -63,7 +78,7 @@ def test_feature_dimension_spec_case():
     cfg = UNetConfig(base_channels=32, channel_multipliers=(1, 2, 4),
                      image_side=32)
     m = JointModel.build(cfg, seed=0)
-    assert m.feature_dim == 2048
+    assert m.params["cls.fc1.w"].shape[0] == 2048
     # the head's first matmul would raise ShapeMismatch on any other width
     assert m.classify(np.zeros((1, 1, 32, 32)), 1).shape == (1, 3)
 

@@ -167,14 +167,15 @@ class LinearDenoiser:
 
 
 def test_ddpm_matches_textbook_ancestral_update(sched):
-    # Ho et al. 2020, Algorithm 2, written from the beta/alpha tables
+    # Ho et al. 2020, Algorithm 2, written from the fixture's betas
+    betas = np.concatenate([[0.0], np.linspace(1e-3, 0.1, sched.T)])
     model = LinearDenoiser()
     rng = stream(6, "ref")
     z = rng.standard_normal((2, 1, 8, 8))
     for t in range(sched.T, 0, -1):
         eps = model.predict_noise(z, t)
-        beta, abar = sched.betas[t], sched.alpha_bars[t]
-        mu = (z - beta / np.sqrt(1.0 - abar) * eps) / np.sqrt(sched.alphas[t])
+        beta, abar = betas[t], sched.alpha_bars[t]
+        mu = (z - beta / np.sqrt(1.0 - abar) * eps) / np.sqrt(1.0 - beta)
         if t > 1:
             var = beta * (1.0 - sched.alpha_bars[t - 1]) / (1.0 - abar)
             z = mu + np.sqrt(var) * rng.standard_normal(z.shape)
@@ -195,9 +196,12 @@ def test_ddim_eta_zero_ignores_rng(model, sched):
 
 
 def test_ddim_subsequence_contract():
-    taus = ddim_subsequence(200, 50)
-    assert taus[-1] == 200 and taus[0] == 1
-    assert np.all(np.diff(taus) > 0)
+    for T in range(2, 61):
+        for steps in range(2, T + 1):
+            taus = ddim_subsequence(T, steps)
+            assert len(taus) == steps and taus[0] == 1 and taus[-1] == T, (T, steps)
+            assert np.all(np.diff(taus) > 0), (T, steps)
+    assert ddim_subsequence(200, 50)[-1] == 200
     with pytest.raises(BadSubsequence):
         ddim_subsequence(10, 11)
     with pytest.raises(BadSubsequence):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import CheckpointMismatch, ConfigInvalid, ShapeMismatch, TrainingDiverged
+from jdl.errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, ShapeMismatch,
+                        TrainingDiverged)
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.schedule import make_linear_schedule
@@ -88,7 +89,17 @@ def test_classification_only_leaves_decoder_untouched():
 def test_config_rejects_bad_weight_and_learning_rates(override):
     # each of these once ran: the bad weights dropped the classifier silently
     with pytest.raises(ConfigInvalid):
-        _cfg(**override).validate()
+        _cfg(**override)
+
+
+@pytest.mark.parametrize("override", [
+    {"total_steps": 2.5}, {"total_steps": 4.0}, {"class_start_step": 1.0},
+    {"batch_diffusion": 2.5}, {"batch_classification": 3.0},
+], ids=repr)
+def test_config_rejects_fractional_counts(override):
+    # each used to pass construction and die later with a bare TypeError
+    with pytest.raises(ConfigInvalid):
+        _cfg(**override)
 
 
 def test_classification_only_rejects_warm_up():
@@ -97,7 +108,7 @@ def test_classification_only_rejects_warm_up():
                     _cfg(diffusion_enabled=False), SCHED)
     # with neither objective on, the config alone is already invalid
     with pytest.raises(ConfigInvalid):
-        _cfg(diffusion_enabled=False, class_start_step=0, class_loss_weight=0.0).validate()
+        _cfg(diffusion_enabled=False, class_start_step=0, class_loss_weight=0.0)
 
 
 def test_resume_from_checkpoint_equals_uninterrupted_run(tmp_path):
@@ -190,6 +201,24 @@ def test_train_rejects_misaligned_data_and_negative_start(z0, labels, mask, erro
     with pytest.raises(error):
         data = TrainData(np.zeros(z0), np.zeros(labels), np.ones(mask, dtype=bool))
         train_joint(JointModel.build(CFG, seed=1), data, _cfg(), SCHED, start_step=-1)
+
+
+@pytest.mark.parametrize("case", ["five_label_columns", "start_past_end", "no_labeled_sample"])
+def test_run_that_cannot_finish_fails_before_step_0(case):
+    # each used to train the steps before class_start_step first, or, past
+    # the end, to return an empty summary
+    base = _data()
+    data, cfg, start, error = {
+        "five_label_columns": (TrainData(base.z0, np.zeros((12, 5)), base.labeled_mask),
+                               _cfg(), 0, ShapeMismatch),
+        "start_past_end": (base, _cfg(total_steps=2), 7, ConfigInvalid),
+        "no_labeled_sample": (TrainData(base.z0, base.labels, np.zeros(12, dtype=bool)),
+                              _cfg(), 0, EmptyLabeledBatch),
+    }[case]
+    model = JointModel.build(CFG, seed=1)
+    with pytest.raises(error):
+        train_joint(model, data, cfg, SCHED, start_step=start)
+    _assert_same_weights(model, JointModel.build(CFG, seed=1))
 
 
 def test_zero_class_weight_is_pure_diffusion():
