@@ -17,10 +17,6 @@ class GraphConsumed(RuntimeError):
     """Backward reached graph nodes that an earlier backward already ran."""
 
 
-class NonFiniteFunction(ValueError):
-    """Function under gradient check produced NaN or Inf."""
-
-
 class InvalidRange(ValueError):
     """Noise schedule parameters outside their legal range."""
 

@@ -116,12 +116,16 @@ def time_embedding(t, dim: int, n: int) -> np.ndarray:
     (n, dim) array whose rows interleave (sin, cos) pairs at frequencies
     10000^(-2i/dim). ``t`` is one timestep for the whole batch or one per
     item. Raises ``OddDim`` for an odd ``dim`` and ``TimestepOutOfRange``
-    for a ``t`` that is neither."""
+    for a ``t`` that is neither, or that is not of an integer dtype and
+    >= 0."""
     if dim % 2:
         raise OddDim(f"embedding dim must be even, got {dim}")
     t = np.asarray(t)
     if t.shape not in ((), (n,)):
         raise TimestepOutOfRange(f"timesteps of shape {t.shape} for a batch of {n}")
+    if not np.issubdtype(t.dtype, np.integer) or np.any(t < 0):
+        # a NaN timestep would turn every output into NaN without a word
+        raise TimestepOutOfRange(f"timesteps must be whole numbers >= 0, got {t}")
     t = np.broadcast_to(t, (n,))
     half = dim // 2
     freqs = 10_000.0 ** (-2.0 * np.arange(half) / dim)
@@ -195,17 +199,6 @@ class JointModel:
             data = np.full(shape, fill, dtype=np.float64)
         p = self.params[name] = Tensor(data, requires_grad=True)
         return p
-
-    # -- parameter groups ----------------------------------------------------
-
-    def encoder_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("enc.")}
-
-    def decoder_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("dec.")}
-
-    def classifier_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("cls.")}
 
     # -- forward pieces (channel-last throughout) ----------------------------
 
@@ -346,9 +339,6 @@ class JointModel:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 
-    def save(self, path) -> None:
-        ad.save_weights(path, self.state_arrays())
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Replace every parameter by its entry in ``arrays``; raises
         ``CheckpointMismatch``, before changing anything, unless each one
@@ -356,6 +346,3 @@ class JointModel:
         ad.check_shapes(arrays, {k: v.shape for k, v in self.params.items()})
         for k, v in self.params.items():
             v.data = np.array(arrays[k], dtype=np.float64)
-
-    def load(self, path) -> None:
-        self.load_state(ad.load_weights(path))

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GeometryInfeasible, InvalidPrior
+from .errors import GeometryInfeasible, InvalidPrior, ShapeMismatch
 from .rng import stream
 
 SIDE = 32
@@ -165,8 +165,11 @@ def recover_labels(image: np.ndarray, spec: PhantomSpec) -> np.ndarray:
     """Analytic threshold rules on the rendered image.
 
     Uses only flag-independent geometry (torso, lungs, heart center), never
-    the lesion parameters, so it is a genuine read-back of the pixels.
+    the lesion parameters, so it is a genuine read-back of the pixels. An
+    ``image`` that is not ``SIDE`` x ``SIDE`` raises ``ShapeMismatch``.
     """
+    if np.shape(image) != (SIDE, SIDE):
+        raise ShapeMismatch(f"expected a {SIDE}x{SIDE} image, got shape {np.shape(image)}")
     # cardiomegaly: contiguous bright run around the heart center row
     r0 = int(round(spec.heart.cy))
     band = image[r0 - 1:r0 + 2, :]

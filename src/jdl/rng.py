@@ -19,11 +19,15 @@ def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Return the generator for stream (seed, tag, index).
 
     Calling this twice with the same arguments yields generators that
-    produce identical sequences. A seed or index that is not an integer
-    raises ``ConfigInvalid``.
+    produce identical sequences. A seed or index that is not an integer, a
+    negative index or a tag that is not a ``str`` raises ``ConfigInvalid``.
     """
     if not all(isinstance(v, (int, np.integer)) for v in (seed, index)):
         raise ConfigInvalid(f"seed and index must be integers, got {seed!r} and {index!r}")
+    if index < 0:
+        raise ConfigInvalid(f"index must be >= 0, got {index}")
+    if not isinstance(tag, str):
+        raise ConfigInvalid(f"tag must be a str, got {tag!r}")
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(tag.encode("utf-8")), int(index))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 

@@ -155,28 +155,6 @@ class Adam:
                 vhat = self.v[name] / c2
                 p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"opt.step": np.asarray(float(self.t))}
-        for name in self.m:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore the step and both moments; raises ``CheckpointMismatch``,
-        before changing anything, unless ``arrays`` holds a step count and
-        each moment at its shape."""
-        self._check_state(arrays)
-        self.t = int(arrays["opt.step"])
-        for name in self.m:
-            self.m[name] = np.array(arrays[f"opt.m.{name}"])
-            self.v[name] = np.array(arrays[f"opt.v.{name}"])
-
-    def _check_state(self, arrays: dict[str, np.ndarray]) -> None:
-        _step_count(arrays, "opt.step")
-        ad.check_shapes(arrays, {f"opt.{moment}.{name}": p.shape
-                                 for name, p in self.m.items() for moment in "mv"})
-
 
 def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
                    sched: NoiseSchedule, rng: np.random.Generator) -> Tensor:
@@ -204,9 +182,11 @@ def classification_loss(model: JointModel, images: np.ndarray, labels: np.ndarra
 
 
 def make_optimizer(model: JointModel, cfg: TrainConfig) -> Adam:
-    shared = {**model.encoder_params(), **model.decoder_params()}
-    return Adam([(shared, cfg.lr_diffusion),
-                 (model.classifier_params(), cfg.lr_classifier)])
+    """Adam over the shared UNet at ``lr_diffusion`` and the classifier head
+    (the ``cls.`` parameters) at ``lr_classifier``."""
+    head = {k: p for k, p in model.params.items() if k.startswith("cls.")}
+    shared = {k: p for k, p in model.params.items() if k not in head}
+    return Adam([(shared, cfg.lr_diffusion), (head, cfg.lr_classifier)])
 
 
 def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
@@ -282,32 +262,45 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
 
 
 def save_training_checkpoint(path, model: JointModel, opt: Adam, step: int) -> None:
+    """Write the model's parameters under their own names, Adam's moments as
+    ``opt.m.<name>`` and ``opt.v.<name>``, its step as ``opt.step`` and the
+    training step as ``train.step``."""
     arrays = dict(model.state_arrays())
-    arrays.update(opt.state_arrays())
+    for name in opt.m:
+        arrays[f"opt.m.{name}"] = opt.m[name]
+        arrays[f"opt.v.{name}"] = opt.v[name]
+    arrays["opt.step"] = np.asarray(float(opt.t))
     arrays["train.step"] = np.asarray(float(step))
     ad.save_weights(path, arrays)
 
 
 def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None) -> int:
-    """Restore model (and optimizer, if given); returns the stored step.
+    """Restore the model, and the optimizer if given; returns the stored step.
 
-    With ``opt`` the file must be a training checkpoint: one without
+    This is the one way to restore a model. Without ``opt`` it reads the
+    model's parameters from any checkpoint that holds them, a model-only
+    file written by ``ad.save_weights(path, model.state_arrays())``
+    included, and returns its ``train.step``, or 0 if it has none. With
+    ``opt`` the file must be a training checkpoint: one without
     ``train.step`` or without the optimizer's full state raises
-    ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Without
-    ``opt`` a model-only file (``JointModel.save``) loads at step 0. Either
+    ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Either
     way, a ``train.step`` or ``opt.step`` that is there must be a finite,
-    non-negative whole number. A rejected file changes neither the model nor
-    the optimizer.
+    non-negative whole number. Everything is checked before anything is
+    assigned, so a rejected file changes neither the model nor the
+    optimizer.
     """
     arrays = ad.load_weights(path)
-    steps = {key: _step_count(arrays, key)
-             for key in ("train.step", "opt.step") if key in arrays}
-    if opt is None:
-        model.load_state(arrays)
-        return steps.get("train.step", 0)
-    if "train.step" not in steps:
-        raise CheckpointMismatch(f"{path}: no train.step, not a training checkpoint")
-    opt._check_state(arrays)
+    steps = {key: _step_count(arrays, key) for key in ("train.step", "opt.step")
+             if opt is not None or key in arrays}
+    shapes = {name: p.shape for name, p in model.params.items()}
+    if opt is not None:
+        shapes.update({f"opt.{moment}.{name}": m.shape
+                       for name, m in opt.m.items() for moment in "mv"})
+    ad.check_shapes(arrays, shapes)
     model.load_state(arrays)
-    opt.load_state(arrays)
-    return steps["train.step"]
+    if opt is not None:
+        opt.t = steps["opt.step"]
+        for name in opt.m:
+            opt.m[name] = arrays[f"opt.m.{name}"]
+            opt.v[name] = arrays[f"opt.v.{name}"]
+    return steps.get("train.step", 0)

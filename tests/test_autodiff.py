@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jdl.autodiff as ad
-from jdl.errors import (CheckpointMismatch, GraphConsumed, NonFiniteFunction, NotScalar,
-                        ShapeMismatch)
+from jdl.errors import CheckpointMismatch, GraphConsumed, NotScalar, ShapeMismatch
+
+from gradcheck import grad_check
 
 RNG = np.random.default_rng(0)
 
@@ -129,7 +130,7 @@ def test_channel_bias_add():
 
 
 def _check(f, point, tol=1e-4):
-    err = ad.grad_check(f, ad.Tensor(point))
+    err = grad_check(f, ad.Tensor(point))
     assert err < tol, f"max relative error {err}"
 
 
@@ -334,13 +335,13 @@ def test_two_layer_net_against_finite_differences():
 
 
 def test_grad_check_sum_of_squares_tight():
-    err = ad.grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.Tensor(rand(10)))
+    err = grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.Tensor(rand(10)))
     assert err < 1e-7
 
 
 def test_grad_check_rejects_f_not_finite_at_the_point():
-    with pytest.raises(NonFiniteFunction):
-        ad.grad_check(lambda x: ad.mul(ad.sum(x), np.nan), ad.Tensor(np.ones(3)))
+    with pytest.raises(ValueError, match="not finite at the point"):
+        grad_check(lambda x: ad.mul(ad.sum(x), np.nan), ad.Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from jdl.errors import (ConfigInvalid, GraphConsumed, OddDim, ShapeMismatch,
-                        TimestepOutOfRange)
+import jdl.autodiff as ad
+from jdl.errors import (CheckpointMismatch, ConfigInvalid, GraphConsumed, OddDim,
+                        ShapeMismatch, TimestepOutOfRange)
 from jdl.model import JointModel, UNetConfig, feature_pool_kernel, time_embedding
+from jdl.training import load_training_checkpoint
+
+from gradcheck import numeric_grad
 
 SMALL = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
                    time_embed_dim=8, classifier_hidden=16, num_classes=3)
@@ -54,6 +58,16 @@ def test_timesteps_that_do_not_fit_the_batch_raise(model, t):
     z = np.zeros((4, 1, 8, 8))
     for call in (model.denoise, model.predict_noise, model.classify,
                  lambda z, t: model.class_score_grad(z, t, 0)):
+        with pytest.raises(TimestepOutOfRange):
+            call(z, t)
+
+
+@pytest.mark.parametrize("t", [np.nan, 2.5, -3, 1.0, np.array([1, -1]), np.array([1.0, 2.0])],
+                         ids=repr)
+def test_timesteps_must_be_whole_numbers(model, t):
+    # NaN used to give all-NaN class probabilities; 2.5 and -3 passed silently
+    z = np.zeros((2, 1, 8, 8))
+    for call in (model.class_probs, model.predict_noise):
         with pytest.raises(TimestepOutOfRange):
             call(z, t)
 
@@ -169,23 +183,10 @@ def test_classifier_input_gradient_matches_finite_differences():
     grad = m.class_score_grad(z0, 4, class_idx=k, toward=True)
     assert grad.shape == z0.shape
 
-    h = 1e-5
-    rng = np.random.default_rng(6)
-    flat = z0.reshape(-1)
-    worst = 0.0
-    for i in rng.choice(z0.size, size=20, replace=False):
-        for sgn in (+1, -1):
-            shifted = flat.copy()
-            shifted[i] += sgn * h
-            p = m.class_probs(shifted.reshape(z0.shape), 4)[0, k]
-            if sgn > 0:
-                f_plus = np.log(p)
-            else:
-                f_minus = np.log(p)
-        numeric = (f_plus - f_minus) / (2 * h)
-        err = abs(grad.reshape(-1)[i] - numeric) / max(1e-8, abs(numeric))
-        worst = max(worst, err)
-    assert worst < 1e-4
+    coords = np.random.default_rng(6).choice(z0.size, size=20, replace=False)
+    numeric = numeric_grad(lambda z: np.log(m.class_probs(z, 4)[0, k]), z0, coords)
+    err = np.abs(grad.reshape(-1)[coords] - numeric) / np.maximum(1e-8, np.abs(numeric))
+    assert err.max() < 1e-4
 
 
 def test_encoding_serves_one_backward_at_its_own_t():
@@ -207,26 +208,24 @@ def test_class_score_grad_rejects_bad_index():
 
 def test_save_load_roundtrip(tmp_path, model):
     path = tmp_path / "model.jdlw"
-    model.save(path)
+    ad.save_weights(path, model.state_arrays())
     other = JointModel.build(SMALL, seed=99)
-    other.load(path)
+    load_training_checkpoint(path, other)
     z = np.random.default_rng(7).standard_normal((1, 1, 8, 8))
     assert np.array_equal(other.predict_noise(z, 3), model.predict_noise(z, 3))
 
 
 def test_load_rejects_shape_mismatch(tmp_path, model):
-    from jdl.errors import CheckpointMismatch
     path = tmp_path / "model.jdlw"
-    model.save(path)
+    ad.save_weights(path, model.state_arrays())
     wrong = JointModel.build(
         UNetConfig(base_channels=16, channel_multipliers=(1, 2), image_side=8,
                    time_embed_dim=8, classifier_hidden=16), seed=0)
     with pytest.raises(CheckpointMismatch):
-        wrong.load(path)
+        load_training_checkpoint(path, wrong)
 
 
 def test_rejected_load_changes_no_parameter(model):
-    from jdl.errors import CheckpointMismatch
     arrays = dict(model.state_arrays())
     arrays["cls.fc2.b"] = np.zeros(5)  # the last parameter, mis-shaped
     other = JointModel.build(SMALL, seed=99)

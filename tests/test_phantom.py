@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jdl.errors import InvalidPrior, IoError
+from jdl.errors import InvalidPrior, IoError, ShapeMismatch
 from jdl.pgm import write_pgm
 from jdl.phantom import (CLASS_NAMES, SIDE, build_dataset, generate_phantom,
                          make_spec, recover_labels)
@@ -99,6 +99,13 @@ def test_label_faithfulness_is_exact(dataset):
         for i in range(split.n):
             rec = recover_labels(split.images[i, 0], split.specs[i])
             assert np.array_equal(rec, split.labels[i]), f"sample {i}"
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (SIDE, SIDE + 1), (1, SIDE, SIDE)], ids=str)
+def test_recover_labels_rejects_other_image_shapes(shape):
+    # a 16x16 image used to raise a bare IndexError
+    with pytest.raises(ShapeMismatch):
+        recover_labels(np.zeros(shape), make_spec(1, (1, 1, 1)))
 
 
 def test_prevalence_tracks_priors():

@@ -41,6 +41,16 @@ def test_non_integer_seed_or_index_raises(seed, index):
         stream(seed, "x", index)
 
 
+@pytest.mark.parametrize("tag,index", [
+    ("x", -1), ("x", np.int64(-3)), (5, 0), (b"x", 0), (None, 0),
+], ids=repr)
+def test_negative_index_or_non_str_tag_raises(tag, index):
+    # a negative index used to raise numpy's bare ValueError, a tag that is
+    # not a str a bare AttributeError
+    with pytest.raises(ConfigInvalid):
+        stream(0, tag, index)
+
+
 def test_fractional_seed_raises_where_it_enters():
     cfg = UNetConfig(base_channels=8, channel_multipliers=(1,), image_side=8,
                      time_embed_dim=8, classifier_hidden=16)

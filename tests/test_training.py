@@ -75,10 +75,9 @@ def test_classification_only_leaves_decoder_untouched():
                           _cfg(diffusion_enabled=False, class_start_step=0), SCHED)
     assert all(r.diffusion_loss is None for r in summary.reports)
     assert all(r.classification_loss is not None for r in summary.reports)
-    for name in model.decoder_params():
-        assert np.array_equal(model.params[name].data, before[name]), name
-    assert any(not np.array_equal(p.data, before[k])
-               for k, p in model.encoder_params().items())
+    changed = {k for k, p in model.params.items() if not np.array_equal(p.data, before[k])}
+    assert changed and all(k.startswith(("enc.", "cls.")) for k in changed), changed
+    assert any(k.startswith("enc.") for k in changed)
 
 
 @pytest.mark.parametrize("override", [
@@ -131,8 +130,32 @@ def test_resume_from_checkpoint_equals_uninterrupted_run(tmp_path):
     _assert_same_weights(resumed, full)
 
 
+def test_checkpoint_layout(tmp_path):
+    model = JointModel.build(CFG, seed=1)
+    opt = make_optimizer(model, _cfg())
+    train_joint(model, _data(), _cfg(total_steps=2), SCHED, opt=opt)
+    path = tmp_path / "train.jdlw"
+    # a step apart from opt.t, so the two keys cannot stand in for each other
+    save_training_checkpoint(path, model, opt, 3)
+    arrays = ad.load_weights(path)
+    names = list(model.params)
+    assert set(arrays) == {*names, *(f"opt.{moment}.{name}" for name in names
+                                     for moment in "mv"), "opt.step", "train.step"}
+    for name, p in model.params.items():
+        assert np.array_equal(arrays[name], p.data), name
+        assert np.array_equal(arrays[f"opt.m.{name}"], opt.m[name]), name
+        assert np.array_equal(arrays[f"opt.v.{name}"], opt.v[name]), name
+    assert arrays["opt.step"] == opt.t == 2 and arrays["train.step"] == 3
+
+    # a model-only file restores the weights at step 0
+    ad.save_weights(path, model.state_arrays())
+    fresh = JointModel.build(CFG, seed=2)
+    assert load_training_checkpoint(path, fresh) == 0
+    _assert_same_weights(fresh, model)
+
+
 @pytest.mark.parametrize("drop,shrink", [
-    (("opt.", "train."), None),          # what JointModel.save writes
+    (("opt.", "train."), None),          # a model-only file
     (("train.step",), None),
     (("opt.step",), None),
     (("opt.v.enc.stem.w",), None),
