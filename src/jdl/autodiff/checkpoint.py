@@ -57,42 +57,42 @@ def check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> Non
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any malformed file raises ``CheckpointMismatch``."""
+    """Read a checkpoint; any malformed file raises ``CheckpointMismatch``.
+
+    Each field is read from the file straight into its own array, so a load
+    holds the checkpoint once."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:5] != MAGIC:
-        raise CheckpointMismatch(f"{path}: not a JDLW1 checkpoint")
     out: dict[str, np.ndarray] = {}
-    pos = 5
-    total = len(blob)
+    with open(path, "rb") as f:
+        total = os.fstat(f.fileno()).st_size
+        if f.read(len(MAGIC)) != MAGIC:
+            raise CheckpointMismatch(f"{path}: not a JDLW1 checkpoint")
+        pos = len(MAGIC)
 
-    def read_u64s(count: int, what: str) -> tuple:
-        nonlocal pos
-        if count > (total - pos) // 8:
-            raise CheckpointMismatch(f"{path}: truncated {what} at byte {pos}")
-        values = struct.unpack_from(f"<{count}Q", blob, pos)
-        pos += 8 * count
-        return values
+        def read(count: int, dtype: str, what: str) -> np.ndarray:
+            # the size bound comes before the allocation, the length check
+            # after the read catches a file that shrank since fstat
+            nonlocal pos
+            if count > (total - pos) // np.dtype(dtype).itemsize:
+                raise CheckpointMismatch(f"{path}: truncated {what} at byte {pos}")
+            buf = np.empty(count, dtype=dtype)
+            if f.readinto(buf) != buf.nbytes:
+                raise CheckpointMismatch(f"{path}: truncated {what} at byte {pos}")
+            pos += buf.nbytes
+            return buf
 
-    while pos < total:
-        (name_len,) = read_u64s(1, "name length")
-        if name_len > total - pos:
-            raise CheckpointMismatch(f"{path}: truncated name at byte {pos}")
-        try:
-            name = blob[pos:pos + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointMismatch(f"{path}: name at byte {pos} is not UTF-8") from exc
-        pos += name_len
-        (rank,) = read_u64s(1, "rank")
-        dims = read_u64s(rank, f"dims of {name!r}")
-        count = math.prod(dims)
-        if count > (total - pos) // 8:
-            raise CheckpointMismatch(f"{path}: truncated data for {name!r}")
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-        try:
-            # only an empty tensor can get here with a shape numpy refuses
-            out[name] = data.reshape(dims).copy()
-        except ValueError as exc:
-            raise CheckpointMismatch(f"{path}: bad shape {dims} for {name!r}") from exc
-        pos += 8 * count
+        while pos < total:
+            (name_len,) = read(1, "<u8", "name length")
+            try:
+                name = read(int(name_len), "u1", "name").tobytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointMismatch(f"{path}: name before byte {pos} is not UTF-8") from exc
+            (rank,) = read(1, "<u8", "rank")
+            dims = tuple(int(d) for d in read(int(rank), "<u8", f"dims of {name!r}"))
+            data = read(math.prod(dims), "<f8", f"data for {name!r}")
+            try:
+                # only an empty tensor can get here with a shape numpy refuses
+                out[name] = data.reshape(dims)
+            except ValueError as exc:
+                raise CheckpointMismatch(f"{path}: bad shape {dims} for {name!r}") from exc
     return out

@@ -125,8 +125,8 @@ def _nhwc_dims(x: Tensor) -> tuple:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation of an NHWC batch with (C_out, C_in, KH, KW)
-    weights; the output is NHWC as well.
+    """2-d cross-correlation of an NHWC batch with (KH, KW, C_in, C_out)
+    weights, which the GEMM reads in place; the output is NHWC as well.
 
     No window matrix outlives the call: the weight gradient rebuilds the
     windows from x when it runs, so a conv costs its backward one extra
@@ -135,7 +135,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
     n, h, wid, c = _nhwc_dims(x)
-    co, ci, kh, kw = w.shape
+    kh, kw, ci, co = w.shape
     if ci != c:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
     if stride < 1 or padding < 0:
@@ -152,7 +152,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     def windows():
         return _im2col_nhwc(_pad_hw_nhwc(xd, padding), kh, kw, stride, oh, ow)
 
-    wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, co)
+    wmat = w.data.reshape(kh * kw * c, co)
     out = (windows() @ wmat).reshape(n, oh, ow, co)
 
     def dx(g):
@@ -162,7 +162,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def dw(g):
         dwmat = windows().T @ g.reshape(n * oh * ow, co)
-        return dwmat.reshape(kh, kw, c, co).transpose(3, 2, 0, 1)
+        return dwmat.reshape(w.shape)
 
     return record("conv2d", out, (x, dx), (w, dw))
 

@@ -127,6 +127,12 @@ def record(kind: str, out_data: np.ndarray,
     return out
 
 
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
@@ -137,8 +143,8 @@ def backward(loss: Tensor) -> None:
     if loss.data.shape not in ((), (1,)):
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss.node is None:
-        if loss.requires_grad and loss.grad is None:
-            loss.grad = np.ones_like(loss.data)
+        if loss.requires_grad:
+            _accumulate(loss, np.ones_like(loss.data))
         return
 
     # Collect the subgraph reachable from the loss.
@@ -170,9 +176,7 @@ def backward(loss: Tensor) -> None:
         node.parents, node.backward_fn = (), None
         for parent, g in zip(parents, backward_fn(out_grad)):
             if parent.node is None:
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                _accumulate(parent, g)
             else:
                 key = id(parent.node)
                 if key in grads:

@@ -186,14 +186,13 @@ class JointModel:
 
     def _param(self, name: str, shape: tuple, fill: float | None = None) -> Tensor:
         """The parameter ``name``. While ``build`` runs, it is created at
-        ``shape``, filled with ``fill``, or He-normal over its fan-in when
-        ``fill`` is None; at any other time a missing name raises
-        ``KeyError``."""
+        ``shape``, filled with ``fill``, or He-normal over its fan-in, every
+        weight being (..., fan_in, fan_out), when ``fill`` is None; at any
+        other time a missing name raises ``KeyError``."""
         if self._init_rng is None:
             return self.params[name]
         if fill is None:
-            # conv weights are (out, in, kh, kw), linear ones (in, out)
-            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            fan_in = int(np.prod(shape[:-1]))
             data = np.sqrt(2.0 / fan_in) * self._init_rng.standard_normal(shape)
         else:
             data = np.full(shape, fill, dtype=np.float64)
@@ -203,7 +202,7 @@ class JointModel:
     # -- forward pieces (channel-last throughout) ----------------------------
 
     def _conv(self, name, h, cout, k=3, stride=1, zero=False):
-        w = self._param(f"{name}.w", (cout, h.shape[3], k, k), 0.0 if zero else None)
+        w = self._param(f"{name}.w", (k, k, h.shape[3], cout), 0.0 if zero else None)
         h = ad.conv2d(h, w, stride=stride, padding=k // 2)
         return ad.add(h, self._param(f"{name}.b", (cout,), 0.0))
 

@@ -27,7 +27,6 @@ from .rng import stream
 
 SIDE = 32
 CLASS_NAMES = ("cardiomegaly", "nodule", "effusion")
-NUM_CLASSES = len(CLASS_NAMES)
 
 BACKGROUND = -0.85
 TISSUE = -0.10

@@ -33,7 +33,7 @@ def test_sigmoid_at_zero():
 def test_conv2d_single_receptive_field():
     # brute-force oracle: 3x3 ones against 3x3 ones is a dot product of 9 ones
     x = ad.Tensor(np.ones((1, 3, 3, 1)))
-    w = ad.Tensor(np.ones((1, 1, 3, 3)))
+    w = ad.Tensor(np.ones((3, 3, 1, 1)))
     out = ad.conv2d(x, w, stride=1, padding=0)
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == 9.0
@@ -44,6 +44,16 @@ def test_backward_square():
     loss = ad.mul(x, x)
     ad.backward(loss)
     assert x.grad == pytest.approx(6.0)
+
+
+def test_backward_of_a_leaf_accumulates():
+    # a leaf loss adds to its grad like any other leaf, not only when unset
+    x = ad.Tensor(3.0, requires_grad=True)
+    y = ad.Tensor(3.0, requires_grad=True)
+    for _ in range(2):
+        ad.backward(x)
+        ad.backward(ad.mul(y, 1.0))
+    assert x.grad == y.grad == 2.0
 
 
 def test_backward_sigmoid_sum():
@@ -176,7 +186,7 @@ def test_grad_matmul():
     (1, 3, 3),  # padding >= kernel: some windows see only padding
 ], ids=["1-0", "1-1", "2-1", "1x1", "2-0", "1-3"])
 def test_grad_conv2d(stride, padding, k):
-    w = ad.Tensor(rand(3, 2, k, k))
+    w = ad.Tensor(rand(k, k, 2, 3))
     x0 = ad.Tensor(rand(2, 6, 6, 2))
     # a uniform output gradient would hide a gradient sent to the wrong pixel
     r = ad.Tensor(rand(*ad.conv2d(x0, w, stride=stride, padding=padding).shape))
@@ -185,9 +195,9 @@ def test_grad_conv2d(stride, padding, k):
         return ad.sum(ad.mul(ad.conv2d(x, w_, stride=stride, padding=padding), r))
 
     _check(lambda x: loss(x, w), rand(2, 6, 6, 2))
-    _check(lambda w_: loss(x0, w_), rand(3, 2, k, k))
+    _check(lambda w_: loss(x0, w_), rand(k, k, 2, 3))
     x1 = ad.Tensor(rand(2, 6, 6, 2), requires_grad=True)
-    w1 = ad.Tensor(rand(3, 2, k, k), requires_grad=True)
+    w1 = ad.Tensor(rand(k, k, 2, 3), requires_grad=True)
     if (stride, padding, k) == (2, 0, 3):
         # the last window covers rows 2..4 of 6, so row and column 5 get none
         ad.backward(ad.sum(ad.conv2d(x1, w, stride=stride, padding=padding)))
@@ -200,7 +210,7 @@ def test_grad_conv2d(stride, padding, k):
 
 def test_conv2d_geometry():
     x = ad.Tensor(rand(1, 5, 5, 2))
-    w = ad.Tensor(rand(3, 2, 3, 3))
+    w = ad.Tensor(rand(3, 3, 2, 3))
     for stride, padding in [(0, 1), (-1, 1), (1, -1)]:
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, w, stride=stride, padding=padding)
@@ -214,7 +224,7 @@ def test_conv2d_geometry():
 
 def test_conv2d_keeps_no_window_matrix():
     x = ad.Tensor(rand(4, 16, 16, 8), requires_grad=True)
-    w = ad.Tensor(rand(8, 8, 3, 3), requires_grad=True)
+    w = ad.Tensor(rand(3, 3, 8, 8), requires_grad=True)
     tracemalloc.start()
     try:
         out = ad.conv2d(x, w, stride=1, padding=1)
@@ -222,6 +232,20 @@ def test_conv2d_keeps_no_window_matrix():
     finally:
         tracemalloc.stop()
     # the window matrix alone would be 9 * x.nbytes
+    assert kept < out.data.nbytes + x.data.nbytes
+
+
+def test_conv2d_keeps_no_weight_copy():
+    # the dx rule holds the weights: a copy of these 64 -> 64 3x3 ones would
+    # be 36 times x
+    x = ad.Tensor(np.ones((1, 4, 4, 64)), requires_grad=True)
+    w = ad.Tensor(np.ones((3, 3, 64, 64)))
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, stride=1, padding=1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert kept < out.data.nbytes + x.data.nbytes
 
 
@@ -308,7 +332,7 @@ def test_grad_bce_with_logits():
 
 
 def test_grad_conv_group_norm_composite():
-    w = ad.Tensor(0.3 * rand(4, 2, 3, 3))
+    w = ad.Tensor(0.3 * rand(3, 3, 2, 4))
     gamma = ad.Tensor(np.ones(4))
     beta = ad.Tensor(np.zeros(4))
 
@@ -384,6 +408,19 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(back[k], np.asarray(named[k]))
     # header magic is pinned by the file format
     assert path.read_bytes()[:5] == b"JDLW1"
+
+
+def test_load_weights_holds_the_file_once(tmp_path):
+    path = tmp_path / "w.jdlw"
+    ad.save_weights(path, {f"w{i}": np.ones((64, 1024)) for i in range(4)})
+    tracemalloc.start()
+    try:
+        ad.load_weights(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the arrays alone are 1x; a copy of the file on top of them is 2x
+    assert peak < 1.25 * path.stat().st_size
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

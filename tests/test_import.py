@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,3 +12,13 @@ def test_package_import_loads_no_numpy():
     src = str(Path(jdl.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
     assert done.returncode == 0
+
+
+def test_every_source_parses_at_the_python_floor():
+    # pyproject.toml says requires-python >= 3.10; newer syntax would fail
+    # only on a 3.10 interpreter, so check for it under any version
+    root = Path(jdl.__file__).parents[2]
+    files = [path for part in ("src", "tests", "perfbench") for path in (root / part).rglob("*.py")]
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

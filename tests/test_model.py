@@ -107,8 +107,7 @@ def test_initial_weights_follow_their_init_rule():
         elif name.endswith(".g"):
             assert np.array_equal(w, np.ones_like(w)), name
         else:
-            # conv weights are (out, in, kh, kw), linear ones (in, out)
-            fan_in = np.prod(w.shape[1:]) if w.ndim == 4 else w.shape[0]
+            fan_in = np.prod(w.shape[:-1])
             assert abs(w.std() / np.sqrt(2.0 / fan_in) - 1) < 0.05, name
 
 
@@ -232,5 +231,20 @@ def test_rejected_load_changes_no_parameter(model):
     before = {k: p.data.copy() for k, p in other.params.items()}
     with pytest.raises(CheckpointMismatch):
         other.load_state(arrays)
+    for k, p in other.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
+def test_load_rejects_the_old_conv_layout(tmp_path, model):
+    # conv weights used to be stored (out, in, kh, kw); such a file must not
+    # load as (kh, kw, in, out), and the shapes cannot coincide at >= 8 channels
+    arrays = {k: v.transpose(3, 2, 0, 1) if v.ndim == 4 else v
+              for k, v in model.state_arrays().items()}
+    path = tmp_path / "old.jdlw"
+    ad.save_weights(path, arrays)
+    other = JointModel.build(SMALL, seed=99)
+    before = {k: p.data.copy() for k, p in other.params.items()}
+    with pytest.raises(CheckpointMismatch):
+        load_training_checkpoint(path, other)
     for k, p in other.params.items():
         assert np.array_equal(p.data, before[k]), k

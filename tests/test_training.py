@@ -58,6 +58,26 @@ def test_same_seed_is_bitwise_reproducible():
     assert _losses(s3) != _losses(s1)
 
 
+def test_on_step_sees_each_report_with_its_grads_set():
+    model = JointModel.build(CFG, seed=1)
+    cfg = _cfg()
+    calls = []
+
+    def on_step(report):
+        grads = {k: p.grad is not None for k, p in model.params.items()}
+        calls.append((report, grads))
+
+    summary = train_joint(model, _data(), cfg, SCHED, on_step=on_step)
+    # one call per step, in step order, with the report the summary keeps
+    assert [id(r) for r, _ in calls] == [id(r) for r in summary.reports]
+    assert [r.step for r, _ in calls] == list(range(cfg.total_steps))
+    for report, grads in calls:
+        # enc.* and dec.* always; the head's cls.* from class_start_step on
+        head_trains = report.step >= cfg.class_start_step
+        for name, is_set in grads.items():
+            assert is_set == (head_trains or not name.startswith("cls.")), (report.step, name)
+
+
 def test_classifier_sees_only_labeled_samples():
     data = _data()
     # one classification read of an unlabeled row would make the loss NaN,
