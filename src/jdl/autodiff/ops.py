@@ -10,7 +10,10 @@ input-only backward runs no weight-gradient GEMM and no reduction for
 The spatial primitives (``conv2d``, ``avg_pool2d``, ``upsample_nearest``,
 ``group_norm``) take and return channel-last NHWC batches, the
 cache-friendly direction for the im2col gather; no other axis order exists
-inside the graph. Convolutions gather windows from strided views and
+inside the graph. They fix the geometry the UNet fixes rather than take it
+as arguments: a convolution is same-padded (by K // 2, for an odd square
+kernel K), pooling and upsampling work by 2, and ``concat`` joins two
+tensors. Convolutions gather windows from strided views and
 multiply with one BLAS GEMM, and keep no window matrix for the backward:
 the weight gradient gathers the windows again from the input it already
 holds. The input gradient is one GEMM and a scatter that loops over the
@@ -23,8 +26,6 @@ reshape so every backward rule stays auditable.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -86,8 +87,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                   (b, lambda g: a.data.T @ g))
 
 
-def _im2col_nhwc(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Materialize windows of a padded NHWC batch as (N*OH*OW, KH*KW*C).
+def _im2col_nhwc(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Materialize the K×K windows of a padded NHWC batch as (N*OH*OW, K*K*C).
 
     The innermost (kw, c) run is contiguous in memory, which makes this the
     cheap direction for the gather.
@@ -95,27 +96,21 @@ def _im2col_nhwc(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int
     n, hp, wp, c = xp.shape
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
-        xp, (n, oh, ow, kh, kw, c),
+        xp, (n, oh, ow, k, k, c),
         (s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False)
-    return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
+    return np.ascontiguousarray(view).reshape(n * oh * ow, k * k * c)
 
 
-def _col2im_nhwc(dcols: np.ndarray, n, c, hp, wp, kh, kw, stride, oh, ow) -> np.ndarray:
+def _col2im_nhwc(dcols: np.ndarray, n, c, hp, wp, k, stride, oh, ow) -> np.ndarray:
     """Adjoint of the NHWC im2col: scatter-add per kernel tap."""
     acc = np.zeros((n, hp, wp, c))
-    d6 = dcols.reshape(n, oh, ow, kh, kw, c)
-    for i in range(kh):
-        for j in range(kw):
+    d6 = dcols.reshape(n, oh, ow, k, k, c)
+    for i in range(k):
+        for j in range(k):
             acc[:, i:i + oh * stride:stride,
                 j:j + ow * stride:stride, :] += d6[:, :, :, i, j, :]
     return acc
-
-
-def _pad_hw_nhwc(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
 
 
 def _nhwc_dims(x: Tensor) -> tuple:
@@ -124,41 +119,42 @@ def _nhwc_dims(x: Tensor) -> tuple:
     return x.shape
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation of an NHWC batch with (KH, KW, C_in, C_out)
-    weights, which the GEMM reads in place; the output is NHWC as well.
+def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+    """2-d cross-correlation of an NHWC batch, zero-padded by K // 2, with
+    (K, K, C_in, C_out) weights for odd K, which the GEMM reads in place.
+    The NHWC output has side (H - 1) // stride + 1.
 
     No window matrix outlives the call: the weight gradient rebuilds the
     windows from x when it runs, so a conv costs its backward one extra
-    gather instead of holding KH*KW copies of x until then.
+    gather instead of holding K*K copies of x until then.
     """
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
     n, h, wid, c = _nhwc_dims(x)
-    kh, kw, ci, co = w.shape
+    k, kw, ci, co = w.shape
+    if k != kw or k % 2 == 0:
+        raise ShapeMismatch(f"conv2d: a {k}x{kw} kernel is not square and odd")
     if ci != c:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
-    if stride < 1 or padding < 0:
-        raise ShapeMismatch(f"conv2d: stride {stride} must be >= 1 and padding {padding} >= 0")
-    # floor semantics: trailing rows/cols that no window reaches get zero grad
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wid + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeMismatch("conv2d: empty output")
-
+    if stride < 1:
+        raise ShapeMismatch(f"conv2d: stride {stride} must be >= 1")
+    if h < 1 or wid < 1:
+        raise ShapeMismatch(f"conv2d: empty input {x.shape}")
+    p = k // 2
+    oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
     xd = x.data
-    hp, wp = h + 2 * padding, wid + 2 * padding
 
     def windows():
-        return _im2col_nhwc(_pad_hw_nhwc(xd, padding), kh, kw, stride, oh, ow)
+        xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))) if p else xd
+        return _im2col_nhwc(xp, k, stride, oh, ow)
 
-    wmat = w.data.reshape(kh * kw * c, co)
+    wmat = w.data.reshape(k * k * c, co)
     out = (windows() @ wmat).reshape(n, oh, ow, co)
 
     def dx(g):
         dxp = _col2im_nhwc(g.reshape(n * oh * ow, co) @ wmat.T,
-                           n, c, hp, wp, kh, kw, stride, oh, ow)
-        return dxp[:, padding:padding + h, padding:padding + wid, :]
+                           n, c, h + 2 * p, wid + 2 * p, k, stride, oh, ow)
+        return dxp[:, p:p + h, p:p + wid, :]
 
     def dw(g):
         dwmat = windows().T @ g.reshape(n * oh * ow, co)
@@ -167,32 +163,28 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return record("conv2d", out, (x, dx), (w, dw))
 
 
-def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling of an NHWC batch; spatial dims must
-    divide exactly."""
+def avg_pool2d(x: Tensor) -> Tensor:
+    """Average of each non-overlapping 2×2 window of an NHWC batch; H and W
+    must be even."""
     n, h, w, c = _nhwc_dims(x)
-    k = int(kernel)
-    if k < 1 or h % k or w % k:
-        raise ShapeMismatch(f"avg_pool2d: kernel {k} does not tile {h}x{w}")
-    oh, ow = h // k, w // k
-    out = x.data.reshape(n, oh, k, ow, k, c).mean(axis=(2, 4))
+    if h % 2 or w % 2:
+        raise ShapeMismatch(f"avg_pool2d: 2x2 windows do not tile {h}x{w}")
+    oh, ow = h // 2, w // 2
+    out = x.data.reshape(n, oh, 2, ow, 2, c).mean(axis=(2, 4))
 
     def dx(g):
-        gd = np.broadcast_to(g[:, :, None, :, None, :] / (k * k),
-                             (n, oh, k, ow, k, c))
+        gd = np.broadcast_to(g[:, :, None, :, None, :] / 4, (n, oh, 2, ow, 2, c))
         return gd.reshape(n, h, w, c).copy()
 
     return record("avg_pool2d", out, (x, dx))
 
 
-def upsample_nearest(x: Tensor, scale: int) -> Tensor:
-    """Nearest-neighbour upsampling of an NHWC batch by an integer scale."""
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Nearest-neighbour upsampling of an NHWC batch by 2: each pixel
+    becomes a 2×2 block."""
     n, h, w, c = _nhwc_dims(x)
-    s = int(scale)
-    if s < 1:
-        raise ShapeMismatch("upsample_nearest: scale must be >= 1")
-    return record("upsample_nearest", x.data.repeat(s, axis=1).repeat(s, axis=2),
-                  (x, lambda g: g.reshape(n, h, s, w, s, c).sum(axis=(2, 4))))
+    return record("upsample_nearest", x.data.repeat(2, axis=1).repeat(2, axis=2),
+                  (x, lambda g: g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -253,21 +245,14 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
                   (beta, lambda gr: gr.sum(axis=sum_axes)))
 
 
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Join tensors along the last (channel) axis."""
-    ts = list(tensors)
-    if len(ts) < 2:
-        raise ShapeMismatch("concat: need at least two tensors")
-    for t in ts[1:]:
-        if t.data.ndim != ts[0].data.ndim or t.shape[:-1] != ts[0].shape[:-1]:
-            raise ShapeMismatch(f"concat: {t.shape} against {ts[0].shape}")
-    out = np.concatenate([t.data for t in ts], axis=-1)
-    offsets = np.cumsum([0] + [t.shape[-1] for t in ts])
-
-    def rule(t, lo, hi):
-        return t, lambda g: g[..., lo:hi]
-
-    return record("concat", out, *map(rule, ts, offsets, offsets[1:]))
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Join ``a`` and ``b`` along the last (channel) axis; every other axis
+    must match."""
+    if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
+        raise ShapeMismatch(f"concat: {b.shape} against {a.shape}")
+    ca = a.shape[-1]
+    return record("concat", np.concatenate([a.data, b.data], axis=-1),
+                  (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

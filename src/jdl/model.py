@@ -3,7 +3,7 @@ classifier head.
 
 The encoder (nu) runs the down path, the middle block and the shared time
 MLP; the decoder (psi) runs the up path and the output head; the classifier
-(omega) is two fully connected layers over the pooled bottleneck features.
+(omega) is two fully connected layers over the bottleneck features.
 Encoder weights are stored once and referenced by both tasks, so gradients
 from either loss land in the same arrays.
 
@@ -11,8 +11,9 @@ The architecture is fixed; ``UNetConfig`` sets only sizes. Each stage has
 one residual block on the way down (``enc.s{i}r0``) and one on the way up
 (``dec.s{i}``). Every GroupNorm uses min(4, C) groups and eps 1e-5, and the
 classifier's hidden layer is a LeakyReLU of slope 0.2. The classifier reads
-the bottleneck average-pooled by 2, with the kernel then doubled until the
-flattened features number at most ``FEATURE_CAP`` (or the side runs out).
+the bottleneck flattened: average-pooled by 2 when its side is even, as it
+is when odd. ``cls.fc1`` takes as many inputs as that gives, 2048 at the
+default config.
 
 The forward is the only description of the network. Parameters come into
 being on ``build``'s one forward pass: each layer asks ``_param`` for its
@@ -52,8 +53,6 @@ from .autodiff import Tensor
 from .errors import (BadClassIndex, ConfigInvalid, OddDim, ShapeMismatch,
                      TimestepOutOfRange)
 from .rng import stream
-
-FEATURE_CAP = 10_000  # most pooled bottleneck features the classifier reads
 
 
 @dataclass(frozen=True)
@@ -136,18 +135,6 @@ def time_embedding(t, dim: int, n: int) -> np.ndarray:
     return out
 
 
-def feature_pool_kernel(channels: int, side: int) -> int:
-    """Average-pool kernel used on the bottleneck before the classifier.
-
-    Pools once by 2 whenever the spatial side allows it, then keeps
-    doubling while the flattened size still exceeds ``FEATURE_CAP``.
-    """
-    k = 2 if side % 2 == 0 and side > 1 else 1
-    while channels * (side // k) ** 2 > FEATURE_CAP and side % (2 * k) == 0:
-        k *= 2
-    return k
-
-
 def _as_nhwc_leaf(z, requires_grad: bool = False) -> Tensor:
     """Turn an NCHW numpy batch into an NHWC leaf."""
     z = np.asarray(z, dtype=np.float64)
@@ -180,7 +167,7 @@ class JointModel:
         with ad.no_grad():
             bottleneck, skips, temb = model._encode(z, 1)
             model._decode(bottleneck, skips, temb)
-            model._head(model._pool_features(bottleneck))
+            model._head(bottleneck)
         model._init_rng = None
         return model
 
@@ -203,7 +190,7 @@ class JointModel:
 
     def _conv(self, name, h, cout, k=3, stride=1, zero=False):
         w = self._param(f"{name}.w", (k, k, h.shape[3], cout), 0.0 if zero else None)
-        h = ad.conv2d(h, w, stride=stride, padding=k // 2)
+        h = ad.conv2d(h, w, stride=stride)
         return ad.add(h, self._param(f"{name}.b", (cout,), 0.0))
 
     def _linear(self, name, h, fout, zero=False):
@@ -229,10 +216,10 @@ class JointModel:
 
     def _encode(self, z: Tensor, t):
         cfg = self.cfg
-        n, c = z.shape[0], z.shape[3]
-        if c != cfg.input_channels or z.shape[1] != cfg.image_side:
+        n, h, w, c = z.shape
+        if (c, h, w) != (cfg.input_channels, cfg.image_side, cfg.image_side):
             raise ShapeMismatch(
-                f"input {z.shape} does not match config "
+                f"input ({c}, {h}, {w}) does not match config "
                 f"({cfg.input_channels}, {cfg.image_side}, {cfg.image_side})")
         temb = self._time_vec(t, n)
         chans = cfg.stage_channels
@@ -246,24 +233,21 @@ class JointModel:
         h = self._res("enc.mid", h, temb, chans[-1])
         return h, skips, temb
 
-    def _pool_features(self, bottleneck: Tensor) -> Tensor:
-        n, side, c = bottleneck.shape[0], bottleneck.shape[1], bottleneck.shape[3]
-        k = feature_pool_kernel(c, side)
-        h = ad.avg_pool2d(bottleneck, k) if k > 1 else bottleneck
-        return ad.reshape(h, (n, c * (side // k) ** 2))
-
     def _decode(self, bottleneck: Tensor, skips, temb) -> Tensor:
         chans = self.cfg.stage_channels
         h = bottleneck
         for i in reversed(range(len(chans))):
-            h = self._res(f"dec.s{i}", ad.concat([h, skips[i]]), temb, chans[i])
+            h = self._res(f"dec.s{i}", ad.concat(h, skips[i]), temb, chans[i])
             if i > 0:
-                h = self._conv(f"dec.up{i}", ad.upsample_nearest(h, 2), chans[i - 1])
+                h = self._conv(f"dec.up{i}", ad.upsample_nearest(h), chans[i - 1])
         h = ad.silu(self._norm("dec.outgn", h))
         return self._conv("dec.out", h, self.cfg.input_channels, zero=True)
 
-    def _head(self, features: Tensor) -> Tensor:
-        h = ad.leaky_relu(self._linear("cls.fc1", features, self.cfg.classifier_hidden))
+    def _head(self, bottleneck: Tensor) -> Tensor:
+        h = ad.avg_pool2d(bottleneck) if bottleneck.shape[1] % 2 == 0 else bottleneck
+        n, side, _, c = h.shape
+        h = ad.reshape(h, (n, side * side * c))
+        h = ad.leaky_relu(self._linear("cls.fc1", h, self.cfg.classifier_hidden))
         return self._linear("cls.fc2", h, self.cfg.num_classes, zero=True)
 
     # -- public API (NCHW numpy at the boundary) ------------------------------
@@ -277,7 +261,7 @@ class JointModel:
         """Class logits; runs encoder and head only, never the decoder."""
         leaf = _as_nhwc_leaf(z)
         bottleneck, _, _ = self._encode(leaf, t)
-        return self._head(self._pool_features(bottleneck))
+        return self._head(bottleneck)
 
     def _frozen(self) -> "JointModel":
         """The same weight arrays as graph constants (no copy): a graph built
@@ -323,7 +307,7 @@ class JointModel:
             raise BadClassIndex(f"class {k} outside [0, {self.cfg.num_classes})")
         enc = self._encoding(z, t)
         frozen = self._frozen()
-        logits = frozen._head(frozen._pool_features(enc.bottleneck))
+        logits = frozen._head(enc.bottleneck)
         onehot = Tensor(np.eye(self.cfg.num_classes)[:, [k]])
         picked = ad.matmul(logits, onehot)                     # (N, 1)
         n = picked.shape[0]

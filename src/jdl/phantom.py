@@ -231,8 +231,8 @@ def build_dataset(n_train: int, n_test: int, class_priors=(0.3, 0.3, 0.3),
     priors = tuple(float(p) for p in class_priors)
     if any(not (0.0 <= p <= 1.0) for p in priors):
         raise InvalidPrior(f"priors must lie in [0,1], got {priors}")
-    if n_train < 1 or n_test < 1:
-        raise InvalidPrior("dataset sizes must be >= 1")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_train, n_test)):
+        raise InvalidPrior(f"dataset sizes must be integers >= 1, got {n_train!r}, {n_test!r}")
     if not 0.0 <= label_fraction <= 1.0:     # also false for NaN
         raise InvalidPrior(f"label_fraction must lie in [0, 1], got {label_fraction}")
 

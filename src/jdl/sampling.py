@@ -57,6 +57,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.kind not in ("ddpm", "ddim"):
             raise ConfigInvalid(f"unknown sampler kind {self.kind!r}")
+        if not isinstance(self.ddim_steps, (int, np.integer)) or self.ddim_steps < 1:
+            raise ConfigInvalid(f"ddim_steps must be an integer >= 1, got {self.ddim_steps!r}")
         if not 0.0 <= self.eta <= 1.0:     # also false for NaN
             raise ConfigInvalid(f"eta must lie in [0, 1], got {self.eta}")
 
@@ -92,8 +94,8 @@ def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
 
 def ddim_subsequence(T: int, steps: int) -> np.ndarray:
     """Evenly spaced timesteps from 1 to T inclusive, strictly increasing."""
-    if not 1 <= steps <= T:
-        raise BadSubsequence(f"ddim_steps must lie in [1, {T}], got {steps}")
+    if not isinstance(steps, (int, np.integer)) or not 1 <= steps <= T:
+        raise BadSubsequence(f"ddim_steps must be an integer in [1, {T}], got {steps!r}")
     if steps == 1:
         return np.asarray([T], dtype=np.int64)
     # the spacing (T - 1) / (steps - 1) is at least 1, so rounding keeps the

@@ -26,8 +26,8 @@ class NoiseSchedule:
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """The ``alpha_bars`` table of T betas spaced linearly from
     ``beta_start`` to ``beta_end``, both included."""
-    if T < 1:
-        raise InvalidRange(f"T must be >= 1, got {T}")
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise InvalidRange(f"T must be an integer >= 1, got {T!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise InvalidRange(f"need 0 < beta_start <= beta_end < 1, "
                            f"got ({beta_start}, {beta_end})")

@@ -84,7 +84,12 @@ class TrainStepReport:
 
 @dataclass
 class TrainData:
-    """Training arrays: inputs in model space plus multi-hot labels."""
+    """Training arrays: inputs in model space plus multi-hot labels.
+
+    Raises ``ShapeMismatch`` unless the rows line up, and ``ConfigInvalid``
+    unless the images are finite and each labeled row's labels are 0 or 1;
+    the labels of unlabeled rows are never read.
+    """
     z0: np.ndarray              # (N, C, H, W)
     labels: np.ndarray          # (N, K) in {0,1}
     labeled_mask: np.ndarray    # (N,) bool
@@ -99,6 +104,11 @@ class TrainData:
             raise ShapeMismatch(
                 f"need (N, C, H, W) images, (N, K) labels and an (N,) mask with "
                 f"N >= 1, got {shapes[0]}, {shapes[1]} and {shapes[2]}")
+        # either would surface steps later as TrainingDiverged, or never
+        if not np.isfinite(self.z0).all():
+            raise ConfigInvalid("images must be finite")
+        if not np.isin(self.labels[self.labeled_mask], (0.0, 1.0)).all():
+            raise ConfigInvalid("labels of labeled rows must be 0 or 1")
 
     @property
     def n(self) -> int:

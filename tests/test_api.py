@@ -1,11 +1,13 @@
 import ast
+import symtable
 from collections import Counter
 from pathlib import Path
 
 import jdl
 
 PACKAGE = Path(jdl.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "perfbench"
 
 # public names that only the tests reach today, each waiting for the ROADMAP
 # item that gives it a caller
@@ -65,3 +67,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 unused.append(qualname)
     assert sorted(set(unused) - set(ALLOWED)) == []
     assert sorted(set(ALLOWED) - set(unused)) == [], "allowed names that now have a caller"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that an import in the module binds and nothing in it reads.
+
+    ``symtable`` reads annotations only where they are evaluated, so the
+    ``__future__`` import that defers them is dropped first.
+    """
+    source = path.read_text().replace("from __future__ import annotations", "")
+    imported, read = set(), set()
+    tables = [symtable.symtable(source, str(path), "exec")]
+    while tables:
+        table = tables.pop()
+        for symbol in table.get_symbols():
+            if symbol.is_imported():
+                imported.add(symbol.get_name())
+            if symbol.is_referenced():
+                read.add(symbol.get_name())
+        tables += table.get_children()
+    return sorted(imported - read)
+
+
+def test_every_import_is_used():
+    # no linter runs here; a re-export in ``__init__.py`` is its use
+    files = [*PACKAGE.rglob("*.py"), *TESTS.glob("*.py")]
+    unused = {path.name: _unused_imports(path) for path in files
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

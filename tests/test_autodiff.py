@@ -31,12 +31,15 @@ def test_sigmoid_at_zero():
 
 
 def test_conv2d_single_receptive_field():
-    # brute-force oracle: 3x3 ones against 3x3 ones is a dot product of 9 ones
+    # brute-force oracle: 3x3 ones over a zero-padded 3x3 of ones counts the
+    # ones under each window, 9 at the centre and 4 at a corner
     x = ad.Tensor(np.ones((1, 3, 3, 1)))
     w = ad.Tensor(np.ones((3, 3, 1, 1)))
-    out = ad.conv2d(x, w, stride=1, padding=0)
-    assert out.shape == (1, 1, 1, 1)
-    assert out.data[0, 0, 0, 0] == 9.0
+    out = ad.conv2d(x, w, stride=1)
+    assert out.shape == (1, 3, 3, 1)
+    padded = np.pad(x.data[0, :, :, 0], 1)
+    assert out.data[0, 1, 1, 0] == padded[1:4, 1:4].sum() == 9.0
+    assert out.data[0, 0, 0, 0] == padded[0:3, 0:3].sum() == 4.0
 
 
 def test_backward_square():
@@ -179,47 +182,44 @@ def test_grad_matmul():
     assert _recorded(ad.matmul(grad, w)) == (grad, w)
 
 
-@pytest.mark.parametrize("stride,padding,k", [
-    (1, 0, 3), (1, 1, 3), (2, 1, 3),
-    (1, 0, 1),  # the 1x1 skip convs
-    (2, 0, 3),  # floor semantics: no window reaches the last row or column
-    (1, 3, 3),  # padding >= kernel: some windows see only padding
-], ids=["1-0", "1-1", "2-1", "1x1", "2-0", "1-3"])
-def test_grad_conv2d(stride, padding, k):
+@pytest.mark.parametrize("stride,k,side", [
+    (1, 3, 6), (2, 3, 6),
+    (1, 1, 6),  # the 1x1 skip convs
+    (2, 3, 5),  # odd side: the last window is centred on the last row
+    (1, 5, 6),
+], ids=["1-1", "2-1", "1x1", "2-1-odd", "5x5"])
+def test_grad_conv2d(stride, k, side):
     w = ad.Tensor(rand(k, k, 2, 3))
-    x0 = ad.Tensor(rand(2, 6, 6, 2))
+    x0 = ad.Tensor(rand(2, side, side, 2))
     # a uniform output gradient would hide a gradient sent to the wrong pixel
-    r = ad.Tensor(rand(*ad.conv2d(x0, w, stride=stride, padding=padding).shape))
+    r = ad.Tensor(rand(*ad.conv2d(x0, w, stride=stride).shape))
 
     def loss(x, w_):
-        return ad.sum(ad.mul(ad.conv2d(x, w_, stride=stride, padding=padding), r))
+        return ad.sum(ad.mul(ad.conv2d(x, w_, stride=stride), r))
 
-    _check(lambda x: loss(x, w), rand(2, 6, 6, 2))
+    _check(lambda x: loss(x, w), rand(2, side, side, 2))
     _check(lambda w_: loss(x0, w_), rand(k, k, 2, 3))
-    x1 = ad.Tensor(rand(2, 6, 6, 2), requires_grad=True)
+    x1 = ad.Tensor(rand(2, side, side, 2), requires_grad=True)
     w1 = ad.Tensor(rand(k, k, 2, 3), requires_grad=True)
-    if (stride, padding, k) == (2, 0, 3):
-        # the last window covers rows 2..4 of 6, so row and column 5 get none
-        ad.backward(ad.sum(ad.conv2d(x1, w, stride=stride, padding=padding)))
-        assert not x1.grad[:, 5:].any() and not x1.grad[:, :, 5:].any()
-        assert x1.grad[:, 4].any() and x1.grad[:, :, 4].any()
-    assert _recorded(ad.conv2d(x1, w, stride=stride, padding=padding)) == (x1,)
-    assert _recorded(ad.conv2d(x0, w1, stride=stride, padding=padding)) == (w1,)
-    assert _recorded(ad.conv2d(x1, w1, stride=stride, padding=padding)) == (x1, w1)
+    if (stride, k, side) == (2, 3, 5):
+        ad.backward(ad.sum(ad.conv2d(x1, w, stride=stride)))
+        assert x1.grad[:, :, :, 0].any(axis=(0, 1)).all()
+        assert x1.grad[:, :, :, 0].any(axis=(0, 2)).all()
+    assert _recorded(ad.conv2d(x1, w, stride=stride)) == (x1,)
+    assert _recorded(ad.conv2d(x0, w1, stride=stride)) == (w1,)
+    assert _recorded(ad.conv2d(x1, w1, stride=stride)) == (x1, w1)
 
 
 def test_conv2d_geometry():
     x = ad.Tensor(rand(1, 5, 5, 2))
     w = ad.Tensor(rand(3, 3, 2, 3))
-    for stride, padding in [(0, 1), (-1, 1), (1, -1)]:
+    for stride in (0, -1):
         with pytest.raises(ShapeMismatch):
-            ad.conv2d(x, w, stride=stride, padding=padding)
-    # padding beyond the kernel still runs both ways
-    x1 = ad.Tensor(rand(1, 5, 5, 2), requires_grad=True)
-    out = ad.conv2d(x1, w, stride=1, padding=3)
-    assert out.shape == (1, 9, 9, 3)
-    ad.backward(ad.sum(out))
-    assert x1.grad.shape == x1.shape
+            ad.conv2d(x, w, stride=stride)
+    # the padding is K // 2, which centres only an odd square kernel
+    for shape in ((2, 2, 2, 3), (3, 1, 2, 3)):
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(x, ad.Tensor(rand(*shape)))
 
 
 def test_conv2d_keeps_no_window_matrix():
@@ -227,7 +227,7 @@ def test_conv2d_keeps_no_window_matrix():
     w = ad.Tensor(rand(3, 3, 8, 8), requires_grad=True)
     tracemalloc.start()
     try:
-        out = ad.conv2d(x, w, stride=1, padding=1)
+        out = ad.conv2d(x, w, stride=1)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,7 +242,7 @@ def test_conv2d_keeps_no_weight_copy():
     w = ad.Tensor(np.ones((3, 3, 64, 64)))
     tracemalloc.start()
     try:
-        out = ad.conv2d(x, w, stride=1, padding=1)
+        out = ad.conv2d(x, w, stride=1)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -251,13 +251,13 @@ def test_conv2d_keeps_no_weight_copy():
 
 def test_grad_avg_pool2d():
     weight = _weights(1, 2, 2, 2, 3)
-    _check(lambda x: ad.sum(ad.mul(ad.avg_pool2d(x, kernel=2), weight)),
+    _check(lambda x: ad.sum(ad.mul(ad.avg_pool2d(x), weight)),
            rand(2, 4, 4, 3))
 
 
 def test_grad_upsample_nearest():
     weight = ad.Tensor(rand(2, 8, 8, 3))
-    _check(lambda x: ad.sum(ad.mul(ad.upsample_nearest(x, scale=2), weight)),
+    _check(lambda x: ad.sum(ad.mul(ad.upsample_nearest(x), weight)),
            rand(2, 4, 4, 3))
 
 
@@ -299,12 +299,12 @@ def test_grad_group_norm():
 def test_grad_concat():
     other = ad.Tensor(rand(2, 2, 2, 3))
     weight = ad.Tensor(rand(2, 2, 2, 5))
-    _check(lambda x: ad.sum(ad.mul(ad.concat([x, other]), weight)),
+    _check(lambda x: ad.sum(ad.mul(ad.concat(x, other), weight)),
            rand(2, 2, 2, 2))
     # the channel axis is the last; every other dim, and the rank, must match
     for bad in (np.zeros((2, 2, 3, 2)), np.zeros((2, 2, 2))):
         with pytest.raises(ShapeMismatch):
-            ad.concat([other, ad.Tensor(bad)])
+            ad.concat(other, ad.Tensor(bad))
 
 
 def test_grad_reshape_mean():
@@ -337,7 +337,7 @@ def test_grad_conv_group_norm_composite():
     beta = ad.Tensor(np.zeros(4))
 
     def f(x):
-        h = ad.conv2d(x, w, stride=1, padding=1)
+        h = ad.conv2d(x, w, stride=1)
         h = ad.group_norm(h, gamma, beta)
         return ad.sum(ad.silu(h))
 

@@ -4,7 +4,7 @@ import pytest
 import jdl.autodiff as ad
 from jdl.errors import (CheckpointMismatch, ConfigInvalid, GraphConsumed, OddDim,
                         ShapeMismatch, TimestepOutOfRange)
-from jdl.model import JointModel, UNetConfig, feature_pool_kernel, time_embedding
+from jdl.model import JointModel, UNetConfig, time_embedding
 from jdl.training import load_training_checkpoint
 
 from gradcheck import numeric_grad
@@ -88,7 +88,7 @@ def test_output_shape_matches_input():
 
 def test_feature_dimension_spec_case():
     # base 32, multipliers [1,2,4], 32x32 input: bottleneck 8x8x128,
-    # pooled once by 2 -> 4*4*128 = 2048 (under the 10000 cap)
+    # pooled by 2 -> 4*4*128 = 2048
     cfg = UNetConfig(base_channels=32, channel_multipliers=(1, 2, 4),
                      image_side=32)
     m = JointModel.build(cfg, seed=0)
@@ -125,11 +125,15 @@ def test_missing_parameter_raises_key_error():
         JointModel(SMALL, params).denoise(np.zeros((1, 1, 8, 8)), 1)
 
 
-def test_feature_pool_kernel_cap_active():
-    # forces extra pooling: 16x16x1024 bottleneck down to 2x2x1024 = 4096
-    assert feature_pool_kernel(1024, 16) == 8
-    assert feature_pool_kernel(128, 8) == 2
-    assert feature_pool_kernel(32, 1) == 1
+def test_odd_bottleneck_is_not_pooled():
+    # side 6 over (1, 2) leaves a 3x3x16 bottleneck: 144 features, unpooled
+    cfg = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=6,
+                     time_embed_dim=8, classifier_hidden=16)
+    m = JointModel.build(cfg, seed=0)
+    assert m.params["cls.fc1.w"].shape == (144, 16)
+    with ad.op_count() as ops:
+        logits = m.classify(np.zeros((2, 1, 6, 6)), 3)
+    assert logits.shape == (2, 3) and "avg_pool2d" not in ops
 
 
 def test_zero_init_classifier_probs_half(model):
@@ -147,6 +151,12 @@ def test_classifier_finite_at_max_noise(model):
 def test_rejects_wrong_input_shape(model):
     with pytest.raises(ShapeMismatch):
         model.denoise(np.zeros((1, 1, 4, 4)), 1)
+    # the width is checked as well as the height, before any layer runs
+    for bad in (np.zeros((1, 1, 8, 4)), np.zeros((1, 1, 4, 8))):
+        for run in (model.denoise, model.predict_noise, model.class_probs,
+                    lambda z, t: model.class_score_grad(z, t, 0)):
+            with pytest.raises(ShapeMismatch, match="does not match config"):
+                run(bad, 1)
 
 
 def test_parameter_sharing_sensitivity():

@@ -134,6 +134,10 @@ def test_train_test_disjoint(dataset):
 def test_rejects_bad_priors():
     with pytest.raises(InvalidPrior):
         build_dataset(10, 10, class_priors=(0.3, 1.2, 0.3))
+    # each fractional or string size used to raise a bare TypeError
+    for sizes in ((2.5, 1), (2, 1.5), ("3", 1)):
+        with pytest.raises(InvalidPrior):
+            build_dataset(*sizes)
 
 
 @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])

@@ -72,6 +72,10 @@ def test_sampler_config_rejects_bad_eta():
         with pytest.raises(ConfigInvalid):
             SamplerConfig(kind="ddim", eta=eta)
     assert SamplerConfig(kind="ddim", eta=1.0).eta == 1.0
+    # a fractional step count used to be accepted
+    for steps in (2.5, 0):
+        with pytest.raises(ConfigInvalid):
+            SamplerConfig(kind="ddim", ddim_steps=steps)
 
 
 @pytest.mark.parametrize("config,kw,error", [
@@ -206,6 +210,8 @@ def test_ddim_subsequence_contract():
         ddim_subsequence(10, 11)
     with pytest.raises(BadSubsequence):
         ddim_subsequence(10, 0)
+    with pytest.raises(BadSubsequence):   # used to raise a bare TypeError
+        ddim_subsequence(10, 2.5)
 
 
 def test_partial_reverse_preserves_finiteness(model, sched):

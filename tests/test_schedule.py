@@ -55,6 +55,10 @@ def test_rejects_bad_ranges():
         make_linear_schedule(10, 0.3, 0.1)
     with pytest.raises(InvalidRange):
         make_linear_schedule(10, 0.0, 0.1)
+    # a fractional or NaN T used to raise a bare TypeError
+    for T in (10.5, float("nan")):
+        with pytest.raises(InvalidRange):
+            make_linear_schedule(T, 1e-4, 0.02)
 
 
 def test_q_sample_zero_signal():

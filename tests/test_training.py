@@ -246,6 +246,26 @@ def test_train_rejects_misaligned_data_and_negative_start(z0, labels, mask, erro
         train_joint(JointModel.build(CFG, seed=1), data, _cfg(), SCHED, start_step=-1)
 
 
+@pytest.mark.parametrize("field,row,value,rejected", [
+    ("labels", 0, np.nan, True),
+    ("labels", 0, 0.5, True),
+    ("z0", 0, np.inf, True),
+    ("z0", 1, np.nan, True),        # an unlabeled row's image is still trained on
+    ("labels", 1, np.nan, False),   # an unlabeled row's labels are never read
+], ids=["nan_label", "half_label", "inf_image", "nan_unlabeled_image", "nan_unlabeled_label"])
+def test_train_data_checks_values(field, row, value, rejected):
+    # each rejected case used to be accepted, and to surface steps later as
+    # TrainingDiverged or not at all
+    base = _data()   # rows 0, 3, 6 and 9 are labeled
+    arrays = {"z0": base.z0.copy(), "labels": base.labels.copy()}
+    arrays[field][row, 0] = value
+    if rejected:
+        with pytest.raises(ConfigInvalid):
+            TrainData(**arrays, labeled_mask=base.labeled_mask)
+    else:
+        TrainData(**arrays, labeled_mask=base.labeled_mask)
+
+
 @pytest.mark.parametrize("case", ["five_label_columns", "start_past_end", "no_labeled_sample"])
 def test_run_that_cannot_finish_fails_before_step_0(case):
     # each used to train the steps before class_start_step first, or, past
