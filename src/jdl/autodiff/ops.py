@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import ShapeMismatch, is_count
 from .tensor import Tensor, record
 
 
@@ -136,8 +136,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv2d: a {k}x{kw} kernel is not square and odd")
     if ci != c:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
-    if stride < 1:
-        raise ShapeMismatch(f"conv2d: stride {stride} must be >= 1")
+    if not is_count(stride) or stride < 1:
+        raise ShapeMismatch(f"conv2d: stride {stride!r} must be an integer >= 1")
     if h < 1 or wid < 1:
         raise ShapeMismatch(f"conv2d: empty input {x.shape}")
     p = k // 2
@@ -248,7 +248,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def concat(a: Tensor, b: Tensor) -> Tensor:
     """Join ``a`` and ``b`` along the last (channel) axis; every other axis
     must match."""
-    if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
+    if a.data.ndim != b.data.ndim or a.data.ndim < 1 or a.shape[:-1] != b.shape[:-1]:
         raise ShapeMismatch(f"concat: {b.shape} against {a.shape}")
     ca = a.shape[-1]
     return record("concat", np.concatenate([a.data, b.data], axis=-1),

@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``is_count``.
 
 Most are thin ValueError/RuntimeError subclasses so callers can catch either
-the specific condition or the broad builtin category.
+the specific condition or the broad builtin category. A bad setting or
+argument raises ``ConfigInvalid``, a bad timestep ``TimestepOutOfRange``.
 """
+
+from numbers import Integral
+
+
+def is_count(v) -> bool:
+    """A Python or numpy integer, and not a ``bool`` passing as 0 or 1."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 class ShapeMismatch(ValueError):
@@ -17,17 +25,9 @@ class GraphConsumed(RuntimeError):
     """Backward reached graph nodes that an earlier backward already ran."""
 
 
-class InvalidRange(ValueError):
-    """Noise schedule parameters outside their legal range."""
-
-
 class TimestepOutOfRange(ValueError):
     """Diffusion timestep that is not an integer in [1, T], or timesteps that
     do not match the batch."""
-
-
-class OddDim(ValueError):
-    """Sinusoidal embedding dimension must be even."""
 
 
 class EmptyLabeledBatch(ValueError):
@@ -35,23 +35,11 @@ class EmptyLabeledBatch(ValueError):
 
 
 class ConfigInvalid(ValueError):
-    """Experiment configuration failed validation."""
-
-
-class BadClassIndex(ValueError):
-    """Guidance target class outside [0, K)."""
-
-
-class BadSubsequence(ValueError):
-    """DDIM timestep subsequence violates its invariants."""
+    """A setting or argument outside its legal set; the message names it."""
 
 
 class GeometryInfeasible(ValueError):
     """Requested phantom lesion cannot fit inside its region."""
-
-
-class InvalidPrior(ValueError):
-    """Class prior outside [0, 1]."""
 
 
 class TrainingDiverged(RuntimeError):

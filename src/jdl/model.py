@@ -50,8 +50,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import (BadClassIndex, ConfigInvalid, OddDim, ShapeMismatch,
-                     TimestepOutOfRange)
+from .errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange, is_count
 from .rng import stream
 
 
@@ -69,7 +68,7 @@ class UNetConfig:
         sizes = (self.input_channels, self.base_channels, *self.channel_multipliers,
                  self.time_embed_dim, self.image_side, self.num_classes,
                  self.classifier_hidden)
-        if not all(isinstance(v, (int, np.integer)) for v in sizes):
+        if not all(is_count(v) for v in sizes):
             raise ConfigInvalid(f"sizes and channel multipliers must be integers, got {self}")
         if self.base_channels < 8 or self.base_channels % 4:
             # every stage's GroupNorm splits its channels into 4 groups
@@ -84,7 +83,7 @@ class UNetConfig:
             raise ConfigInvalid(
                 f"image_side {self.image_side} not divisible by {down}")
         if self.time_embed_dim % 2:
-            raise OddDim("time_embed_dim must be even")
+            raise ConfigInvalid("time_embed_dim must be even")
 
     @property
     def stage_channels(self) -> tuple:
@@ -114,11 +113,11 @@ def time_embedding(t, dim: int, n: int) -> np.ndarray:
     """Sinusoidal embedding of timestep ``t`` for a batch of ``n``: an
     (n, dim) array whose rows interleave (sin, cos) pairs at frequencies
     10000^(-2i/dim). ``t`` is one timestep for the whole batch or one per
-    item. Raises ``OddDim`` for an odd ``dim`` and ``TimestepOutOfRange``
+    item. Raises ``ConfigInvalid`` for an odd ``dim`` and ``TimestepOutOfRange``
     for a ``t`` that is neither, or that is not of an integer dtype and
     >= 0."""
     if dim % 2:
-        raise OddDim(f"embedding dim must be even, got {dim}")
+        raise ConfigInvalid(f"embedding dim must be even, got {dim}")
     t = np.asarray(t)
     if t.shape not in ((), (n,)):
         raise TimestepOutOfRange(f"timesteps of shape {t.shape} for a batch of {n}")
@@ -302,13 +301,12 @@ class JointModel:
         backward consumes. Backward runs through the head and the encoder to
         the input only; no parameter gets a ``.grad``.
         """
-        k = int(class_idx)
-        if not 0 <= k < self.cfg.num_classes:
-            raise BadClassIndex(f"class {k} outside [0, {self.cfg.num_classes})")
+        if not is_count(class_idx) or not 0 <= class_idx < self.cfg.num_classes:
+            raise ConfigInvalid(f"class {class_idx} outside [0, {self.cfg.num_classes})")
         enc = self._encoding(z, t)
         frozen = self._frozen()
         logits = frozen._head(enc.bottleneck)
-        onehot = Tensor(np.eye(self.cfg.num_classes)[:, [k]])
+        onehot = Tensor(np.eye(self.cfg.num_classes)[:, [class_idx]])
         picked = ad.matmul(logits, onehot)                     # (N, 1)
         n = picked.shape[0]
         target = np.ones((n, 1)) if toward else np.zeros((n, 1))

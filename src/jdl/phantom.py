@@ -22,11 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GeometryInfeasible, InvalidPrior, ShapeMismatch
+from .errors import ConfigInvalid, GeometryInfeasible, ShapeMismatch, is_count
 from .rng import stream
 
 SIDE = 32
 CLASS_NAMES = ("cardiomegaly", "nodule", "effusion")
+CLASS_PRIORS = (0.3, 0.3, 0.3)    # each flag is drawn independently
 
 BACKGROUND = -0.85
 TISSUE = -0.10
@@ -217,24 +218,21 @@ class PhantomDataset:
         return self.images.shape[0]
 
 
-def _draw_flags(rng: np.random.Generator, priors) -> tuple:
-    return tuple(int(rng.random() < p) for p in priors)
+def _draw_flags(rng: np.random.Generator) -> tuple:
+    return tuple(int(rng.random() < p) for p in CLASS_PRIORS)
 
 
-def build_dataset(n_train: int, n_test: int, class_priors=(0.3, 0.3, 0.3),
-                  label_fraction: float = 1.0, seed: int = 0):
-    """iid multi-label phantoms; train and test use disjoint seed streams.
+def build_dataset(n_train: int, n_test: int, label_fraction: float = 1.0, seed: int = 0):
+    """iid multi-label phantoms, each flag set with its ``CLASS_PRIORS``
+    probability; train and test use disjoint seed streams.
 
     The same arguments give bitwise-identical splits, specs included, so a
     dataset is recorded by its arguments, never by its images.
     """
-    priors = tuple(float(p) for p in class_priors)
-    if any(not (0.0 <= p <= 1.0) for p in priors):
-        raise InvalidPrior(f"priors must lie in [0,1], got {priors}")
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_train, n_test)):
-        raise InvalidPrior(f"dataset sizes must be integers >= 1, got {n_train!r}, {n_test!r}")
+    if not all(is_count(n) and n >= 1 for n in (n_train, n_test)):
+        raise ConfigInvalid(f"dataset sizes must be integers >= 1, got {n_train!r}, {n_test!r}")
     if not 0.0 <= label_fraction <= 1.0:     # also false for NaN
-        raise InvalidPrior(f"label_fraction must lie in [0, 1], got {label_fraction}")
+        raise ConfigInvalid(f"label_fraction must lie in [0, 1], got {label_fraction}")
 
     def make_split(tag: str, n: int):
         flag_rng = stream(seed, f"{tag}-flags")
@@ -242,7 +240,7 @@ def build_dataset(n_train: int, n_test: int, class_priors=(0.3, 0.3, 0.3),
         samples = []
         for _ in range(n):
             sample_seed = int(seed_rng.integers(0, 2**63 - 1))
-            samples.append(generate_phantom(make_spec(sample_seed, _draw_flags(flag_rng, priors))))
+            samples.append(generate_phantom(make_spec(sample_seed, _draw_flags(flag_rng))))
         return samples
 
     train = make_split("train", n_train)

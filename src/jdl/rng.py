@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, is_count
 
 
 def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
@@ -22,7 +22,7 @@ def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     produce identical sequences. A seed or index that is not an integer, a
     negative index or a tag that is not a ``str`` raises ``ConfigInvalid``.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in (seed, index)):
+    if not (is_count(seed) and is_count(index)):
         raise ConfigInvalid(f"seed and index must be integers, got {seed!r} and {index!r}")
     if index < 0:
         raise ConfigInvalid(f"index must be >= 0, got {index}")

@@ -5,7 +5,8 @@ estimates z0 from the guided noise and moves to the previous timestep of an
 ascending subsequence, adding noise scaled by eta (Song et al. 2021, Eq. 16).
 Ancestral DDPM (Ho et al. 2020) is the member with eta = 1 over every t in
 1..T: sigma_t is then the DDPM posterior std and the means agree up to
-rounding, so ``SamplerConfig(kind="ddpm")`` runs exactly that.
+rounding, so ``SamplerConfig(kind="ddpm")`` runs exactly that; its
+``"ddim"`` runs eta = 0, and only ``ddim_reverse_from`` takes an eta between.
 
 Guidance adjusts the predicted noise by the scaled classifier gradient:
 eps' = eps_hat - s * sqrt(1 - abar_t) * d/dz log p(y_k | z_t), with the
@@ -18,7 +19,8 @@ plain ``no_grad`` prediction (bitwise), so guided and unguided runs share
 identical rng streams and trajectories.
 
 ``ddim_reverse_from`` validates its timesteps and the guidance target
-against the schedule and ``model.cfg`` once, before the first step.
+against the schedule and ``model.cfg`` once, before the first step, and
+``guided_epsilon`` its ``t`` before any model work.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadClassIndex, BadSubsequence, ConfigInvalid
+from .errors import ConfigInvalid, TimestepOutOfRange, is_count
 from .schedule import NoiseSchedule
 
 GRAD_CLIP_NORM = 1e3  # per-item cap against off-manifold classifier blow-ups
@@ -44,23 +46,21 @@ class GuidanceConfig:
             raise ConfigInvalid(f"unknown guidance direction {self.direction!r}")
         if not np.isfinite(self.scale) or self.scale < 0:
             raise ConfigInvalid("guidance scale must be finite and >= 0")
-        if not isinstance(self.target_class, (int, np.integer)) or self.target_class < 0:
-            raise BadClassIndex(f"bad class index {self.target_class!r}")
+        if not is_count(self.target_class) or self.target_class < 0:
+            raise ConfigInvalid(f"bad class index {self.target_class!r}")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "ddpm"          # "ddpm": every t at eta 1 | "ddim": ddim_steps at eta
+    """``"ddpm"``: every t at eta 1; ``"ddim"``: ``ddim_steps`` t at eta 0."""
+    kind: str = "ddpm"
     ddim_steps: int = 50
-    eta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("ddpm", "ddim"):
             raise ConfigInvalid(f"unknown sampler kind {self.kind!r}")
-        if not isinstance(self.ddim_steps, (int, np.integer)) or self.ddim_steps < 1:
+        if not is_count(self.ddim_steps) or self.ddim_steps < 1:
             raise ConfigInvalid(f"ddim_steps must be an integer >= 1, got {self.ddim_steps!r}")
-        if not 0.0 <= self.eta <= 1.0:     # also false for NaN
-            raise ConfigInvalid(f"eta must lie in [0, 1], got {self.eta}")
 
 
 @dataclass
@@ -72,7 +72,11 @@ class GuidanceStats:
 
 def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
                    sched: NoiseSchedule, stats: GuidanceStats | None = None) -> np.ndarray:
-    """Adjusted noise prediction for one reverse step (whole batch at t)."""
+    """Adjusted noise prediction for one reverse step (whole batch at t).
+    Raises ``TimestepOutOfRange``, before any model work, unless ``t`` is an
+    integer in [1, T]."""
+    if not is_count(t) or not 1 <= t <= sched.T:
+        raise TimestepOutOfRange(f"t must be an integer in [1, {sched.T}], got {t!r}")
     if g.scale == 0:
         return model.predict_noise(z_t, t)
     # score backward before the decoder: the encoder graph is freed by then
@@ -94,8 +98,8 @@ def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
 
 def ddim_subsequence(T: int, steps: int) -> np.ndarray:
     """Evenly spaced timesteps from 1 to T inclusive, strictly increasing."""
-    if not isinstance(steps, (int, np.integer)) or not 1 <= steps <= T:
-        raise BadSubsequence(f"ddim_steps must be an integer in [1, {T}], got {steps!r}")
+    if not is_count(steps) or not 1 <= steps <= T:
+        raise ConfigInvalid(f"ddim_steps must be an integer in [1, {T}], got {steps!r}")
     if steps == 1:
         return np.asarray([T], dtype=np.int64)
     # the spacing (T - 1) / (steps - 1) is at least 1, so rounding keeps the
@@ -110,17 +114,18 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
     """Reverse updates from z at ``taus[-1]`` down to z_0 over the ascending
     timestep subsequence ``taus``; eta = 1 over ``1..t`` is ancestral DDPM.
 
-    Raises ``BadSubsequence`` unless ``taus`` are strictly increasing
-    integers in [1, T], and ``BadClassIndex`` for a guidance target outside
+    Any eta in [0, 1] runs here; ``ddim_sample`` runs 0 and 1 only. Raises
+    ``TimestepOutOfRange`` unless ``taus`` are strictly increasing integers
+    in [1, T], and ``ConfigInvalid`` for a guidance target outside
     ``model.cfg.num_classes``, whatever the scale.
     """
     taus = np.asarray(taus)
     if (taus.ndim != 1 or taus.size == 0 or not np.issubdtype(taus.dtype, np.integer)
             or taus[0] < 1 or taus[-1] > sched.T or np.any(np.diff(taus) <= 0)):
-        raise BadSubsequence(
+        raise TimestepOutOfRange(
             f"timesteps must be strictly increasing integers in [1, {sched.T}], got {taus}")
     if g.target_class >= model.cfg.num_classes:
-        raise BadClassIndex(
+        raise ConfigInvalid(
             f"class {g.target_class} outside [0, {model.cfg.num_classes})")
     z = np.asarray(z, dtype=np.float64)
     for i in range(len(taus) - 1, -1, -1):
@@ -143,11 +148,11 @@ def ddim_sample(model, n: int, g: GuidanceConfig, cfg: SamplerConfig,
                 sched: NoiseSchedule, rng: np.random.Generator,
                 stats: GuidanceStats | None = None) -> np.ndarray:
     """Draw z_T ~ N(0, I) for n images of ``model.cfg``'s shape, then run
-    t = T..1 at eta 1 ("ddpm") or ``cfg.ddim_steps`` steps at ``cfg.eta`` ("ddim")."""
+    t = T..1 at eta 1 ("ddpm") or ``cfg.ddim_steps`` steps at eta 0 ("ddim")."""
     if cfg.kind == "ddpm":
         taus, eta = np.arange(1, sched.T + 1), 1.0
     else:
-        taus, eta = ddim_subsequence(sched.T, cfg.ddim_steps), cfg.eta
+        taus, eta = ddim_subsequence(sched.T, cfg.ddim_steps), 0.0
     m = model.cfg
     z = rng.standard_normal((n, m.input_channels, m.image_side, m.image_side))
     return ddim_reverse_from(model, z, taus, g, sched, rng, eta=eta, stats=stats)

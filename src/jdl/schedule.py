@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRange, ShapeMismatch, TimestepOutOfRange
+from .errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange, is_count
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,11 @@ class NoiseSchedule:
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """The ``alpha_bars`` table of T betas spaced linearly from
     ``beta_start`` to ``beta_end``, both included."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise InvalidRange(f"T must be an integer >= 1, got {T!r}")
+    if not is_count(T) or T < 1:
+        raise ConfigInvalid(f"T must be an integer >= 1, got {T!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
-        raise InvalidRange(f"need 0 < beta_start <= beta_end < 1, "
-                           f"got ({beta_start}, {beta_end})")
+        raise ConfigInvalid(f"need 0 < beta_start <= beta_end < 1, "
+                            f"got ({beta_start}, {beta_end})")
     betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T, dtype=np.float64)])
     return NoiseSchedule(T=T, alpha_bars=np.cumprod(1.0 - betas))
 

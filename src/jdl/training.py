@@ -21,13 +21,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, ShapeMismatch,
-                     TrainingDiverged)
+                     TrainingDiverged, is_count)
 from .model import JointModel
 from .rng import stream
 from .schedule import NoiseSchedule, q_sample
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# classifier trains on noised inputs up to this fraction of T, matching
+# the noise window later used for guided counterfactual generation
+T_CLASS_MAX_FRAC = 0.3
 
 
 @dataclass(frozen=True)
@@ -41,15 +44,12 @@ class TrainConfig:
     batch_classification: int = 32
     label_fraction: float = 0.05
     seed: int = 0
-    # classifier trains on noised inputs up to this fraction of T, matching
-    # the noise window later used for guided counterfactual generation
-    t_class_max_frac: float = 0.3
     diffusion_enabled: bool = True   # False: classification-only ablation
 
     def __post_init__(self):
         counts = (self.total_steps, self.class_start_step, self.batch_diffusion,
                   self.batch_classification)
-        if not all(isinstance(v, (int, np.integer)) for v in counts):
+        if not all(is_count(v) for v in counts):
             raise ConfigInvalid(f"step counts and batch sizes must be integers, got {counts}")
         if self.total_steps < 1:
             raise ConfigInvalid("total_steps must be >= 1")
@@ -70,8 +70,6 @@ class TrainConfig:
             raise ConfigInvalid("batch sizes must be >= 1")
         if not (0.0 < self.label_fraction <= 1.0):
             raise ConfigInvalid("label_fraction must lie in (0, 1]")
-        if not (0.0 < self.t_class_max_frac <= 1.0):
-            raise ConfigInvalid("t_class_max_frac must lie in (0, 1]")
 
 
 @dataclass
@@ -224,7 +222,7 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
     if cfg.class_loss_weight > 0 and start_step < cfg.total_steps and labeled_idx.size == 0:
         raise EmptyLabeledBatch("no labeled samples in the training set")
     opt = opt or make_optimizer(model, cfg)
-    t_class_max = max(1, round(cfg.t_class_max_frac * sched.T))
+    t_class_max = max(1, round(T_CLASS_MAX_FRAC * sched.T))
     summary = TrainSummary(reports=[])
 
     for step in range(start_step, cfg.total_steps):

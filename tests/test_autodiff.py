@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jdl.autodiff as ad
@@ -213,7 +213,8 @@ def test_grad_conv2d(stride, k, side):
 def test_conv2d_geometry():
     x = ad.Tensor(rand(1, 5, 5, 2))
     w = ad.Tensor(rand(3, 3, 2, 3))
-    for stride in (0, -1):
+    # a fractional stride used to raise a bare TypeError
+    for stride in (0, -1, 1.5, True):
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, w, stride=stride)
     # the padding is K // 2, which centres only an odd square kernel
@@ -305,6 +306,9 @@ def test_grad_concat():
     for bad in (np.zeros((2, 2, 3, 2)), np.zeros((2, 2, 2))):
         with pytest.raises(ShapeMismatch):
             ad.concat(other, ad.Tensor(bad))
+    # two 0-d tensors have no channel axis; they used to raise a bare IndexError
+    with pytest.raises(ShapeMismatch):
+        ad.concat(ad.Tensor(1.0), ad.Tensor(2.0))
 
 
 def test_grad_reshape_mean():
@@ -460,21 +464,40 @@ GOOD_CHECKPOINT = _checkpoint_bytes()
 NAME_BYTE, RANK_HIGH_BYTE = 13, 21
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(GOOD_CHECKPOINT) - 1), st.integers(1, 255)),
-                max_size=3))
-@example([])
-@example([(NAME_BYTE, 0x80)])        # name no longer UTF-8
-@example([(RANK_HIGH_BYTE, 0x40)])   # rank far beyond the file
-def test_checkpoint_loader_raises_only_checkpoint_mismatch(flips):
+def _loads_or_raises_checkpoint_mismatch(path: Path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        ad.load_weights(path)
+    except CheckpointMismatch:
+        pass
+
+
+def _flipped(flips) -> bytes:
     blob = bytearray(GOOD_CHECKPOINT)
     for pos, mask in flips:
         blob[pos] ^= mask
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "w.jdlw"
-        for cut in range(len(blob) + 1):
-            path.write_bytes(bytes(blob[:cut]))
-            try:
-                ad.load_weights(path)
-            except CheckpointMismatch:
-                pass
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("flips", [
+    [], [(NAME_BYTE, 0x80)], [(RANK_HIGH_BYTE, 0x40)],
+], ids=["clean", "name_not_utf8", "rank_far_beyond_the_file"])
+def test_checkpoint_loader_raises_only_checkpoint_mismatch_at_every_cut(tmp_path, flips):
+    blob = _flipped(flips)
+    for cut in range(len(blob) + 1):
+        _loads_or_raises_checkpoint_mismatch(tmp_path / "w.jdlw", blob[:cut])
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "w.jdlw"
+
+
+# one file per example: hypothesis draws the flips and the cut together, so
+# every pair stays reachable and a failure shrinks to a minimal one
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(GOOD_CHECKPOINT) - 1), st.integers(1, 255)),
+                max_size=3),
+       st.integers(0, len(GOOD_CHECKPOINT)))
+def test_checkpoint_loader_raises_only_checkpoint_mismatch(fuzz_path, flips, cut):
+    _loads_or_raises_checkpoint_mismatch(fuzz_path, _flipped(flips)[:cut])

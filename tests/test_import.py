@@ -1,7 +1,10 @@
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import jdl
 
@@ -22,3 +25,14 @@ def test_every_source_parses_at_the_python_floor():
     assert files
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_console_script_imports():
+    # a declared script whose module is missing installs a command that dies
+    # with ModuleNotFoundError
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(jdl.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import (CheckpointMismatch, ConfigInvalid, GraphConsumed, OddDim,
-                        ShapeMismatch, TimestepOutOfRange)
+from jdl.errors import (CheckpointMismatch, ConfigInvalid, GraphConsumed, ShapeMismatch,
+                        TimestepOutOfRange)
 from jdl.model import JointModel, UNetConfig, time_embedding
-from jdl.training import load_training_checkpoint
+from jdl.rng import stream
+from jdl.schedule import make_linear_schedule, q_sample
+from jdl.training import diffusion_loss, load_training_checkpoint
 
 from gradcheck import numeric_grad
 
@@ -24,7 +26,8 @@ def model():
     {"base_channels": 10}, {"base_channels": 4}, {"num_classes": 0},
     {"base_channels": 8.0}, {"channel_multipliers": (1.5, 2)}, {"input_channels": 1.0},
     {"time_embed_dim": 8.0}, {"image_side": 32.0}, {"num_classes": 3.0},
-    {"classifier_hidden": 16.5},
+    {"classifier_hidden": 16.5}, {"channel_multipliers": (True, True)},
+    {"image_side": True, "channel_multipliers": (1,)},
 ], ids=repr)
 def test_config_rejects_unbuildable_sizes(override):
     # each used to fail only at build or at the first forward (a bare
@@ -41,7 +44,7 @@ def test_time_embedding_zero_and_one():
 
 
 def test_time_embedding_rejects_odd_dim():
-    with pytest.raises(OddDim):
+    with pytest.raises(ConfigInvalid):
         time_embedding(3, 5, 1)
 
 
@@ -173,6 +176,55 @@ def test_parameter_sharing_sensitivity():
     assert not np.array_equal(m.class_probs(z, 2), log0)
 
 
+# At one channel NCHW and NHWC hold the same bytes, so only a model with two
+# can tell a layout transpose from a reshape
+TWO_CHANNELS = UNetConfig(input_channels=2, base_channels=8, channel_multipliers=(1, 2),
+                          image_side=8, time_embed_dim=8, classifier_hidden=16)
+
+
+def _two_channel_model() -> JointModel:
+    m = JointModel.build(TWO_CHANNELS, seed=8)
+    r = stream(8, "perturb")
+    for p in m.params.values():
+        p.data = p.data + 0.05 * r.standard_normal(p.shape)
+    return m
+
+
+def test_input_channel_cut_off_at_the_stem_reaches_no_output():
+    m = _two_channel_model()
+    m.params["enc.stem.w"].data[:, :, 1, :] = 0.0
+    z = stream(9, "z").standard_normal((2, 2, 8, 8))
+    moved = z.copy()
+    moved[:, 1] += 1.0
+    assert np.array_equal(m.predict_noise(moved, 3), m.predict_noise(z, 3))
+    assert np.array_equal(m.class_probs(moved, 3), m.class_probs(z, 3))
+    # channel 0 still reaches both, so the checks above are not vacuous
+    moved[:, 0] += 1.0
+    assert not np.array_equal(m.predict_noise(moved, 3), m.predict_noise(z, 3))
+    assert not np.array_equal(m.class_probs(moved, 3), m.class_probs(z, 3))
+
+
+def test_output_channel_cut_off_at_the_head_is_zero():
+    m = _two_channel_model()
+    m.params["dec.out.w"].data[..., 1] = 0.0
+    m.params["dec.out.b"].data[1] = 0.0
+    eps = m.predict_noise(stream(10, "z").standard_normal((2, 2, 8, 8)), 3)
+    assert np.all(eps[:, 1] == 0.0) and np.abs(eps[:, 0]).min() > 0
+
+
+def test_diffusion_loss_is_the_channel_first_mse():
+    m = _two_channel_model()
+    z0 = stream(11, "z0").standard_normal((3, 2, 8, 8))
+    sched = make_linear_schedule(20, 1e-3, 0.1)
+    loss = diffusion_loss(m, z0, sched, stream(11, "draw")).item()
+    # the same draws, in the order diffusion_loss makes them
+    rng = stream(11, "draw")
+    t = rng.integers(1, sched.T + 1, size=3)
+    eps = rng.standard_normal(z0.shape)
+    ref = np.mean((m.predict_noise(q_sample(z0, t, eps, sched), t) - eps) ** 2)
+    assert abs(loss - ref) <= 1e-12 * ref
+
+
 def test_classifier_invariant_to_decoder_weights():
     m = JointModel.build(SMALL, seed=4)
     z = np.random.default_rng(3).standard_normal((2, 1, 8, 8))
@@ -209,10 +261,11 @@ def test_encoding_serves_one_backward_at_its_own_t():
 
 
 def test_class_score_grad_rejects_bad_index():
-    from jdl.errors import BadClassIndex
     m = JointModel.build(SMALL, seed=5)
-    with pytest.raises(BadClassIndex):
-        m.class_score_grad(np.zeros((1, 1, 8, 8)), 1, class_idx=7)
+    # a fractional or boolean index used to score class 1
+    for k in (7, 1.5, True):
+        with pytest.raises(ConfigInvalid):
+            m.class_score_grad(np.zeros((1, 1, 8, 8)), 1, class_idx=k)
 
 
 def test_save_load_roundtrip(tmp_path, model):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from jdl.errors import InvalidPrior, IoError, ShapeMismatch
+from jdl.errors import ConfigInvalid, IoError, ShapeMismatch
 from jdl.pgm import write_pgm
-from jdl.phantom import (CLASS_NAMES, SIDE, build_dataset, generate_phantom,
+from jdl.phantom import (CLASS_NAMES, CLASS_PRIORS, SIDE, build_dataset, generate_phantom,
                          make_spec, recover_labels)
 
 YY, XX = np.mgrid[0:SIDE, 0:SIDE]
@@ -109,8 +109,8 @@ def test_recover_labels_rejects_other_image_shapes(shape):
 
 
 def test_prevalence_tracks_priors():
-    train, _ = build_dataset(4000, 1, class_priors=(0.3, 0.3, 0.3), seed=1)
-    assert np.all(np.abs(train.labels.mean(axis=0) - 0.3) < 0.02)
+    train, _ = build_dataset(4000, 1, seed=1)
+    assert np.all(np.abs(train.labels.mean(axis=0) - CLASS_PRIORS) < 0.02)
 
 
 def test_label_fraction_rounding(dataset):
@@ -131,18 +131,16 @@ def test_train_test_disjoint(dataset):
         assert test.images[i].tobytes() not in train_bytes
 
 
-def test_rejects_bad_priors():
-    with pytest.raises(InvalidPrior):
-        build_dataset(10, 10, class_priors=(0.3, 1.2, 0.3))
-    # each fractional or string size used to raise a bare TypeError
-    for sizes in ((2.5, 1), (2, 1.5), ("3", 1)):
-        with pytest.raises(InvalidPrior):
+def test_rejects_bad_sizes():
+    # each fractional, string or boolean size used to raise a bare TypeError
+    for sizes in ((2.5, 1), (2, 1.5), ("3", 1), (True, True)):
+        with pytest.raises(ConfigInvalid):
             build_dataset(*sizes)
 
 
 @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
 def test_rejects_label_fraction_outside_unit_interval(fraction):
-    with pytest.raises(InvalidPrior):
+    with pytest.raises(ConfigInvalid):
         build_dataset(20, 1, label_fraction=fraction)
 
 

@@ -52,7 +52,7 @@ import hashlib, json
 import numpy as np
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
-from jdl.sampling import GuidanceConfig, SamplerConfig, ddim_sample
+from jdl.sampling import GuidanceConfig, ddim_reverse_from, ddim_subsequence
 from jdl.schedule import make_linear_schedule
 
 cfg = UNetConfig(base_channels=16, channel_multipliers=(1, 2), image_side=16,
@@ -65,12 +65,13 @@ for name in sorted(model.params):
 z = stream(4, "z").standard_normal((8, 1, 16, 16))
 sched = make_linear_schedule(10, 1e-3, 0.1)
 guide = GuidanceConfig(target_class=1, direction="toward", scale=2.0)
+rng = stream(4, "sample")
 out = {
     "predict_noise": model.predict_noise(z, 7),
     "class_score_grad": model.class_score_grad(z, 7, 1),
-    "ddim_sample": ddim_sample(model, 8, guide, SamplerConfig(kind="ddim", ddim_steps=2,
-                                                              eta=0.5),
-                               sched, stream(4, "sample")),
+    "ddim_reverse_from": ddim_reverse_from(model, rng.standard_normal((8, 1, 16, 16)),
+                                           ddim_subsequence(10, 2), guide, sched, rng,
+                                           eta=0.5),
 }
 print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in out.items()}))
 """

@@ -34,9 +34,10 @@ def test_golden_draws():
 
 @pytest.mark.parametrize("seed,index", [
     (1.5, 0), (3.0, 0), (np.float64(1.0), 0), ("1", 0), (0, 2.0), (0, 0.5),
+    (True, 0), (0, True),
 ], ids=repr)
 def test_non_integer_seed_or_index_raises(seed, index):
-    # each used to be truncated or parsed by int() without a word
+    # each used to be truncated, parsed by int() or taken as 1 without a word
     with pytest.raises(ConfigInvalid):
         stream(seed, "x", index)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import BadClassIndex, BadSubsequence, ConfigInvalid
+from jdl.errors import ConfigInvalid, TimestepOutOfRange
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.sampling import (GRAD_CLIP_NORM, GuidanceConfig, GuidanceStats,
@@ -67,13 +67,9 @@ def test_guidance_direction_validation():
             GuidanceConfig(direction=direction)
 
 
-def test_sampler_config_rejects_bad_eta():
-    for eta in (np.nan, np.inf, -0.1, 1.5):
-        with pytest.raises(ConfigInvalid):
-            SamplerConfig(kind="ddim", eta=eta)
-    assert SamplerConfig(kind="ddim", eta=1.0).eta == 1.0
-    # a fractional step count used to be accepted
-    for steps in (2.5, 0):
+def test_sampler_config_rejects_bad_steps():
+    # a fractional or boolean step count used to be accepted
+    for steps in (2.5, 0, True):
         with pytest.raises(ConfigInvalid):
             SamplerConfig(kind="ddim", ddim_steps=steps)
 
@@ -84,8 +80,10 @@ def test_sampler_config_rejects_bad_eta():
     (GuidanceConfig, {"scale": np.inf}, ConfigInvalid),
     (SamplerConfig, {"kind": "euler"}, ConfigInvalid),
     # used to guide class 1
-    (GuidanceConfig, {"target_class": 1.5, "scale": 1.0}, BadClassIndex),
-], ids=["negative_scale", "nan_scale", "inf_scale", "unknown_kind", "fractional_class"])
+    (GuidanceConfig, {"target_class": 1.5, "scale": 1.0}, ConfigInvalid),
+    (GuidanceConfig, {"target_class": True, "scale": 1.0}, ConfigInvalid),
+], ids=["negative_scale", "nan_scale", "inf_scale", "unknown_kind", "fractional_class",
+        "bool_class"])
 def test_configs_reject_bad_scale_kind_and_class(config, kw, error):
     with pytest.raises(error):
         config(**kw)
@@ -93,7 +91,7 @@ def test_configs_reject_bad_scale_kind_and_class(config, kw, error):
 
 def test_guidance_rejects_negative_class_at_construction():
     # checked once up front, even when the scale means no step would use it
-    with pytest.raises(BadClassIndex):
+    with pytest.raises(ConfigInvalid):
         GuidanceConfig(direction="toward", target_class=-1, scale=0.0)
 
 
@@ -190,12 +188,11 @@ def test_ddpm_matches_textbook_ancestral_update(sched):
 
 
 def test_ddim_eta_zero_ignores_rng(model, sched):
-    cfg = SamplerConfig(kind="ddim", ddim_steps=5)
     z0 = stream(11, "fixed").standard_normal((2, 1, 8, 8))
     taus = ddim_subsequence(sched.T, 5)
     g = GuidanceConfig()
-    a = ddim_reverse_from(model, z0, taus, g, sched, stream(1, "a"), eta=cfg.eta)
-    b = ddim_reverse_from(model, z0, taus, g, sched, stream(2, "b"), eta=cfg.eta)
+    a = ddim_reverse_from(model, z0, taus, g, sched, stream(1, "a"), eta=0.0)
+    b = ddim_reverse_from(model, z0, taus, g, sched, stream(2, "b"), eta=0.0)
     assert np.array_equal(a, b)
 
 
@@ -206,12 +203,14 @@ def test_ddim_subsequence_contract():
             assert len(taus) == steps and taus[0] == 1 and taus[-1] == T, (T, steps)
             assert np.all(np.diff(taus) > 0), (T, steps)
     assert ddim_subsequence(200, 50)[-1] == 200
-    with pytest.raises(BadSubsequence):
+    with pytest.raises(ConfigInvalid):
         ddim_subsequence(10, 11)
-    with pytest.raises(BadSubsequence):
+    with pytest.raises(ConfigInvalid):
         ddim_subsequence(10, 0)
-    with pytest.raises(BadSubsequence):   # used to raise a bare TypeError
+    with pytest.raises(ConfigInvalid):   # used to raise a bare TypeError
         ddim_subsequence(10, 2.5)
+    with pytest.raises(ConfigInvalid):   # used to run as one step
+        ddim_subsequence(10, True)
 
 
 def test_partial_reverse_preserves_finiteness(model, sched):
@@ -296,6 +295,17 @@ def test_guided_step_runs_the_encoder_once(model, sched):
                      "leaky_relu": 1, "bce_with_logits": 1, "mul": 1}
 
 
+def test_guided_epsilon_rejects_timesteps_outside_the_schedule(model, sched):
+    # past T, scale 1 used to run the whole model and then raise a bare
+    # IndexError, and scale 0 returned a prediction
+    z = np.zeros((1, 1, 8, 8))
+    with ad.op_count() as ops:
+        for t, scale in ((sched.T + 5, 1.0), (sched.T + 5, 0.0), (0, 1.0)):
+            with pytest.raises(TimestepOutOfRange):
+                guided_epsilon(model, z, t, GuidanceConfig(scale=scale), sched)
+    assert ops == {}
+
+
 def test_guidance_writes_no_parameter_gradients(model, sched):
     z = np.random.default_rng(14).standard_normal((2, 1, 8, 8))
     g = GuidanceConfig(direction="away", target_class=0, scale=3.0)
@@ -310,10 +320,10 @@ def test_reverse_chain_validates_its_inputs(sched):
     z = np.zeros((1, 1, 8, 8))
     rng = stream(0, "v")
     for taus in ([sched.T + 1], [5, 3], [0, 2], [2, 2], [], [1.0, 2.0], [[1, 2]]):
-        with pytest.raises(BadSubsequence):
+        with pytest.raises(TimestepOutOfRange):
             ddim_reverse_from(model, z, np.asarray(taus), GuidanceConfig(), sched, rng,
                               eta=0.5)
     # checked at entry, even when no step would use the classifier
-    with pytest.raises(BadClassIndex):
+    with pytest.raises(ConfigInvalid):
         ddim_reverse_from(model, z, np.arange(1, 4),
                           GuidanceConfig(target_class=CFG.num_classes), sched, rng)

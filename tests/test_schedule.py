@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jdl.errors import InvalidRange, TimestepOutOfRange
+from jdl.errors import ConfigInvalid, TimestepOutOfRange
 from jdl.schedule import make_linear_schedule, q_sample
 
 
@@ -49,15 +49,15 @@ def test_invariants_hold():
 
 
 def test_rejects_bad_ranges():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(ConfigInvalid):
         make_linear_schedule(0, 1e-4, 0.02)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(ConfigInvalid):
         make_linear_schedule(10, 0.3, 0.1)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(ConfigInvalid):
         make_linear_schedule(10, 0.0, 0.1)
-    # a fractional or NaN T used to raise a bare TypeError
-    for T in (10.5, float("nan")):
-        with pytest.raises(InvalidRange):
+    # a fractional or NaN T used to raise a bare TypeError, and True gave T = True
+    for T in (10.5, float("nan"), True):
+        with pytest.raises(ConfigInvalid):
             make_linear_schedule(T, 1e-4, 0.02)
 
 

@@ -114,9 +114,11 @@ def test_config_rejects_bad_weight_and_learning_rates(override):
 @pytest.mark.parametrize("override", [
     {"total_steps": 2.5}, {"total_steps": 4.0}, {"class_start_step": 1.0},
     {"batch_diffusion": 2.5}, {"batch_classification": 3.0},
+    {"total_steps": True, "class_start_step": 0},
 ], ids=repr)
 def test_config_rejects_fractional_counts(override):
-    # each used to pass construction and die later with a bare TypeError
+    # each used to pass construction and die later with a bare TypeError, or,
+    # for a boolean, run as 1
     with pytest.raises(ConfigInvalid):
         _cfg(**override)
 
