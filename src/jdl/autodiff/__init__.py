@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff over dense float64 arrays."""
+"""Minimal reverse-mode autodiff over dense float32 arrays (``tensor.DTYPE``)."""
 
 from .tensor import Tensor, backward, no_grad, op_count
 from .ops import (

@@ -6,6 +6,12 @@ then the row-major float64-LE data. Records are written in sorted name
 order so files are byte-reproducible. A save writes a temporary file next to
 the target and renames it over the target, so a failed save leaves the
 previous checkpoint intact.
+
+The graph computes in float32 (``tensor.DTYPE``), but the file stays
+float64: every float32 value is exactly a float64 value, so widening on save
+and narrowing back on load (``JointModel.load_state``,
+``load_training_checkpoint``) restores each array bit for bit, and the
+format does not depend on the compute dtype.
 """
 
 from __future__ import annotations

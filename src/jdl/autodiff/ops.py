@@ -104,7 +104,7 @@ def _im2col_nhwc(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.nd
 
 def _col2im_nhwc(dcols: np.ndarray, n, c, hp, wp, k, stride, oh, ow) -> np.ndarray:
     """Adjoint of the NHWC im2col: scatter-add per kernel tap."""
-    acc = np.zeros((n, hp, wp, c))
+    acc = np.zeros((n, hp, wp, c), dtype=dcols.dtype)
     d6 = dcols.reshape(n, oh, ow, k, k, c)
     for i in range(k):
         for j in range(k):
@@ -207,7 +207,7 @@ def silu(x: Tensor) -> Tensor:
 def leaky_relu(x: Tensor) -> Tensor:
     """Leaky ReLU with negative slope 0.2."""
     return record("leaky_relu", np.where(x.data >= 0, x.data, 0.2 * x.data),
-                  (x, lambda g: g * np.where(x.data >= 0, 1.0, 0.2)))
+                  (x, lambda g: np.where(x.data >= 0, g, 0.2 * g)))
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -265,7 +265,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def sum(x: Tensor) -> Tensor:  # noqa: A001 - mirrors the primitive name
     return record("sum", np.asarray(x.data.sum()),
-                  (x, lambda g: np.broadcast_to(g, x.shape).astype(np.float64, copy=True)))
+                  (x, lambda g: np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=True)))
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

@@ -1,4 +1,10 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 arrays.
+
+``DTYPE`` is the one compute dtype: ``Tensor`` casts every array it is
+given to it, and every primitive and backward rule keeps the dtype of the
+arrays it is handed, so nothing else names one. Code outside the graph
+(the noise schedule, the phantoms, the sampler's update) stays in float64,
+and the model casts its inputs on entry.
 
 Every primitive hands ``record`` its output and one ``(parent, vjp)`` pair
 per input, where the vjp maps the output gradient to that input's gradient.
@@ -31,6 +37,8 @@ import numpy as np
 
 from ..errors import GraphConsumed, NotScalar
 
+DTYPE = np.float32
+
 _node_seq = itertools.count()
 
 # Set of kinds observed while an op_count() context is active.
@@ -55,12 +63,13 @@ class Node:
 
 
 class Tensor:
-    """Dense n-dimensional float64 array, optionally tracked by the graph."""
+    """Dense n-dimensional array of dtype ``DTYPE``, optionally tracked by
+    the graph."""
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[Node] = None

@@ -1,16 +1,23 @@
-"""Exception types shared across the package, and ``is_count``.
+"""Exception types shared across the package, and the ``is_count`` and
+``is_real`` rules for settings.
 
 Most are thin ValueError/RuntimeError subclasses so callers can catch either
 the specific condition or the broad builtin category. A bad setting or
 argument raises ``ConfigInvalid``, a bad timestep ``TimestepOutOfRange``.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def is_count(v) -> bool:
     """A Python or numpy integer, and not a ``bool`` passing as 0 or 1."""
     return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """A Python or numpy real number, and not a ``bool`` passing as 0.0 or
+    1.0."""
+    return isinstance(v, Real) and not isinstance(v, bool)
 
 
 class ShapeMismatch(ValueError):

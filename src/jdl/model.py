@@ -26,10 +26,11 @@ checkpoints and the optimizer groups follow).
 
 The graph is NHWC only, like every spatial primitive in ``autodiff``. NCHW
 appears only at ``JointModel``'s public methods: inputs are turned
-channel-last once on entry (``_as_nhwc_leaf``), and the arrays that
-``predict_noise`` and ``class_score_grad`` hand back are turned back on
-exit. ``denoise`` and ``classify`` return the channel-last graph tensors
-that the training losses differentiate.
+channel-last and cast to the compute dtype (float32) once on entry
+(``_as_nhwc_leaf``), and the arrays that ``predict_noise`` and
+``class_score_grad`` hand back, in that dtype, are turned back on exit.
+``denoise`` and ``classify`` return the channel-last graph tensors that the
+training losses differentiate.
 
 A guided sampling step needs the noise prediction and the classifier's input
 gradient at the same (z_t, t), and both start from the same encoder pass.
@@ -127,7 +128,7 @@ def time_embedding(t, dim: int, n: int) -> np.ndarray:
     t = np.broadcast_to(t, (n,))
     half = dim // 2
     freqs = 10_000.0 ** (-2.0 * np.arange(half) / dim)
-    ang = t[:, None].astype(np.float64) * freqs[None, :]
+    ang = t[:, None] * freqs[None, :]
     out = np.empty((n, dim))
     out[:, 0::2] = np.sin(ang)
     out[:, 1::2] = np.cos(ang)
@@ -135,8 +136,8 @@ def time_embedding(t, dim: int, n: int) -> np.ndarray:
 
 
 def _as_nhwc_leaf(z, requires_grad: bool = False) -> Tensor:
-    """Turn an NCHW numpy batch into an NHWC leaf."""
-    z = np.asarray(z, dtype=np.float64)
+    """Turn an NCHW numpy batch into an NHWC leaf of the compute dtype."""
+    z = np.asarray(z)
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a 4-d NCHW batch, got {z.shape}")
     return Tensor(np.ascontiguousarray(z.transpose(0, 2, 3, 1)),
@@ -181,7 +182,7 @@ class JointModel:
             fan_in = int(np.prod(shape[:-1]))
             data = np.sqrt(2.0 / fan_in) * self._init_rng.standard_normal(shape)
         else:
-            data = np.full(shape, fill, dtype=np.float64)
+            data = np.full(shape, fill)
         p = self.params[name] = Tensor(data, requires_grad=True)
         return p
 
@@ -321,9 +322,9 @@ class JointModel:
         return {k: v.data for k, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter by its entry in ``arrays``; raises
-        ``CheckpointMismatch``, before changing anything, unless each one
-        is there at its shape."""
+        """Replace every parameter by a copy of its entry in ``arrays``, cast
+        to the parameter's own dtype; raises ``CheckpointMismatch``, before
+        changing anything, unless each one is there at its shape."""
         ad.check_shapes(arrays, {k: v.shape for k, v in self.params.items()})
         for k, v in self.params.items():
-            v.data = np.array(arrays[k], dtype=np.float64)
+            v.data = np.array(arrays[k], dtype=v.data.dtype)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, TimestepOutOfRange, is_count
+from .errors import ConfigInvalid, TimestepOutOfRange, is_count, is_real
 from .schedule import NoiseSchedule
 
 GRAD_CLIP_NORM = 1e3  # per-item cap against off-manifold classifier blow-ups
@@ -44,8 +44,8 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.direction not in ("toward", "away"):
             raise ConfigInvalid(f"unknown guidance direction {self.direction!r}")
-        if not np.isfinite(self.scale) or self.scale < 0:
-            raise ConfigInvalid("guidance scale must be finite and >= 0")
+        if not is_real(self.scale) or not np.isfinite(self.scale) or self.scale < 0:
+            raise ConfigInvalid(f"guidance scale {self.scale!r} must be a finite real >= 0")
         if not is_count(self.target_class) or self.target_class < 0:
             raise ConfigInvalid(f"bad class index {self.target_class!r}")
 

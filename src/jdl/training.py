@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, ShapeMismatch,
-                     TrainingDiverged, is_count)
+                     TrainingDiverged, is_count, is_real)
 from .model import JointModel
 from .rng import stream
 from .schedule import NoiseSchedule, q_sample
@@ -53,12 +53,18 @@ class TrainConfig:
             raise ConfigInvalid(f"step counts and batch sizes must be integers, got {counts}")
         if self.total_steps < 1:
             raise ConfigInvalid("total_steps must be >= 1")
-        # a negative or NaN weight would switch the classifier off silently
-        if not (np.isfinite(self.class_loss_weight) and self.class_loss_weight >= 0):
-            raise ConfigInvalid("class_loss_weight must be finite and >= 0")
+        if not is_count(self.seed) or self.seed < 0:
+            # else a bad seed fails only at the first step, or, if negative,
+            # aliases a large one inside rng.stream
+            raise ConfigInvalid(f"seed must be an integer >= 0, got {self.seed!r}")
+        # a negative or NaN weight would switch the classifier off silently,
+        # and a bool here or below would pass as 0.0 or 1.0
+        w = self.class_loss_weight
+        if not (is_real(w) and np.isfinite(w) and w >= 0):
+            raise ConfigInvalid(f"class_loss_weight must be a finite real >= 0, got {w!r}")
         for lr in (self.lr_diffusion, self.lr_classifier):
-            if not (np.isfinite(lr) and lr > 0):
-                raise ConfigInvalid(f"learning rates must be finite and > 0, got {lr}")
+            if not (is_real(lr) and np.isfinite(lr) and lr > 0):
+                raise ConfigInvalid(f"learning rates must be finite reals > 0, got {lr!r}")
         if self.class_start_step >= self.total_steps and self.class_loss_weight > 0:
             raise ConfigInvalid("class_start_step must be < total_steps")
         if not self.diffusion_enabled and self.class_loss_weight <= 0:
@@ -68,8 +74,9 @@ class TrainConfig:
             raise ConfigInvalid("without diffusion, class_start_step must be 0")
         if self.batch_diffusion < 1 or self.batch_classification < 1:
             raise ConfigInvalid("batch sizes must be >= 1")
-        if not (0.0 < self.label_fraction <= 1.0):
-            raise ConfigInvalid("label_fraction must lie in (0, 1]")
+        if not (is_real(self.label_fraction) and 0.0 < self.label_fraction <= 1.0):
+            raise ConfigInvalid("label_fraction must be a real in (0, 1], "
+                                f"got {self.label_fraction!r}")
 
 
 @dataclass
@@ -308,7 +315,9 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
     model.load_state(arrays)
     if opt is not None:
         opt.t = steps["opt.step"]
+        # the file is float64; a moment left so would run Adam, and from it
+        # the weights, in float64
         for name in opt.m:
-            opt.m[name] = arrays[f"opt.m.{name}"]
-            opt.v[name] = arrays[f"opt.v.{name}"]
+            opt.m[name] = arrays[f"opt.m.{name}"].astype(opt.m[name].dtype)
+            opt.v[name] = arrays[f"opt.v.{name}"].astype(opt.v[name].dtype)
     return steps.get("train.step", 0)

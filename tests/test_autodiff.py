@@ -157,18 +157,21 @@ def _weights(seed, *shape):
     return ad.Tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_add():
     other = ad.Tensor(rand(3, 4))
     weight = _weights(3, 3, 4)
     _check(lambda x: ad.sum(ad.mul(ad.add(x, other), weight)), rand(3, 4))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_mul():
     other = ad.Tensor(rand(3, 4))
     weight = _weights(4, 3, 4)
     _check(lambda x: ad.sum(ad.mul(ad.mul(x, other), weight)), rand(3, 4))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_matmul():
     other = ad.Tensor(rand(4, 2))
     weight = _weights(5, 3, 2)
@@ -182,6 +185,7 @@ def test_grad_matmul():
     assert _recorded(ad.matmul(grad, w)) == (grad, w)
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("stride,k,side", [
     (1, 3, 6), (2, 3, 6),
     (1, 1, 6),  # the 1x1 skip convs
@@ -250,23 +254,27 @@ def test_conv2d_keeps_no_weight_copy():
     assert kept < out.data.nbytes + x.data.nbytes
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_avg_pool2d():
     weight = _weights(1, 2, 2, 2, 3)
     _check(lambda x: ad.sum(ad.mul(ad.avg_pool2d(x), weight)),
            rand(2, 4, 4, 3))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_upsample_nearest():
     weight = ad.Tensor(rand(2, 8, 8, 3))
     _check(lambda x: ad.sum(ad.mul(ad.upsample_nearest(x), weight)),
            rand(2, 4, 4, 3))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_silu():
     weight = _weights(6, 5, 5)
     _check(lambda x: ad.sum(ad.mul(ad.silu(x), weight)), rand(5, 5))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_leaky_relu():
     pt = rand(5, 5)
     pt[np.abs(pt) < 0.05] += 0.1  # keep clear of the kink
@@ -274,11 +282,13 @@ def test_grad_leaky_relu():
     _check(lambda x: ad.sum(ad.mul(ad.leaky_relu(x), weight)), pt)
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_sigmoid():
     weight = _weights(8, 5, 5)
     _check(lambda x: ad.sum(ad.mul(ad.sigmoid(x), weight)), rand(5, 5))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_group_norm():
     gamma = ad.Tensor(1.0 + 0.1 * rand(4))
     beta = ad.Tensor(0.1 * rand(4))
@@ -297,6 +307,7 @@ def test_grad_group_norm():
     assert _recorded(ad.group_norm(x1, g1, b1)) == (x1, g1, b1)
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_concat():
     other = ad.Tensor(rand(2, 2, 2, 3))
     weight = ad.Tensor(rand(2, 2, 2, 5))
@@ -311,6 +322,7 @@ def test_grad_concat():
         ad.concat(ad.Tensor(1.0), ad.Tensor(2.0))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_reshape_mean():
     weight = _weights(2, 6)
     # the mean as a sum scaled by 1/n
@@ -318,6 +330,7 @@ def test_grad_reshape_mean():
            rand(2, 3))
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_mse():
     target = ad.Tensor(rand(3, 4))
     _check(lambda x: ad.mse(x, target), rand(3, 4))
@@ -326,6 +339,7 @@ def test_grad_mse():
     assert _recorded(ad.mse(pred, target)) == (pred,)
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_bce_with_logits():
     y = ad.Tensor((rand(4, 3) > 0).astype(float))
     _check(lambda x: ad.bce_with_logits(x, y), rand(4, 3))
@@ -335,6 +349,7 @@ def test_grad_bce_with_logits():
     assert _recorded(ad.bce_with_logits(graph, y)) == (graph,)
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_conv_group_norm_composite():
     w = ad.Tensor(0.3 * rand(3, 3, 2, 4))
     gamma = ad.Tensor(np.ones(4))
@@ -348,6 +363,7 @@ def test_grad_conv_group_norm_composite():
     _check(f, rand(1, 4, 4, 2))
 
 
+@pytest.mark.usefixtures("float64")
 def test_two_layer_net_against_finite_differences():
     w1 = ad.Tensor(0.5 * rand(6, 8), requires_grad=True)
     w2 = ad.Tensor(0.5 * rand(8, 1), requires_grad=True)
@@ -362,6 +378,7 @@ def test_two_layer_net_against_finite_differences():
     _check(lambda w: net_loss(ad.Tensor(w1.data), w), w2.data)
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_check_sum_of_squares_tight():
     err = grad_check(lambda x: ad.sum(ad.mul(x, x)), ad.Tensor(rand(10)))
     assert err < 1e-7

@@ -166,12 +166,15 @@ def test_parameter_sharing_sensitivity():
     m = JointModel.build(SMALL, seed=3)
     # give the heads non-zero weights so both outputs react to the encoder
     r = np.random.default_rng(0)
-    m.params["dec.out.w"].data = 0.1 * r.standard_normal(m.params["dec.out.w"].shape)
-    m.params["cls.fc2.w"].data = 0.1 * r.standard_normal(m.params["cls.fc2.w"].shape)
+    # through load_state, which keeps each parameter's dtype: a float64 array
+    # assigned to .data would run the graph in float64
+    m.load_state({**m.state_arrays(),
+                  "dec.out.w": 0.1 * r.standard_normal(m.params["dec.out.w"].shape),
+                  "cls.fc2.w": 0.1 * r.standard_normal(m.params["cls.fc2.w"].shape)})
     z = r.standard_normal((1, 1, 8, 8))
     eps0 = m.predict_noise(z, 2)
     log0 = m.class_probs(z, 2)
-    m.params["enc.stem.w"].data = m.params["enc.stem.w"].data + 0.05
+    m.load_state({**m.state_arrays(), "enc.stem.w": m.params["enc.stem.w"].data + 0.05})
     assert not np.array_equal(m.predict_noise(z, 2), eps0)
     assert not np.array_equal(m.class_probs(z, 2), log0)
 
@@ -185,8 +188,7 @@ TWO_CHANNELS = UNetConfig(input_channels=2, base_channels=8, channel_multipliers
 def _two_channel_model() -> JointModel:
     m = JointModel.build(TWO_CHANNELS, seed=8)
     r = stream(8, "perturb")
-    for p in m.params.values():
-        p.data = p.data + 0.05 * r.standard_normal(p.shape)
+    m.load_state({k: p.data + 0.05 * r.standard_normal(p.shape) for k, p in m.params.items()})
     return m
 
 
@@ -212,6 +214,7 @@ def test_output_channel_cut_off_at_the_head_is_zero():
     assert np.all(eps[:, 1] == 0.0) and np.abs(eps[:, 0]).min() > 0
 
 
+@pytest.mark.usefixtures("float64")
 def test_diffusion_loss_is_the_channel_first_mse():
     m = _two_channel_model()
     z0 = stream(11, "z0").standard_normal((3, 2, 8, 8))
@@ -229,16 +232,17 @@ def test_classifier_invariant_to_decoder_weights():
     m = JointModel.build(SMALL, seed=4)
     z = np.random.default_rng(3).standard_normal((2, 1, 8, 8))
     before = m.class_probs(z, 5)
-    for name, p in m.params.items():
-        if name.startswith("dec."):
-            p.data = p.data + 1.0
+    m.load_state({k: p.data + 1.0 if k.startswith("dec.") else p.data
+                  for k, p in m.params.items()})
     assert np.array_equal(m.class_probs(z, 5), before)
 
 
+@pytest.mark.usefixtures("float64")
 def test_classifier_input_gradient_matches_finite_differences():
     m = JointModel.build(SMALL, seed=5)
     r = np.random.default_rng(5)
-    m.params["cls.fc2.w"].data = 0.3 * r.standard_normal(m.params["cls.fc2.w"].shape)
+    m.load_state({**m.state_arrays(),
+                  "cls.fc2.w": 0.3 * r.standard_normal(m.params["cls.fc2.w"].shape)})
     z0 = r.standard_normal((1, 1, 8, 8))
     k = 1
     grad = m.class_score_grad(z0, 4, class_idx=k, toward=True)

@@ -59,9 +59,9 @@ cfg = UNetConfig(base_channels=16, channel_multipliers=(1, 2), image_side=16,
                  time_embed_dim=16, classifier_hidden=16)
 model = JointModel.build(cfg, seed=4)
 noise = stream(4, "perturb")
-for name in sorted(model.params):
-    p = model.params[name]
-    p.data = p.data + 0.05 * noise.standard_normal(p.data.shape)
+model.load_state({name: model.params[name].data
+                  + 0.05 * noise.standard_normal(model.params[name].shape)
+                  for name in sorted(model.params)})
 z = stream(4, "z").standard_normal((8, 1, 16, 16))
 sched = make_linear_schedule(10, 1e-3, 0.1)
 guide = GuidanceConfig(target_class=1, direction="toward", scale=2.0)
@@ -73,7 +73,8 @@ out = {
                                            ddim_subsequence(10, 2), guide, sched, rng,
                                            eta=0.5),
 }
-print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in out.items()}))
+print(json.dumps({k: [str(v.dtype), hashlib.sha256(v.tobytes()).hexdigest()]
+                  for k, v in out.items()}))
 """
 
 

@@ -35,8 +35,9 @@ def model():
     m = JointModel.build(CFG, seed=3)
     r = np.random.default_rng(0)
     # non-degenerate heads so guidance actually produces gradients
-    m.params["dec.out.w"].data = 0.05 * r.standard_normal(m.params["dec.out.w"].shape)
-    m.params["cls.fc2.w"].data = 0.3 * r.standard_normal(m.params["cls.fc2.w"].shape)
+    m.load_state({**m.state_arrays(),
+                  "dec.out.w": 0.05 * r.standard_normal(m.params["dec.out.w"].shape),
+                  "cls.fc2.w": 0.3 * r.standard_normal(m.params["cls.fc2.w"].shape)})
     return m
 
 
@@ -82,8 +83,10 @@ def test_sampler_config_rejects_bad_steps():
     # used to guide class 1
     (GuidanceConfig, {"target_class": 1.5, "scale": 1.0}, ConfigInvalid),
     (GuidanceConfig, {"target_class": True, "scale": 1.0}, ConfigInvalid),
+    # used to guide at scale 1.0
+    (GuidanceConfig, {"scale": True}, ConfigInvalid),
 ], ids=["negative_scale", "nan_scale", "inf_scale", "unknown_kind", "fractional_class",
-        "bool_class"])
+        "bool_class", "bool_scale"])
 def test_configs_reject_bad_scale_kind_and_class(config, kw, error):
     with pytest.raises(error):
         config(**kw)

@@ -104,9 +104,12 @@ def test_classification_only_leaves_decoder_untouched():
     {"class_loss_weight": -0.05}, {"class_loss_weight": np.nan},
     {"class_loss_weight": np.inf}, {"lr_diffusion": -1.0}, {"lr_diffusion": 0.0},
     {"lr_diffusion": np.nan}, {"lr_classifier": -1e-4}, {"lr_classifier": np.inf},
+    {"class_loss_weight": True}, {"lr_diffusion": True}, {"lr_classifier": True},
+    {"label_fraction": True},
 ], ids=repr)
 def test_config_rejects_bad_weight_and_learning_rates(override):
-    # each of these once ran: the bad weights dropped the classifier silently
+    # each of these once ran: the bad weights dropped the classifier silently,
+    # and a boolean ran as 1.0
     with pytest.raises(ConfigInvalid):
         _cfg(**override)
 
@@ -115,10 +118,12 @@ def test_config_rejects_bad_weight_and_learning_rates(override):
     {"total_steps": 2.5}, {"total_steps": 4.0}, {"class_start_step": 1.0},
     {"batch_diffusion": 2.5}, {"batch_classification": 3.0},
     {"total_steps": True, "class_start_step": 0},
+    {"seed": 1.5}, {"seed": True}, {"seed": -1},
 ], ids=repr)
 def test_config_rejects_fractional_counts(override):
     # each used to pass construction and die later with a bare TypeError, or,
-    # for a boolean, run as 1
+    # for a boolean, run as 1; a bad seed failed only at the first step or,
+    # if negative, ran on the stream of a large one
     with pytest.raises(ConfigInvalid):
         _cfg(**override)
 
