@@ -20,6 +20,14 @@ holds. The input gradient is one GEMM and a scatter that loops over the
 (small) kernel footprint, so the reduction order is fixed and results do not
 depend on worker count.
 
+The elementwise kernels make few full passes, most of them in place, rather
+than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
+and ``group_norm`` takes each per-group statistic as one per-channel
+reduction, with the variance centred.
+A primitive writes in place only into buffers it allocated itself, never
+into an input's data, an array that a kept vjp holds, or the output
+gradient ``g``, which ``add``'s vjp hands to both of its parents.
+
 Broadcasting is deliberately narrow: identical shapes, scalar against
 tensor, and singleton-dimension bias adds. Anything else needs an explicit
 reshape so every backward rule stays auditable.
@@ -199,9 +207,26 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return record("silu", x.data * s,
-                  (x, lambda g: g * s * (1.0 + x.data * (1.0 - s))))
+    """x * sigmoid(x). The sigmoid s = 0.5 * tanh(x / 2) + 0.5 never
+    overflows; it takes four passes in place over one buffer, which the vjp
+    keeps, and the output one more. The vjp computes
+    g * s * (1 + x * (1 - s)) in five passes in place over one new buffer.
+    """
+    xd = x.data
+    s = np.multiply(xd, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+
+    def dx(g):
+        d = 1.0 - s
+        d *= xd
+        d += 1.0
+        d *= s
+        d *= g
+        return d
+
+    return record("silu", xd * s, (x, dx))
 
 
 def leaky_relu(x: Tensor) -> Tensor:
@@ -213,7 +238,21 @@ def leaky_relu(x: Tensor) -> Tensor:
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Group normalization of an NHWC batch over (H, W, C/G) per sample and
     group, with G = min(4, C), eps 1e-5 and per-channel ``gamma`` and
-    ``beta`` of shape (C,)."""
+    ``beta`` of shape (C,).
+
+    It works on the (N, H·W, C) view. Each per-group statistic is a
+    per-channel reduction, ``einsum("npc->nc")`` or
+    ``einsum("npc,npc->nc")``, summed over the C/G channels of its group
+    and broadcast back with ``repeat``. The variance is centred: the mean
+    is subtracted into the kernel's own ``xhat`` buffer first, and the
+    variance is the mean of its squares, because E[x²] − E[x]² cancels
+    float32 digits when a group's mean is large. The forward makes two
+    reductions and four elementwise passes: the centring into ``xhat``, its
+    scaling in place and the affine into the output. The dx makes two
+    reductions, over the output gradient and its product with ``xhat``, and
+    four elementwise passes into two new buffers. The ``gamma`` and ``beta``
+    gradients are one reduction each.
+    """
     n, h, w, c = _nhwc_dims(x)
     g_ = min(4, c)
     if c % g_:
@@ -221,28 +260,34 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch("group_norm: gamma/beta must have shape (C,)")
     cg = c // g_
+    count = h * w * cg
 
-    xg = x.data.reshape(n, h * w, g_, cg)
-    red = (1, 3)
-    mu = xg.mean(axis=red, keepdims=True)
-    xc = xg - mu
-    # the same sum and division as xg.var, without a second centring pass
-    var = (xc * xc).sum(axis=red, keepdims=True) / (h * w * cg)
+    def group_mean(per_channel):
+        """(N, C) channel sums -> (N, 1, C) means of each channel's group."""
+        means = per_channel.reshape(n, g_, cg).sum(axis=2) / count
+        return np.repeat(means, cg, axis=1)[:, None, :]
+
+    x3 = x.data.reshape(n, h * w, c)
+    xhat = x3 - group_mean(np.einsum("npc->nc", x3))
+    var = group_mean(np.einsum("npc,npc->nc", xhat, xhat))
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    xhat4 = xhat.reshape(n, h, w, c)
-    sum_axes = (0, 1, 2)
-    out = xhat4 * gamma.data + beta.data
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def dx(gr):
-        dxhat = (gr * gamma.data).reshape(xhat.shape)
-        mean_dxhat = dxhat.mean(axis=red, keepdims=True)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=red, keepdims=True)
-        return (inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)).reshape(n, h, w, c)
+        g3 = gr.reshape(n, h * w, c)
+        # the means of dxhat = g * gamma and of dxhat * xhat, per group
+        m1 = group_mean(np.einsum("npc->nc", g3) * gamma.data)
+        m2 = group_mean(np.einsum("npc,npc->nc", g3, xhat) * gamma.data)
+        d = g3 * (gamma.data * inv)
+        d -= xhat * (m2 * inv)
+        d -= m1 * inv
+        return d.reshape(n, h, w, c)
 
-    return record("group_norm", out, (x, dx),
-                  (gamma, lambda gr: (gr * xhat4).sum(axis=sum_axes)),
-                  (beta, lambda gr: gr.sum(axis=sum_axes)))
+    return record("group_norm", out.reshape(n, h, w, c), (x, dx),
+                  (gamma, lambda gr: np.einsum("npc,npc->c", gr.reshape(n, h * w, c), xhat)),
+                  (beta, lambda gr: np.einsum("npc->c", gr.reshape(n, h * w, c))))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

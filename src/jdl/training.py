@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, ShapeMismatch,
                      TrainingDiverged, is_count, is_real)
 from .model import JointModel
-from .rng import stream
+from .rng import SEED_LIMIT, stream
 from .schedule import NoiseSchedule, q_sample
 
 ADAM_BETAS = (0.9, 0.999)
@@ -53,10 +53,9 @@ class TrainConfig:
             raise ConfigInvalid(f"step counts and batch sizes must be integers, got {counts}")
         if self.total_steps < 1:
             raise ConfigInvalid("total_steps must be >= 1")
-        if not is_count(self.seed) or self.seed < 0:
-            # else a bad seed fails only at the first step, or, if negative,
-            # aliases a large one inside rng.stream
-            raise ConfigInvalid(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not is_count(self.seed) or not 0 <= self.seed < SEED_LIMIT:
+            # rng.stream rejects it too, but only at the first step
+            raise ConfigInvalid(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         # a negative or NaN weight would switch the classifier off silently,
         # and a bool here or below would pass as 0.0 or 1.0
         w = self.class_loss_weight

@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jdl.autodiff as ad
+import jdl.autodiff.ops as ops
 from jdl.errors import CheckpointMismatch, GraphConsumed, NotScalar, ShapeMismatch
 
 from gradcheck import grad_check
@@ -305,6 +307,93 @@ def test_grad_group_norm():
     g1 = ad.Tensor(gamma.data, requires_grad=True)
     b1 = ad.Tensor(beta.data, requires_grad=True)
     assert _recorded(ad.group_norm(x1, g1, b1)) == (x1, g1, b1)
+
+
+@pytest.mark.usefixtures("float64")
+def test_grad_group_norm_two_channels_per_group():
+    # C = 8 folds two channels into each of the 4 groups
+    r = np.random.default_rng(20)
+    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(8))
+    beta = ad.Tensor(0.1 * r.standard_normal(8))
+    wgt = _weights(21, 2, 3, 3, 8)
+    x0 = ad.Tensor(r.standard_normal((2, 3, 3, 8)))
+    _check(lambda x: ad.sum(ad.mul(ad.group_norm(x, gamma, beta), wgt)),
+           r.standard_normal((2, 3, 3, 8)), tol=2e-4)
+    _check(lambda g: ad.sum(ad.mul(ad.group_norm(x0, g, beta), wgt)), gamma.data)
+    _check(lambda b: ad.sum(ad.mul(ad.group_norm(x0, gamma, b), wgt)), beta.data)
+
+
+def test_group_norm_float32_keeps_a_large_mean_out_of_the_variance():
+    # a per-group mean of 30 against a spread of 1: the float32 variance of
+    # E[x^2] - E[x]^2 cancels its leading digits and drifts by about 1e-3
+    r = np.random.default_rng(22)
+    x = 30.0 + r.standard_normal((2, 8, 8, 8))
+    gamma = 1.0 + 0.1 * r.standard_normal(8)
+    beta = 0.1 * r.standard_normal(8)
+    out = ad.group_norm(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta)).data
+    assert out.dtype == np.float32
+    xg = x.reshape(2, 8, 8, 4, 2)
+    mu = xg.mean(axis=(1, 2, 4), keepdims=True)
+    var = ((xg - mu) ** 2).mean(axis=(1, 2, 4), keepdims=True)
+    ref = ((xg - mu) / np.sqrt(var + 1e-5)).reshape(x.shape) * gamma + beta
+    assert np.abs(out - ref).max() <= 5e-5
+
+
+def test_silu_far_out_is_finite_and_quiet():
+    x = ad.Tensor([-1e4, 1e4], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.silu(x)
+        ad.backward(ad.sum(ad.mul(out, ad.Tensor([3.0, 5.0]))))
+    assert np.array_equal(out.data, [0.0, 1e4])
+    assert np.array_equal(x.grad, [0.0, 5.0])
+
+
+def _add_of_two_branches(silu_first: bool, lone=None):
+    """sum(w * (silu(a) + group_norm(b, gamma, beta))), with ``add`` handing
+    the same output gradient to both branches; ``lone`` keeps only the named
+    branch. The branch built second runs its backward first."""
+    r = np.random.default_rng(23)
+    a, b = (ad.Tensor(r.standard_normal((2, 3, 3, 8)), requires_grad=True) for _ in range(2))
+    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True)
+    beta = ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True)
+    w = ad.Tensor(r.standard_normal((2, 3, 3, 8)))
+    branches = {"silu": lambda: ad.silu(a), "group_norm": lambda: ad.group_norm(b, gamma, beta)}
+    order = ["silu", "group_norm"] if silu_first else ["group_norm", "silu"]
+    outs = [branches[name]() for name in order if lone in (None, name)]
+    y = outs[0] if lone else ad.add(*outs)
+    return ad.sum(ad.mul(y, w)), {"silu": (a,), "group_norm": (b, gamma, beta)}
+
+
+@pytest.mark.parametrize("silu_first", [True, False], ids=["group_norm_vjp_first",
+                                                           "silu_vjp_first"])
+def test_backward_writes_into_no_array_it_does_not_own(monkeypatch, silu_first):
+    held = []   # every array that a silu or group_norm rule keeps, with a copy
+    real = ops.record
+
+    def record(kind, out_data, *rules):
+        if kind in ("silu", "group_norm"):
+            for _, vjp in rules:
+                for cell in vjp.__closure__ or ():
+                    value = cell.cell_contents
+                    value = value.data if isinstance(value, ad.Tensor) else value
+                    if isinstance(value, np.ndarray):
+                        held.append((value, value.copy()))
+        return real(kind, out_data, *rules)
+
+    monkeypatch.setattr(ops, "record", record)
+    loss, leaves = _add_of_two_branches(silu_first)
+    inputs = [(t.data, t.data.copy()) for group in leaves.values() for t in group]
+    ad.backward(loss)
+    # x.data, gamma and beta, and the kept s, xhat and 1/std
+    assert len(held) >= 5
+    for array, before in inputs + held:
+        assert np.array_equal(array, before)
+    for name, group in leaves.items():
+        alone, alone_leaves = _add_of_two_branches(silu_first, lone=name)
+        ad.backward(alone)
+        for t, ref in zip(group, alone_leaves[name]):
+            assert np.array_equal(t.grad, ref.grad), name
 
 
 @pytest.mark.usefixtures("float64")

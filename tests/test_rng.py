@@ -22,12 +22,20 @@ def test_each_part_of_the_key_changes_the_draws(other):
     assert not np.array_equal(_draws(7, "noise", 2), _draws(*other))
 
 
-def test_seed_is_taken_modulo_2_to_the_64():
-    assert np.array_equal(_draws(-1, "noise"), _draws(2**64 - 1, "noise"))
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 2**64, 2**64 + 5], ids=repr)
+def test_seed_outside_64_bits_raises(seed):
+    # each used to be taken modulo 2**64: -1 drew what 2**64 - 1 draws, and
+    # 2**64 what 0 draws
+    with pytest.raises(ConfigInvalid):
+        stream(seed, "noise")
+
+
+def test_largest_seed_is_its_own_stream():
+    assert not np.array_equal(_draws(2**64 - 1, "noise"), _draws(0, "noise"))
 
 
 def test_golden_draws():
-    # pins the key (seed mod 2^64, crc32 of the tag, index) and the generator
+    # pins the key (seed, crc32 of the tag, index) and the generator
     assert stream(0, "x").bit_generator.random_raw(2).tolist() == [
         14792098528923663748, 15590170416126552175]
 
@@ -60,3 +68,14 @@ def test_fractional_seed_raises_where_it_enters():
         JointModel.build(cfg, seed=1.5)
     with pytest.raises(ConfigInvalid):
         build_dataset(4, 1, seed=3.7)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=repr)
+def test_seed_outside_64_bits_raises_where_it_enters(seed):
+    # these used to equal seed 2**64 - 1 and seed 0
+    cfg = UNetConfig(base_channels=8, channel_multipliers=(1,), image_side=8,
+                     time_embed_dim=8, classifier_hidden=16)
+    with pytest.raises(ConfigInvalid):
+        JointModel.build(cfg, seed=seed)
+    with pytest.raises(ConfigInvalid):
+        build_dataset(4, 1, seed=seed)
