@@ -28,9 +28,10 @@ A primitive writes in place only into buffers it allocated itself, never
 into an input's data, an array that a kept vjp holds, or the output
 gradient ``g``, which ``add``'s vjp hands to both of its parents.
 
-Only the rules the model runs exist. ``add`` broadcasts narrowly: identical
-shapes, singleton-dimension and trailing (F,) bias adds; anything else needs
-an explicit reshape, so every backward rule stays auditable. ``mul`` scales
+Only the rules the model runs exist. ``add(a, b)`` has ``a``'s shape and
+broadcasts ``b`` alone: ``b`` has ``a``'s shape, is an (F,) bias over its last
+axis, or has its rank with 1 on the axes it broadcasts over. Anything else
+needs an explicit reshape, so ``a``'s gradient is ``g`` itself. ``mul`` scales
 a tensor by a real constant, and the losses take their targets as constant
 arrays, so each of the three records one rule.
 """
@@ -41,16 +42,6 @@ import numpy as np
 
 from ..errors import ConfigInvalid, ShapeMismatch, is_count, is_real
 from .tensor import Tensor, record
-
-
-def _broadcast_allowed(sa: tuple, sb: tuple) -> bool:
-    if sa == sb:
-        return True
-    if len(sa) == len(sb):
-        return all(a == b or a == 1 or b == 1 for a, b in zip(sa, sb))
-    # trailing bias: (F,) against (..., F)
-    short, long = (sa, sb) if len(sa) < len(sb) else (sb, sa)
-    return len(short) == 1 and long[-1] == short[0]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -66,11 +57,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcast_allowed(a.shape, b.shape):
-        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    return record("add", a.data + b.data,
-                  (a, lambda g: _unbroadcast(g, a.shape)),
-                  (b, lambda g: _unbroadcast(g, b.shape)))
+    """``a + b`` in ``a``'s shape: ``b`` has that shape, is an (F,) bias over
+    ``a``'s last axis, or has ``a``'s rank with 1 on each axis it broadcasts
+    over."""
+    sa, sb = a.shape, b.shape
+    if sb != sa[-1:] and not (len(sb) == len(sa) and all(j in (1, i) for i, j in zip(sa, sb))):
+        raise ShapeMismatch(f"add: {sb} does not broadcast to {sa}")
+    return record("add", a.data + b.data, (a, lambda g: g),
+                  (b, lambda g: _unbroadcast(g, sb)))
 
 
 def mul(x: Tensor, c) -> Tensor:

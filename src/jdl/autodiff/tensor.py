@@ -41,7 +41,7 @@ DTYPE = np.float32
 
 _node_seq = itertools.count()
 
-# Set of kinds observed while an op_count() context is active.
+# One count-per-kind dict for each open op_count() context, innermost last.
 _counters: list[dict] = []
 
 _grad_enabled = True

@@ -32,15 +32,15 @@ channel-last and cast to the compute dtype (float32) once on entry
 ``denoise`` and ``classify`` return the channel-last graph tensors that the
 training losses differentiate.
 
-A guided sampling step needs the noise prediction and the classifier's input
-gradient at the same (z_t, t), and both start from the same encoder pass.
-``encode`` runs that pass once and returns an ``Encoding``: a requires-grad
-input leaf, the bottleneck, the skips and the time vector, graph-linked over
-detached views of the weights. ``class_score_grad`` backpropagates through
-it to the leaf only, which consumes the graph and writes no ``.grad`` into
-``params``; ``predict_noise`` then decodes the kept activations under
-``no_grad``. Both methods also take a plain NCHW batch and run their own
-pass.
+``_encode`` returns every encoder pass as an ``Encoding``: the input leaf,
+the bottleneck, the skips and the time vector. A guided sampling step needs
+the noise prediction and the classifier's input gradient at the same
+(z_t, t), so ``encode`` runs that pass once from a requires-grad leaf,
+graph-linked over detached views of the weights. ``class_score_grad``
+backpropagates through it to the leaf only, which consumes the graph and
+writes no ``.grad`` into ``params``; ``predict_noise`` then decodes the kept
+activations under ``no_grad``. Both methods also take a plain NCHW batch and
+run their own pass.
 """
 
 from __future__ import annotations
@@ -97,17 +97,18 @@ def _nchw(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Encoding:
-    """One encoder pass at timestep ``t``, for both halves of a guided step.
+    """One encoder pass at timestep ``t`` from the input ``leaf``.
 
-    The graph runs from ``leaf`` over detached weights, so a backward from
-    it reaches the leaf alone. ``class_score_grad`` consumes it;
-    ``predict_noise`` reads only the tensors' data.
+    From ``encode``, the one pass both halves of a guided step share, the
+    leaf requires grad and the graph runs over detached weights, so a
+    backward from it reaches the leaf alone. ``class_score_grad`` consumes
+    it; ``predict_noise`` reads only the tensors' data.
     """
-    leaf: Tensor              # NHWC input, requires grad
+    leaf: Tensor              # NHWC input
     bottleneck: Tensor
     skips: list
     temb: Tensor
-    t: object                 # int or per-item array, as passed to ``encode``
+    t: object                 # int or per-item array, as passed to ``_encode``
 
 
 def time_embedding(t, dim: int, n: int) -> np.ndarray:
@@ -165,9 +166,9 @@ class JointModel:
         model._init_rng = stream(seed, "model-init")
         z = Tensor(np.zeros((1, cfg.image_side, cfg.image_side, cfg.input_channels)))
         with ad.no_grad():
-            bottleneck, skips, temb = model._encode(z, 1)
-            model._decode(bottleneck, skips, temb)
-            model._head(bottleneck)
+            enc = model._encode(z, 1)
+            model._decode(enc)
+            model._head(enc.bottleneck)
         model._init_rng = None
         return model
 
@@ -214,7 +215,7 @@ class JointModel:
         emb = Tensor(time_embedding(t, self.cfg.time_embed_dim, n))
         return ad.silu(self._linear("enc.time.fc", emb, self.cfg.time_embed_dim))
 
-    def _encode(self, z: Tensor, t):
+    def _encode(self, z: Tensor, t) -> Encoding:
         cfg = self.cfg
         n, h, w, c = z.shape
         if (c, h, w) != (cfg.input_channels, cfg.image_side, cfg.image_side):
@@ -231,13 +232,13 @@ class JointModel:
             if i < len(chans) - 1:
                 h = self._conv(f"enc.down{i}", h, ch, stride=2)
         h = self._res("enc.mid", h, temb, chans[-1])
-        return h, skips, temb
+        return Encoding(z, h, skips, temb, t)
 
-    def _decode(self, bottleneck: Tensor, skips, temb) -> Tensor:
+    def _decode(self, enc: Encoding) -> Tensor:
         chans = self.cfg.stage_channels
-        h = bottleneck
+        h = enc.bottleneck
         for i in reversed(range(len(chans))):
-            h = self._res(f"dec.s{i}", ad.concat(h, skips[i]), temb, chans[i])
+            h = self._res(f"dec.s{i}", ad.concat(h, enc.skips[i]), enc.temb, chans[i])
             if i > 0:
                 h = self._conv(f"dec.up{i}", ad.upsample_nearest(h), chans[i - 1])
         h = ad.silu(self._norm("dec.outgn", h))
@@ -255,13 +256,11 @@ class JointModel:
     def denoise(self, z, t) -> Tensor:
         """Predicted noise for NCHW ``z`` as a channel-last (N, H, W, C)
         graph tensor over the model's weights."""
-        return self._decode(*self._encode(_as_nhwc_leaf(z), t))
+        return self._decode(self._encode(_as_nhwc_leaf(z), t))
 
     def classify(self, z, t) -> Tensor:
         """Class logits; runs encoder and head only, never the decoder."""
-        leaf = _as_nhwc_leaf(z)
-        bottleneck, _, _ = self._encode(leaf, t)
-        return self._head(bottleneck)
+        return self._head(self._encode(_as_nhwc_leaf(z), t).bottleneck)
 
     def _frozen(self) -> "JointModel":
         """The same weight arrays as graph constants (no copy): a graph built
@@ -270,9 +269,7 @@ class JointModel:
 
     def encode(self, z, t) -> Encoding:
         """Run the encoder once on NCHW ``z`` from a requires-grad leaf."""
-        leaf = _as_nhwc_leaf(z, requires_grad=True)
-        bottleneck, skips, temb = self._frozen()._encode(leaf, t)
-        return Encoding(leaf, bottleneck, skips, temb, t)
+        return self._frozen()._encode(_as_nhwc_leaf(z, requires_grad=True), t)
 
     def _encoding(self, z, t) -> Encoding:
         if not isinstance(z, Encoding):
@@ -286,8 +283,7 @@ class JointModel:
         NCHW batch or an ``Encoding`` at ``t``, whose activations are decoded
         without running the encoder again."""
         with ad.no_grad():
-            enc = self._encoding(z, t)
-            return _nchw(self._decode(enc.bottleneck, enc.skips, enc.temb).data)
+            return _nchw(self._decode(self._encoding(z, t)).data)
 
     def class_probs(self, z: np.ndarray, t) -> np.ndarray:
         with ad.no_grad():
@@ -304,6 +300,8 @@ class JointModel:
         """
         if not is_count(class_idx) or not 0 <= class_idx < self.cfg.num_classes:
             raise ConfigInvalid(f"class {class_idx} outside [0, {self.cfg.num_classes})")
+        if not isinstance(toward, (bool, np.bool_)):
+            raise ConfigInvalid(f"toward must be a bool, got {toward!r}")
         enc = self._encoding(z, t)
         frozen = self._frozen()
         logits = frozen._head(enc.bottleneck)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange, is_count
+from .errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
     ``beta_start`` to ``beta_end``, both included."""
     if not is_count(T) or T < 1:
         raise ConfigInvalid(f"T must be an integer >= 1, got {T!r}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
+    if not (is_real(beta_start) and is_real(beta_end) and 0.0 < beta_start <= beta_end < 1.0):
         raise ConfigInvalid(f"need 0 < beta_start <= beta_end < 1, "
                             f"got ({beta_start}, {beta_end})")
     betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T, dtype=np.float64)])

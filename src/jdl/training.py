@@ -28,9 +28,13 @@ from .schedule import NoiseSchedule, q_sample
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-# classifier trains on noised inputs up to this fraction of T, matching
-# the noise window later used for guided counterfactual generation
-T_CLASS_MAX_FRAC = 0.3
+
+
+def t_class_max(T: int) -> int:
+    """The last timestep the classifier trains on in a T-step schedule: it
+    sees noised inputs up to 0.3 T, the noise window later used for guided
+    counterfactual generation."""
+    return max(1, round(0.3 * T))
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,13 @@ class TrainConfig:
             raise ConfigInvalid(f"step counts and batch sizes must be integers, got {counts}")
         if self.total_steps < 1:
             raise ConfigInvalid("total_steps must be >= 1")
+        if self.class_start_step < 0:
+            # it would run as 0
+            raise ConfigInvalid(f"class_start_step must be >= 0, got {self.class_start_step}")
+        if not isinstance(self.diffusion_enabled, (bool, np.bool_)):
+            # a string or a number would switch diffusion on or off by its truth
+            raise ConfigInvalid(
+                f"diffusion_enabled must be a bool, got {self.diffusion_enabled!r}")
         if not is_count(self.seed) or not 0 <= self.seed < SEED_LIMIT:
             # rng.stream rejects it too, but only at the first step
             raise ConfigInvalid(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -182,13 +193,13 @@ def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
 
 
 def classification_loss(model: JointModel, images: np.ndarray, labels: np.ndarray,
-                        sched: NoiseSchedule, rng: np.random.Generator,
-                        t_max: int) -> Tensor:
-    """Per-class BCE on labeled samples noised at t drawn from [1, t_max]."""
+                        sched: NoiseSchedule, rng: np.random.Generator) -> Tensor:
+    """Per-class BCE on labeled samples noised at t drawn from
+    [1, t_class_max(T)]."""
     n = images.shape[0]
     if n == 0:
         raise EmptyLabeledBatch("classification batch is empty")
-    t = rng.integers(1, t_max + 1, size=n)
+    t = rng.integers(1, t_class_max(sched.T) + 1, size=n)
     eps = rng.standard_normal(images.shape)
     zt = q_sample(images, t, eps, sched)
     logits = model.classify(zt, t)
@@ -214,11 +225,13 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
     With ``diffusion_enabled == False`` only the classifier objective runs
     (the "UNet without diffusion" ablation). A run that cannot finish (a
     ``start_step`` past ``cfg.total_steps``, labels that do not match
-    ``model.cfg.num_classes``, or no labeled sample for a classification
-    step) raises before step 0.
+    ``model.cfg.num_classes``, no labeled sample for a classification
+    step, or an ``opt`` that does not hold exactly ``model.params``) raises
+    before step 0.
     """
-    if not 0 <= start_step <= cfg.total_steps:
-        raise ConfigInvalid(f"start_step must lie in [0, {cfg.total_steps}], got {start_step}")
+    if not is_count(start_step) or not 0 <= start_step <= cfg.total_steps:
+        raise ConfigInvalid(
+            f"start_step must be an integer in [0, {cfg.total_steps}], got {start_step!r}")
     if data.labels.shape[1] != model.cfg.num_classes:
         raise ShapeMismatch(f"{data.labels.shape[1]} label columns for a "
                             f"{model.cfg.num_classes}-class model")
@@ -227,8 +240,12 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
     # every run that has a step left has a classification step
     if cfg.class_loss_weight > 0 and start_step < cfg.total_steps and labeled_idx.size == 0:
         raise EmptyLabeledBatch("no labeled samples in the training set")
-    opt = opt or make_optimizer(model, cfg)
-    t_class_max = max(1, round(T_CLASS_MAX_FRAC * sched.T))
+    if opt is None:
+        opt = make_optimizer(model, cfg)
+    elif (sorted((k, id(p)) for named, _ in opt.groups for k, p in named.items())
+          != sorted((k, id(p)) for k, p in model.params.items())):
+        # another model's optimizer would step that model's tensors instead
+        raise ConfigInvalid("opt must hold exactly model.params, each under its own name")
     summary = TrainSummary(reports=[])
 
     for step in range(start_step, cfg.total_steps):
@@ -247,8 +264,7 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
                 0, labeled_idx.size, cfg.batch_classification)
             cidx = labeled_idx[pick]
             c_term = classification_loss(model, data.z0[cidx], data.labels[cidx],
-                                         sched, stream(cfg.seed, "class-draw", step),
-                                         t_max=t_class_max)
+                                         sched, stream(cfg.seed, "class-draw", step))
 
         if d_term is not None and c_term is not None:
             total = ad.add(d_term, ad.mul(c_term, cfg.class_loss_weight))

@@ -46,32 +46,46 @@ def _named(tree: ast.AST) -> Counter:
     return names
 
 
-def _public_defs(path: Path, tree: ast.Module):
+def _is_private(name: str) -> bool:
+    # a dunder is called by Python itself
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defs(path: Path, tree: ast.Module, private: bool):
+    """The module's functions and classes and its classes' methods: the
+    public ones, or with ``private`` the single-underscore ones (those of
+    every class)."""
     module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    wanted = _is_private if private else (lambda name: not name.startswith("_"))
     for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
+        if isinstance(node, kinds) and wanted(node.name):
             yield f"{module}.{node.name}", node
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.ClassDef) and (private or wanted(node.name)):
             for item in node.body:
-                if isinstance(item, kinds) and not item.name.startswith("_"):
+                if isinstance(item, kinds) and wanted(item.name):
                     yield f"{module}.{node.name}.{item.name}", item
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    # matched by bare name: a method counts as used when anything of its name
-    # is named in the package or the benchmark, outside its own definition
+def _uncalled(private: bool) -> list[str]:
+    # matched by bare name: a def counts as used when anything of its name is
+    # named in the package or the benchmark, outside its own definition
     trees = _sources()
     everywhere = sum((_named(tree) for tree in trees.values()), Counter())
-    unused = []
-    for path, tree in trees.items():
-        if PACKAGE not in path.parents:
-            continue
-        for qualname, node in _public_defs(path, tree):
-            if everywhere[node.name] - _named(node)[node.name] == 0:
-                unused.append(qualname)
+    return sorted(qualname for path, tree in trees.items() if PACKAGE in path.parents
+                  for qualname, node in _defs(path, tree, private)
+                  if everywhere[node.name] - _named(node)[node.name] == 0)
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = _uncalled(private=False)
     assert sorted(set(unused) - set(ALLOWED)) == []
     assert sorted(set(ALLOWED) - set(unused)) == [], "allowed names that now have a caller"
+
+
+def test_every_private_name_has_a_caller():
+    # a private helper whose last caller went must go with it
+    assert _uncalled(private=True) == []
 
 
 def _reached_in_autodiff(tree: ast.AST) -> set:

@@ -119,6 +119,15 @@ def test_broadcast_policy_rejects_rank_mismatch():
             ad.add(ad.Tensor(np.ones((2, 3))), scalar)
 
 
+@pytest.mark.parametrize("shapes", [((3,), (4, 3)), ((1, 3, 1, 1), (2, 3, 4, 4)),
+                                    ((1, 3), (2, 1))], ids=repr)
+def test_add_broadcasts_only_its_second_operand(shapes):
+    # each used to return the broadcast shape, wider than the first operand
+    a, b = (ad.Tensor(np.ones(s)) for s in shapes)
+    with pytest.raises(ShapeMismatch):
+        ad.add(a, b)
+
+
 def _recorded(out):
     """The parents the node of ``out`` keeps, after checking that its rule
     returns one gradient per kept parent, shaped like that parent."""

@@ -272,6 +272,17 @@ def test_class_score_grad_rejects_bad_index():
             m.class_score_grad(np.zeros((1, 1, 8, 8)), 1, class_idx=k)
 
 
+def test_class_score_grad_takes_only_a_bool_direction():
+    m = JointModel.build(SMALL, seed=5)
+    z = np.random.default_rng(8).standard_normal((2, 1, 8, 8))
+    # "no" used to steer toward the class, by its truth
+    for toward in ("no", 0, None):
+        with pytest.raises(ConfigInvalid):
+            m.class_score_grad(z, 3, 0, toward=toward)
+    assert np.array_equal(m.class_score_grad(z, 3, 0, toward=np.False_),
+                          m.class_score_grad(z, 3, 0, toward=False))
+
+
 def test_save_load_roundtrip(tmp_path, model):
     path = tmp_path / "model.jdlw"
     ad.save_weights(path, model.state_arrays())

@@ -61,6 +61,14 @@ def test_rejects_bad_ranges():
             make_linear_schedule(T, 1e-4, 0.02)
 
 
+@pytest.mark.parametrize("betas", [("a", 0.02), (None, 0.02), (1e-4, "a"), (1e-4, None)],
+                         ids=repr)
+def test_rejects_betas_that_are_not_reals(betas):
+    # each used to raise a bare TypeError
+    with pytest.raises(ConfigInvalid):
+        make_linear_schedule(10, *betas)
+
+
 def test_q_sample_zero_signal():
     s = make_linear_schedule(10, 1e-3, 0.1)
     eps = np.random.default_rng(1).standard_normal((4, 1, 8, 8))

@@ -7,9 +7,9 @@ from jdl.errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, Sh
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.schedule import make_linear_schedule
-from jdl.training import (TrainConfig, TrainData, classification_loss, diffusion_loss,
+from jdl.training import (Adam, TrainConfig, TrainData, classification_loss, diffusion_loss,
                           load_training_checkpoint, make_optimizer,
-                          save_training_checkpoint, train_joint)
+                          save_training_checkpoint, t_class_max, train_joint)
 
 from gradcheck import H
 
@@ -107,11 +107,12 @@ def test_classification_only_leaves_decoder_untouched():
     {"class_loss_weight": np.inf}, {"lr_diffusion": -1.0}, {"lr_diffusion": 0.0},
     {"lr_diffusion": np.nan}, {"lr_classifier": -1e-4}, {"lr_classifier": np.inf},
     {"class_loss_weight": True}, {"lr_diffusion": True}, {"lr_classifier": True},
-    {"label_fraction": True},
+    {"label_fraction": True}, {"diffusion_enabled": "no"}, {"diffusion_enabled": 1},
 ], ids=repr)
 def test_config_rejects_bad_weight_and_learning_rates(override):
     # each of these once ran: the bad weights dropped the classifier silently,
-    # and a boolean ran as 1.0
+    # a boolean ran as 1.0, and a diffusion_enabled that is not a bool
+    # switched diffusion by its truth, so "no" trained it
     with pytest.raises(ConfigInvalid):
         _cfg(**override)
 
@@ -121,13 +122,21 @@ def test_config_rejects_bad_weight_and_learning_rates(override):
     {"batch_diffusion": 2.5}, {"batch_classification": 3.0},
     {"total_steps": True, "class_start_step": 0},
     {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": 2**64},
+    {"class_start_step": -3},
 ], ids=repr)
 def test_config_rejects_fractional_counts(override):
     # each used to pass construction and die later with a bare TypeError, or,
     # for a boolean, run as 1; a bad seed failed only at the first step or,
-    # if negative, ran on the stream of a large one, and 2**64 ran as 0
+    # if negative, ran on the stream of a large one, and 2**64 ran as 0. A
+    # negative class_start_step ran as 0
     with pytest.raises(ConfigInvalid):
         _cfg(**override)
+
+
+def test_config_takes_a_numpy_bool():
+    cfg = _cfg(diffusion_enabled=np.False_, class_start_step=0, total_steps=1)
+    summary = train_joint(JointModel.build(CFG, seed=1), _data(), cfg, SCHED)
+    assert all(r.diffusion_loss is None for r in summary.reports)
 
 
 def test_classification_only_rejects_warm_up():
@@ -275,15 +284,19 @@ def test_train_data_checks_values(field, row, value, rejected):
         TrainData(**arrays, labeled_mask=base.labeled_mask)
 
 
-@pytest.mark.parametrize("case", ["five_label_columns", "start_past_end", "no_labeled_sample"])
+@pytest.mark.parametrize("case", ["five_label_columns", "start_past_end", "no_labeled_sample",
+                                  "fractional_start", "boolean_start"])
 def test_run_that_cannot_finish_fails_before_step_0(case):
     # each used to train the steps before class_start_step first, or, past
-    # the end, to return an empty summary
+    # the end, to return an empty summary; a fractional start raised a bare
+    # TypeError, and True ran from step 1
     base = _data()
     data, cfg, start, error = {
         "five_label_columns": (TrainData(base.z0, np.zeros((12, 5)), base.labeled_mask),
                                _cfg(), 0, ShapeMismatch),
         "start_past_end": (base, _cfg(total_steps=2), 7, ConfigInvalid),
+        "fractional_start": (base, _cfg(), 1.5, ConfigInvalid),
+        "boolean_start": (base, _cfg(), True, ConfigInvalid),
         "no_labeled_sample": (TrainData(base.z0, base.labels, np.zeros(12, dtype=bool)),
                               _cfg(), 0, EmptyLabeledBatch),
     }[case]
@@ -291,6 +304,24 @@ def test_run_that_cannot_finish_fails_before_step_0(case):
     with pytest.raises(error):
         train_joint(model, data, cfg, SCHED, start_step=start)
     _assert_same_weights(model, JointModel.build(CFG, seed=1))
+
+
+@pytest.mark.parametrize("groups", [
+    lambda p: [JointModel.build(CFG, seed=1).params],
+    lambda p: [{k: v for k, v in p.items() if k != "cls.fc2.b"}],
+    lambda p: [{**p, "enc.stem.w": p["enc.stem.b"], "enc.stem.b": p["enc.stem.w"]}],
+    lambda p: [p, {"cls.fc2.b": p["cls.fc2.b"]}],
+], ids=["other_model", "missing_tensor", "swapped_names", "tensor_in_two_groups"])
+def test_train_rejects_an_optimizer_over_other_tensors(groups):
+    # each used to run: an Adam over another model's tensors stepped those and
+    # left this model's weights as they were, with their .grads stale; one
+    # over swapped names kept each moment under the other tensor's name
+    model = JointModel.build(CFG, seed=1)
+    opt = Adam([(named, 1e-4) for named in groups(model.params)])
+    with pytest.raises(ConfigInvalid):
+        train_joint(model, _data(), _cfg(), SCHED, opt=opt)
+    _assert_same_weights(model, JointModel.build(CFG, seed=1))
+    assert all(p.grad is None for p in model.params.values())
 
 
 def test_zero_class_weight_is_pure_diffusion():
@@ -323,10 +354,15 @@ def test_non_finite_loss_raises():
         train_joint(model, _data(), _cfg(), SCHED)
 
 
+def test_t_class_max_is_the_classifier_window():
+    # 0.3 T and at least 1; SCHED's T of 50 gives 15
+    assert (t_class_max(1000), t_class_max(50), t_class_max(1)) == (300, 15, 1)
+
+
 def _class_term(model: JointModel) -> ad.Tensor:
     data = _data()
     return classification_loss(model, data.z0[3:6], data.labels[3:6], SCHED,
-                               stream(3, "class-draw"), t_max=15)
+                               stream(3, "class-draw"))
 
 
 def _joint_loss(model: JointModel) -> ad.Tensor:
