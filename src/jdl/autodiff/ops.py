@@ -13,12 +13,14 @@ cache-friendly direction for the im2col gather; no other axis order exists
 inside the graph. They fix the geometry the UNet fixes rather than take it
 as arguments: a convolution is same-padded (by K // 2, for an odd square
 kernel K), pooling and upsampling work by 2, and ``concat`` joins two
-tensors. Convolutions gather windows from strided views and
-multiply with one BLAS GEMM, and keep no window matrix for the backward:
-the weight gradient gathers the windows again from the input it already
-holds. The input gradient is one GEMM and a scatter that loops over the
-(small) kernel footprint, so the reduction order is fixed and results do not
-depend on worker count.
+tensors. Every convolution product is one gather of windows from strided
+views and one BLAS GEMM, and no window matrix is kept for the backward: the
+weight gradient gathers the windows again from the input it already holds,
+and the input gradient is the stride-1 convolution of the output gradient,
+spread at the forward stride over a zero canvas the size of the padded
+input, with the kernel rotated 180° and its channel axes swapped. Every sum
+runs inside a GEMM, whose results do not depend on the BLAS thread count
+(``test_results_independent_of_blas_threads`` checks it).
 
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
@@ -98,17 +100,6 @@ def _im2col_nhwc(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.nd
     return np.ascontiguousarray(view).reshape(n * oh * ow, k * k * c)
 
 
-def _col2im_nhwc(dcols: np.ndarray, n, c, hp, wp, k, stride, oh, ow) -> np.ndarray:
-    """Adjoint of the NHWC im2col: scatter-add per kernel tap."""
-    acc = np.zeros((n, hp, wp, c), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, oh, ow, k, k, c)
-    for i in range(k):
-        for j in range(k):
-            acc[:, i:i + oh * stride:stride,
-                j:j + ow * stride:stride, :] += d6[:, :, :, i, j, :]
-    return acc
-
-
 def _nhwc_dims(x: Tensor) -> tuple:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"need a 4-d NHWC batch, got {x.shape}")
@@ -122,7 +113,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     No window matrix outlives the call: the weight gradient rebuilds the
     windows from x when it runs, so a conv costs its backward one extra
-    gather instead of holding K*K copies of x until then.
+    gather instead of holding K*K copies of x until then. The input gradient
+    gathers the K×K windows of a canvas that holds the output gradient at
+    every stride-th pixel from offset K // 2, and multiplies them by the
+    rotated kernel, which it builds only when it runs.
     """
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
@@ -138,19 +132,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv2d: empty input {x.shape}")
     p = k // 2
     oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
-    xd = x.data
+    xd, wd = x.data, w.data
 
     def windows():
         xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))) if p else xd
         return _im2col_nhwc(xp, k, stride, oh, ow)
 
-    wmat = w.data.reshape(k * k * c, co)
-    out = (windows() @ wmat).reshape(n, oh, ow, co)
+    out = (windows() @ wd.reshape(k * k * c, co)).reshape(n, oh, ow, co)
 
     def dx(g):
-        dxp = _col2im_nhwc(g.reshape(n * oh * ow, co) @ wmat.T,
-                           n, c, h + 2 * p, wid + 2 * p, k, stride, oh, ow)
-        return dxp[:, p:p + h, p:p + wid, :]
+        canvas = np.zeros((n, h + 2 * p, wid + 2 * p, co), dtype=g.dtype)
+        canvas[:, p:p + h:stride, p:p + wid:stride, :] = g
+        w_rot = wd[::-1, ::-1].swapaxes(2, 3).reshape(k * k * co, c)
+        return (_im2col_nhwc(canvas, k, 1, h, wid) @ w_rot).reshape(n, h, wid, c)
 
     def dw(g):
         dwmat = windows().T @ g.reshape(n * oh * ow, co)

@@ -296,7 +296,8 @@ class JointModel:
         ``toward`` uses log sigma(logit_k); otherwise log(1 - sigma(logit_k)).
         ``z`` is an NCHW batch or an ``Encoding`` at ``t``, whose graph the
         backward consumes. Backward runs through the head and the encoder to
-        the input only; no parameter gets a ``.grad``.
+        the input only; no parameter gets a ``.grad``. An encoder pass run
+        under ``no_grad`` has no graph, and raises ``ConfigInvalid``.
         """
         if not is_count(class_idx) or not 0 <= class_idx < self.cfg.num_classes:
             raise ConfigInvalid(f"class {class_idx} outside [0, {self.cfg.num_classes})")
@@ -312,6 +313,9 @@ class JointModel:
         # log sigma(x) = -softplus(-x) = -n * bce(x, 1); complement uses bce(x, 0)
         score = ad.mul(ad.bce_with_logits(picked, target), -float(n))
         ad.backward(score)
+        if enc.leaf.grad is None:
+            raise ConfigInvalid("class_score_grad: the encoding carries no graph, "
+                                "because its encoder pass ran under no_grad")
         return _nchw(enc.leaf.grad)
 
     # -- persistence ---------------------------------------------------------

@@ -166,10 +166,14 @@ def recover_labels(image: np.ndarray, spec: PhantomSpec) -> np.ndarray:
 
     Uses only flag-independent geometry (torso, lungs, heart center), never
     the lesion parameters, so it is a genuine read-back of the pixels. An
-    ``image`` that is not ``SIDE`` x ``SIDE`` raises ``ShapeMismatch``.
+    ``image`` that is not ``SIDE`` x ``SIDE`` raises ``ShapeMismatch``, and
+    one with a pixel that is not finite ``ConfigInvalid``.
     """
     if np.shape(image) != (SIDE, SIDE):
         raise ShapeMismatch(f"expected a {SIDE}x{SIDE} image, got shape {np.shape(image)}")
+    if not np.isfinite(image).all():
+        # every threshold reads NaN as absent and inf as present
+        raise ConfigInvalid("recover_labels: the image has pixels that are not finite")
     # cardiomegaly: contiguous bright run around the heart center row
     r0 = int(round(spec.heart.cy))
     band = image[r0 - 1:r0 + 2, :]

@@ -19,8 +19,12 @@ class NoiseSchedule:
     """The ``alpha_bars`` table of a T-step schedule. Immutable, freely
     shareable."""
 
-    T: int
     alpha_bars: np.ndarray   # prod of (1 - beta_s) for s <= t; alpha_bars[0] == 1
+
+    @property
+    def T(self) -> int:
+        """The number of steps: the table has one row per step after t = 0."""
+        return len(self.alpha_bars) - 1
 
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -32,7 +36,7 @@ def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
         raise ConfigInvalid(f"need 0 < beta_start <= beta_end < 1, "
                             f"got ({beta_start}, {beta_end})")
     betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, T, dtype=np.float64)])
-    return NoiseSchedule(T=T, alpha_bars=np.cumprod(1.0 - betas))
+    return NoiseSchedule(np.cumprod(1.0 - betas))
 
 
 def q_sample(z0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

@@ -208,25 +208,29 @@ def test_grad_matmul():
 
 
 @pytest.mark.usefixtures("float64")
-@pytest.mark.parametrize("stride,k,side", [
-    (1, 3, 6), (2, 3, 6),
-    (1, 1, 6),  # the 1x1 skip convs
-    (2, 3, 5),  # odd side: the last window is centred on the last row
-    (1, 5, 6),
-], ids=["1-1", "2-1", "1x1", "2-1-odd", "5x5"])
-def test_grad_conv2d(stride, k, side):
-    w = ad.Tensor(rand(k, k, 2, 3))
-    x0 = ad.Tensor(rand(2, side, side, 2))
+@pytest.mark.parametrize("stride,k,side,ci,co", [
+    (1, 3, 6, 2, 3), (2, 3, 6, 2, 3),
+    (1, 1, 6, 2, 3),  # the 1x1 skip convs
+    (2, 3, 5, 2, 3),  # odd side: the last window is centred on the last row
+    (1, 5, 6, 2, 3),
+    # the dx canvas holds g from offset K // 2 = 2, every other pixel
+    (2, 5, 6, 2, 3), (2, 5, 7, 2, 3),
+    (2, 1, 6, 2, 3),  # no padding: g on the even pixels only
+    (1, 3, 6, 3, 2),  # the dx GEMM's inner dimension K*K*C_out is the smaller
+], ids=["1-1", "2-1", "1x1", "2-1-odd", "5x5", "2-5x5", "2-5x5-odd", "2-1x1", "3to2"])
+def test_grad_conv2d(stride, k, side, ci, co):
+    w = ad.Tensor(rand(k, k, ci, co))
+    x0 = ad.Tensor(rand(2, side, side, ci))
     # a uniform output gradient would hide a gradient sent to the wrong pixel
     r = rand(*ad.conv2d(x0, w, stride=stride).shape)
 
     def loss(x, w_):
         return weighted_sum(ad.conv2d(x, w_, stride=stride), r)
 
-    _check(lambda x: loss(x, w), rand(2, side, side, 2))
-    _check(lambda w_: loss(x0, w_), rand(k, k, 2, 3))
-    x1 = ad.Tensor(rand(2, side, side, 2), requires_grad=True)
-    w1 = ad.Tensor(rand(k, k, 2, 3), requires_grad=True)
+    _check(lambda x: loss(x, w), rand(2, side, side, ci))
+    _check(lambda w_: loss(x0, w_), rand(k, k, ci, co))
+    x1 = ad.Tensor(rand(2, side, side, ci), requires_grad=True)
+    w1 = ad.Tensor(rand(k, k, ci, co), requires_grad=True)
     if (stride, k, side) == (2, 3, 5):
         ad.backward(weighted_sum(ad.conv2d(x1, w, stride=stride)))
         assert x1.grad[:, :, :, 0].any(axis=(0, 1)).all()

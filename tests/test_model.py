@@ -6,6 +6,7 @@ from jdl.errors import (CheckpointMismatch, ConfigInvalid, GraphConsumed, ShapeM
                         TimestepOutOfRange)
 from jdl.model import JointModel, UNetConfig, time_embedding
 from jdl.rng import stream
+from jdl.sampling import GuidanceConfig, guided_epsilon
 from jdl.schedule import make_linear_schedule, q_sample
 from jdl.training import diffusion_loss, load_training_checkpoint
 
@@ -270,6 +271,22 @@ def test_class_score_grad_rejects_bad_index():
     for k in (7, 1.5, True):
         with pytest.raises(ConfigInvalid):
             m.class_score_grad(np.zeros((1, 1, 8, 8)), 1, class_idx=k)
+
+
+def test_class_score_grad_without_a_graph_raises():
+    m = JointModel.build(SMALL, seed=5)
+    z = np.random.default_rng(8).standard_normal((2, 1, 8, 8))
+    sched = make_linear_schedule(10, 1e-3, 0.1)
+    guide = GuidanceConfig(target_class=0, scale=1.0)
+    # each used to raise a bare AttributeError on the missing leaf gradient
+    with ad.no_grad():
+        enc = m.encode(z, 3)
+        with pytest.raises(ConfigInvalid, match="no_grad"):
+            m.class_score_grad(z, 3, 0)
+        with pytest.raises(ConfigInvalid, match="no_grad"):
+            guided_epsilon(m, z, 3, guide, sched)
+    with pytest.raises(ConfigInvalid, match="no_grad"):
+        m.class_score_grad(enc, 3, 0)
 
 
 def test_class_score_grad_takes_only_a_bool_direction():

@@ -108,6 +108,13 @@ def test_recover_labels_rejects_other_image_shapes(shape):
         recover_labels(np.zeros(shape), make_spec(1, (1, 1, 1)))
 
 
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+def test_recover_labels_rejects_non_finite_images(fill):
+    # on a [1, 0, 1] phantom NaN used to read back [0, 0, 0], inf [1, 1, 1]
+    with pytest.raises(ConfigInvalid):
+        recover_labels(np.full((SIDE, SIDE), fill), make_spec(1, (1, 0, 1)))
+
+
 def test_prevalence_tracks_priors():
     train, _ = build_dataset(4000, 1, seed=1)
     assert np.all(np.abs(train.labels.mean(axis=0) - CLASS_PRIORS) < 0.02)

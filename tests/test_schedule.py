@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jdl.errors import ConfigInvalid, TimestepOutOfRange
-from jdl.schedule import make_linear_schedule, q_sample
+from jdl.schedule import NoiseSchedule, make_linear_schedule, q_sample
 
 
 def brute_force_alpha_bar(T, beta_start, beta_end):
@@ -37,6 +37,16 @@ def test_default_t200_against_product_oracle():
     # frozen value from the oracle, run once up front
     assert s.alpha_bars[200] == pytest.approx(oracle[-1])
     assert 0.0 < s.alpha_bars[200] < 1.0
+
+
+def test_t_is_the_length_of_the_table():
+    # a T given apart from a shorter table used to raise a bare IndexError
+    table = make_linear_schedule(5, 1e-3, 0.1).alpha_bars
+    s = NoiseSchedule(table)
+    assert s.T == len(table) - 1 == 5
+    assert q_sample(np.ones(3), 5, np.zeros(3), s).shape == (3,)
+    with pytest.raises(TimestepOutOfRange):
+        q_sample(np.ones(3), 6, np.zeros(3), s)
 
 
 def test_invariants_hold():
