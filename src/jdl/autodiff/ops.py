@@ -183,11 +183,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-    return record("sigmoid", out, (x, lambda g: g * out * (1.0 - out)))
-
-
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x). The sigmoid s = 0.5 * tanh(x / 2) + 0.5 never
     overflows; it takes four passes in place over one buffer, which the vjp

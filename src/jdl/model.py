@@ -24,13 +24,14 @@ that order, so the ``model-init`` stream is drawn in a fixed order and a
 seed fixes every initial weight (and the ``params`` order, which the
 checkpoints and the optimizer groups follow).
 
-The graph is NHWC only, like every spatial primitive in ``autodiff``. NCHW
-appears only at ``JointModel``'s public methods: inputs are turned
-channel-last and cast to the compute dtype (float32) once on entry
-(``_as_nhwc_leaf``), and the arrays that ``predict_noise`` and
-``class_score_grad`` hand back, in that dtype, are turned back on exit.
-``denoise`` and ``classify`` return the channel-last graph tensors that the
-training losses differentiate.
+Images have one channel: the phantoms are grayscale. Every public array
+is an (N, 1, S, S) batch for ``image_side`` S, and the graph is NHWC, like
+every spatial primitive in ``autodiff``. ``_encode`` is the one boundary: it
+rejects any other input shape, makes the leaf from the batch as given, cast
+to the compute dtype (float32), and its first graph op reshapes that leaf to
+(N, S, S, 1); ``_decode``'s last op reshapes back to (N, 1, S, S). At one
+channel the two shapes hold the same values in the same order, so neither
+reshape copies or reorders anything.
 
 ``_encode`` returns every encoder pass as an ``Encoding``: the input leaf,
 the bottleneck, the skips and the time vector. A guided sampling step needs
@@ -39,25 +40,27 @@ the noise prediction and the classifier's input gradient at the same
 graph-linked over detached views of the weights. ``class_score_grad``
 backpropagates through it to the leaf only, which consumes the graph and
 writes no ``.grad`` into ``params``; ``predict_noise`` then decodes the kept
-activations under ``no_grad``. Both methods also take a plain NCHW batch and
-run their own pass.
+activations under ``no_grad``. Both methods also take a plain batch and run
+their own pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff.ops import _sigmoid
 from .errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange, is_count
 from .rng import stream
 
 
 @dataclass(frozen=True)
 class UNetConfig:
-    input_channels: int = 1
+    input_channels: ClassVar[int] = 1     # grayscale; not a setting
     base_channels: int = 32
     channel_multipliers: tuple = (1, 2, 4)
     time_embed_dim: int = 64
@@ -66,7 +69,7 @@ class UNetConfig:
     classifier_hidden: int = 256
 
     def __post_init__(self):
-        sizes = (self.input_channels, self.base_channels, *self.channel_multipliers,
+        sizes = (self.base_channels, *self.channel_multipliers,
                  self.time_embed_dim, self.image_side, self.num_classes,
                  self.classifier_hidden)
         if not all(is_count(v) for v in sizes):
@@ -76,9 +79,9 @@ class UNetConfig:
             raise ConfigInvalid("base_channels must be a multiple of 4 and >= 8")
         if not self.channel_multipliers or min(self.channel_multipliers) < 1:
             raise ConfigInvalid("channel_multipliers must be one or more values >= 1")
-        if min(self.input_channels, self.image_side, self.num_classes,
-               self.classifier_hidden, self.time_embed_dim) < 1:
-            raise ConfigInvalid("channel, side, class, hidden and embedding sizes must be >= 1")
+        if min(self.image_side, self.num_classes, self.classifier_hidden,
+               self.time_embed_dim) < 1:
+            raise ConfigInvalid("side, class, hidden and embedding sizes must be >= 1")
         down = 2 ** (len(self.channel_multipliers) - 1)
         if self.image_side % down:
             raise ConfigInvalid(
@@ -91,10 +94,6 @@ class UNetConfig:
         return tuple(self.base_channels * m for m in self.channel_multipliers)
 
 
-def _nchw(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
-
-
 @dataclass
 class Encoding:
     """One encoder pass at timestep ``t`` from the input ``leaf``.
@@ -104,7 +103,7 @@ class Encoding:
     backward from it reaches the leaf alone. ``class_score_grad`` consumes
     it; ``predict_noise`` reads only the tensors' data.
     """
-    leaf: Tensor              # NHWC input
+    leaf: Tensor              # (N, 1, S, S) input
     bottleneck: Tensor
     skips: list
     temb: Tensor
@@ -136,15 +135,6 @@ def time_embedding(t, dim: int, n: int) -> np.ndarray:
     return out
 
 
-def _as_nhwc_leaf(z, requires_grad: bool = False) -> Tensor:
-    """Turn an NCHW numpy batch into an NHWC leaf of the compute dtype."""
-    z = np.asarray(z)
-    if z.ndim != 4:
-        raise ShapeMismatch(f"expected a 4-d NCHW batch, got {z.shape}")
-    return Tensor(np.ascontiguousarray(z.transpose(0, 2, 3, 1)),
-                  requires_grad=requires_grad)
-
-
 class JointModel:
     """Shared-encoder denoiser + classifier. Frozen weights are safe to
     share across threads; training needs exclusive access."""
@@ -164,9 +154,8 @@ class JointModel:
         ``model-init`` stream of ``seed`` in that order."""
         model = cls(cfg, {})
         model._init_rng = stream(seed, "model-init")
-        z = Tensor(np.zeros((1, cfg.image_side, cfg.image_side, cfg.input_channels)))
         with ad.no_grad():
-            enc = model._encode(z, 1)
+            enc = model._encode(np.zeros((1, 1, cfg.image_side, cfg.image_side)), 1)
             model._decode(enc)
             model._head(enc.bottleneck)
         model._init_rng = None
@@ -215,16 +204,20 @@ class JointModel:
         emb = Tensor(time_embedding(t, self.cfg.time_embed_dim, n))
         return ad.silu(self._linear("enc.time.fc", emb, self.cfg.time_embed_dim))
 
-    def _encode(self, z: Tensor, t) -> Encoding:
+    def _encode(self, z, t, requires_grad: bool = False) -> Encoding:
+        """One encoder pass from the (N, 1, S, S) batch ``z``, whose leaf
+        requires grad if asked; raises ``ShapeMismatch`` for any other shape."""
         cfg = self.cfg
-        n, h, w, c = z.shape
-        if (c, h, w) != (cfg.input_channels, cfg.image_side, cfg.image_side):
+        side = cfg.image_side
+        leaf = Tensor(z, requires_grad=requires_grad)
+        if leaf.shape[1:] != (1, side, side):
             raise ShapeMismatch(
-                f"input ({c}, {h}, {w}) does not match config "
-                f"({cfg.input_channels}, {cfg.image_side}, {cfg.image_side})")
+                f"input {leaf.shape} does not match config (N, 1, {side}, {side})")
+        n = leaf.shape[0]
+        h = ad.reshape(leaf, (n, side, side, 1))
         temb = self._time_vec(t, n)
         chans = cfg.stage_channels
-        h = self._conv("enc.stem", z, chans[0])
+        h = self._conv("enc.stem", h, chans[0])
         skips = []
         for i, ch in enumerate(chans):
             h = self._res(f"enc.s{i}r0", h, temb, ch)
@@ -232,7 +225,7 @@ class JointModel:
             if i < len(chans) - 1:
                 h = self._conv(f"enc.down{i}", h, ch, stride=2)
         h = self._res("enc.mid", h, temb, chans[-1])
-        return Encoding(z, h, skips, temb, t)
+        return Encoding(leaf, h, skips, temb, t)
 
     def _decode(self, enc: Encoding) -> Tensor:
         chans = self.cfg.stage_channels
@@ -242,7 +235,7 @@ class JointModel:
             if i > 0:
                 h = self._conv(f"dec.up{i}", ad.upsample_nearest(h), chans[i - 1])
         h = ad.silu(self._norm("dec.outgn", h))
-        return self._conv("dec.out", h, self.cfg.input_channels, zero=True)
+        return ad.reshape(self._conv("dec.out", h, 1, zero=True), enc.leaf.shape)
 
     def _head(self, bottleneck: Tensor) -> Tensor:
         h = ad.avg_pool2d(bottleneck) if bottleneck.shape[1] % 2 == 0 else bottleneck
@@ -251,16 +244,16 @@ class JointModel:
         h = ad.leaky_relu(self._linear("cls.fc1", h, self.cfg.classifier_hidden))
         return self._linear("cls.fc2", h, self.cfg.num_classes, zero=True)
 
-    # -- public API (NCHW numpy at the boundary) ------------------------------
+    # -- public API ((N, 1, S, S) numpy at the boundary) ----------------------
 
     def denoise(self, z, t) -> Tensor:
-        """Predicted noise for NCHW ``z`` as a channel-last (N, H, W, C)
-        graph tensor over the model's weights."""
-        return self._decode(self._encode(_as_nhwc_leaf(z), t))
+        """Predicted noise for ``z`` as a graph tensor of ``z``'s shape over
+        the model's weights."""
+        return self._decode(self._encode(z, t))
 
     def classify(self, z, t) -> Tensor:
         """Class logits; runs encoder and head only, never the decoder."""
-        return self._head(self._encode(_as_nhwc_leaf(z), t).bottleneck)
+        return self._head(self._encode(z, t).bottleneck)
 
     def _frozen(self) -> "JointModel":
         """The same weight arrays as graph constants (no copy): a graph built
@@ -268,8 +261,8 @@ class JointModel:
         return JointModel(self.cfg, {k: Tensor(p.data) for k, p in self.params.items()})
 
     def encode(self, z, t) -> Encoding:
-        """Run the encoder once on NCHW ``z`` from a requires-grad leaf."""
-        return self._frozen()._encode(_as_nhwc_leaf(z, requires_grad=True), t)
+        """Run the encoder once on ``z`` from a requires-grad leaf."""
+        return self._frozen()._encode(z, t, requires_grad=True)
 
     def _encoding(self, z, t) -> Encoding:
         if not isinstance(z, Encoding):
@@ -279,22 +272,23 @@ class JointModel:
         return z
 
     def predict_noise(self, z, t) -> np.ndarray:
-        """Predicted noise as an NCHW array, under ``no_grad``. ``z`` is an
-        NCHW batch or an ``Encoding`` at ``t``, whose activations are decoded
+        """Predicted noise as an (N, 1, S, S) array, under ``no_grad``. ``z``
+        is a batch or an ``Encoding`` at ``t``, whose activations are decoded
         without running the encoder again."""
         with ad.no_grad():
-            return _nchw(self._decode(self._encoding(z, t)).data)
+            return self._decode(self._encoding(z, t)).data
 
     def class_probs(self, z: np.ndarray, t) -> np.ndarray:
         with ad.no_grad():
-            return ad.sigmoid(self.classify(z, t)).data
+            return _sigmoid(self.classify(z, t).data)
 
     def class_score_grad(self, z, t, class_idx: int,
                          toward: bool = True) -> np.ndarray:
-        """d/dz of sum_i log p(y_k | z_i) over the batch, as an NCHW array.
+        """d/dz of sum_i log p(y_k | z_i) over the batch, as an (N, 1, S, S)
+        array.
 
         ``toward`` uses log sigma(logit_k); otherwise log(1 - sigma(logit_k)).
-        ``z`` is an NCHW batch or an ``Encoding`` at ``t``, whose graph the
+        ``z`` is a batch or an ``Encoding`` at ``t``, whose graph the
         backward consumes. Backward runs through the head and the encoder to
         the input only; no parameter gets a ``.grad``. An encoder pass run
         under ``no_grad`` has no graph, and raises ``ConfigInvalid``.
@@ -316,7 +310,7 @@ class JointModel:
         if enc.leaf.grad is None:
             raise ConfigInvalid("class_score_grad: the encoding carries no graph, "
                                 "because its encoder pass ran under no_grad")
-        return _nchw(enc.leaf.grad)
+        return enc.leaf.grad
 
     # -- persistence ---------------------------------------------------------
 

@@ -149,15 +149,15 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
 def ddim_sample(model, n: int, g: GuidanceConfig, cfg: SamplerConfig,
                 sched: NoiseSchedule, rng: np.random.Generator,
                 stats: GuidanceStats | None = None) -> np.ndarray:
-    """Draw z_T ~ N(0, I) for n images of ``model.cfg``'s shape, then run
-    t = T..1 at eta 1 ("ddpm") or ``cfg.ddim_steps`` steps at eta 0 ("ddim").
-    Raises ``ConfigInvalid`` unless ``n`` is an integer >= 1."""
+    """Draw z_T ~ N(0, I) as an (n, 1, S, S) batch at ``model.cfg``'s side
+    S, then run t = T..1 at eta 1 ("ddpm") or ``cfg.ddim_steps`` steps at
+    eta 0 ("ddim"). Raises ``ConfigInvalid`` unless ``n`` is an integer >= 1."""
     if not is_count(n) or n < 1:
         raise ConfigInvalid(f"n must be an integer >= 1, got {n!r}")
     if cfg.kind == "ddpm":
         taus, eta = np.arange(1, sched.T + 1), 1.0
     else:
         taus, eta = ddim_subsequence(sched.T, cfg.ddim_steps), 0.0
-    m = model.cfg
-    z = rng.standard_normal((n, m.input_channels, m.image_side, m.image_side))
+    side = model.cfg.image_side
+    z = rng.standard_normal((n, 1, side, side))
     return ddim_reverse_from(model, z, taus, g, sched, rng, eta=eta, stats=stats)

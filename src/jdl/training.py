@@ -105,7 +105,7 @@ class TrainData:
     unless the images are finite and each labeled row's labels are 0 or 1;
     the labels of unlabeled rows are never read.
     """
-    z0: np.ndarray              # (N, C, H, W)
+    z0: np.ndarray              # (N, 1, S, S)
     labels: np.ndarray          # (N, K) in {0,1}
     labeled_mask: np.ndarray    # (N,) bool
 
@@ -188,8 +188,7 @@ def diffusion_loss(model: JointModel, z0_batch: np.ndarray,
     t = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal(z0_batch.shape)
     zt = q_sample(z0_batch, t, eps, sched)
-    # the prediction is channel-last; compare against eps transposed to match
-    return ad.mse(model.denoise(zt, t), eps.transpose(0, 2, 3, 1))
+    return ad.mse(model.denoise(zt, t), eps)
 
 
 def classification_loss(model: JointModel, images: np.ndarray, labels: np.ndarray,
@@ -315,9 +314,9 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
     ``train.step`` or without the optimizer's full state raises
     ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Either
     way, a ``train.step`` or ``opt.step`` that is there must be a finite,
-    non-negative whole number. Everything is checked before anything is
-    assigned, so a rejected file changes neither the model nor the
-    optimizer.
+    non-negative whole number, and every array that is read must be finite.
+    Everything is checked before anything is assigned, so a rejected file
+    changes neither the model nor the optimizer.
     """
     arrays = ad.load_weights(path)
     steps = {key: _step_count(arrays, key) for key in ("train.step", "opt.step")
@@ -327,6 +326,10 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
         shapes.update({f"opt.{moment}.{name}": m.shape
                        for name, m in opt.m.items() for moment in "mv"})
     ad.check_shapes(arrays, shapes)
+    # a NaN weight would load without a word and make every prediction NaN
+    bad = [name for name in shapes if not np.isfinite(arrays[name]).all()]
+    if bad:
+        raise CheckpointMismatch(f"non-finite values in {bad[:3]}")
     model.load_state(arrays)
     if opt is not None:
         opt.t = steps["opt.step"]

@@ -29,8 +29,10 @@ def test_add_elementwise():
 
 
 def test_sigmoid_at_zero():
-    out = ad.sigmoid(ad.Tensor([0.0]))
-    assert np.array_equal(out.data, [0.5])
+    # the numpy sigmoid that class_probs and the BCE gradient share; exp(-|x|)
+    # keeps both tails finite
+    out = ops._sigmoid(np.array([0.0, -1000.0, 1000.0]))
+    assert np.array_equal(out, [0.5, 0.0, 1.0])
 
 
 def test_conv2d_single_receptive_field():
@@ -63,16 +65,10 @@ def test_backward_of_a_leaf_accumulates():
     assert x.grad == y.grad == 2.0
 
 
-def test_backward_sigmoid_sum():
-    x = ad.Tensor(np.zeros(5), requires_grad=True)
-    ad.backward(weighted_sum(ad.sigmoid(x)))
-    assert np.allclose(x.grad, 0.25)
-
-
 def test_backward_requires_scalar():
     x = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(NotScalar):
-        ad.backward(ad.sigmoid(x))
+        ad.backward(ad.mul(x, 2.0))
 
 
 def test_backward_consumes_the_graph():
@@ -306,12 +302,6 @@ def test_grad_leaky_relu():
     pt[np.abs(pt) < 0.05] += 0.1  # keep clear of the kink
     weight = _weights(7, 5, 5)
     _check(lambda x: weighted_sum(ad.leaky_relu(x), weight), pt)
-
-
-@pytest.mark.usefixtures("float64")
-def test_grad_sigmoid():
-    weight = _weights(8, 5, 5)
-    _check(lambda x: weighted_sum(ad.sigmoid(x), weight), rand(5, 5))
 
 
 @pytest.mark.usefixtures("float64")

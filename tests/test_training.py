@@ -192,40 +192,42 @@ def test_checkpoint_layout(tmp_path):
     _assert_same_weights(fresh, model)
 
 
-@pytest.mark.parametrize("drop,shrink", [
-    (("opt.", "train."), None),          # a model-only file
-    (("train.step",), None),
-    (("opt.step",), None),
-    (("opt.v.enc.stem.w",), None),
-    ((), "opt.m.cls.fc1.w"),
+@pytest.mark.parametrize("drop,swap", [
+    (("opt.", "train."), {}),          # a model-only file
+    (("train.step",), {}),
+    (("opt.step",), {}),
+    (("opt.v.enc.stem.w",), {}),
+    ((), {"opt.m.cls.fc1.w": np.zeros(3)}),
+    ((), {"opt.v.enc.stem.w": np.full((3, 3, 1, 8), np.inf)}),
 ], ids=["model_only", "no_train_step", "no_opt_step", "missing_moment",
-        "misshaped_moment"])
-def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, shrink):
+        "misshaped_moment", "inf_moment"])
+def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, swap):
     model = JointModel.build(CFG, seed=1)
     opt = make_optimizer(model, _cfg())
     path = tmp_path / "train.jdlw"
     save_training_checkpoint(path, model, opt, 2)
     arrays = {k: v for k, v in ad.load_weights(path).items() if not k.startswith(drop)}
-    if shrink:
-        arrays[shrink] = np.zeros(3)
+    arrays.update(swap)
     ad.save_weights(path, arrays)
     fresh = JointModel.build(CFG, seed=2)
     with pytest.raises(CheckpointMismatch):
         load_training_checkpoint(path, fresh, make_optimizer(fresh, _cfg()))
     _assert_same_weights(fresh, JointModel.build(CFG, seed=2))
-    # without an optimizer, the model weights alone still load
+    # without an optimizer, the model weights alone still load: no moment is read
     load_training_checkpoint(path, fresh)
+    _assert_same_weights(fresh, model)
 
 
 @pytest.mark.parametrize("key,value", [
     ("cls.fc2.b", np.zeros(5)),          # a model parameter, mis-shaped
+    ("cls.fc2.b", np.array([0.0, np.nan, 0.0])),   # used to load, and predict NaN
     ("train.step", np.asarray(np.nan)),
     ("opt.step", np.asarray(np.nan)),
     ("train.step", np.asarray(-4.0)),
     ("train.step", np.asarray(3.7)),
     ("opt.step", np.asarray(2.5)),
-], ids=["misshaped_param", "nan_train_step", "nan_opt_step", "negative_train_step",
-        "fractional_train_step", "fractional_opt_step"])
+], ids=["misshaped_param", "nan_param", "nan_train_step", "nan_opt_step",
+        "negative_train_step", "fractional_train_step", "fractional_opt_step"])
 def test_rejected_resume_changes_nothing(tmp_path, key, value):
     model = JointModel.build(CFG, seed=1)
     opt = make_optimizer(model, _cfg())
