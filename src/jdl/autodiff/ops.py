@@ -13,14 +13,21 @@ cache-friendly direction for the im2col gather; no other axis order exists
 inside the graph. They fix the geometry the UNet fixes rather than take it
 as arguments: a convolution is same-padded (by K // 2, for an odd square
 kernel K), pooling and upsampling work by 2, and ``concat`` joins two
-tensors. Every convolution product is one gather of windows from strided
-views and one BLAS GEMM, and no window matrix is kept for the backward: the
-weight gradient gathers the windows again from the input it already holds,
-and the input gradient is the stride-1 convolution of the output gradient,
-spread at the forward stride over a zero canvas the size of the padded
-input, with the kernel rotated 180° and its channel axes swapped. Every sum
-runs inside a GEMM, whose results do not depend on the BLAS thread count
-(``test_results_independent_of_blas_threads`` checks it).
+tensors. Every convolution product runs a block of images at a time, as
+many as keep the windows it gathers under ``WINDOW_BLOCK`` elements (4 MiB
+of float32), and at least one: it gathers the block's windows from strided
+views and multiplies them in one BLAS GEMM. No window matrix is kept for
+the backward: the weight gradient gathers the windows again from the input
+it already holds, and the input gradient is the stride-1 convolution of the
+output gradient, spread at the forward stride over a zero canvas the size
+of the padded block, with the kernel rotated 180° and its channel axes
+swapped. The forward and the input gradient write each block's GEMM into
+that block's rows of one output, which at the UNet's sizes is bitwise one
+GEMM over the batch. The weight gradient sums the blocks' GEMMs in block
+order, so its rounding depends on the block count. Every sum runs inside a
+GEMM or over the blocks in that fixed order, neither of which depends on
+the BLAS thread count (``test_results_independent_of_blas_threads`` checks
+it).
 
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
@@ -44,6 +51,9 @@ import numpy as np
 
 from ..errors import ConfigInvalid, ShapeMismatch, is_count, is_real
 from .tensor import Tensor, record
+
+# The most window elements a conv product gathers at once: 4 MiB of float32.
+WINDOW_BLOCK = 1 << 20
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -100,6 +110,14 @@ def _im2col_nhwc(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.nd
     return np.ascontiguousarray(view).reshape(n * oh * ow, k * k * c)
 
 
+def _image_blocks(n: int, per_image: int) -> list:
+    """Slices over a batch of ``n`` images, as many per slice as keep its
+    ``per_image`` window elements each under ``WINDOW_BLOCK``, and at least
+    one; an empty batch gets one empty slice."""
+    step = max(1, WINDOW_BLOCK // per_image)
+    return [slice(i, i + step) for i in range(0, max(n, 1), step)]
+
+
 def _nhwc_dims(x: Tensor) -> tuple:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"need a 4-d NHWC batch, got {x.shape}")
@@ -110,6 +128,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """2-d cross-correlation of an NHWC batch, zero-padded by K // 2, with
     (K, K, C_in, C_out) weights for odd K, which the GEMM reads in place.
     The NHWC output has side (H - 1) // stride + 1.
+
+    Each of the three products pads, gathers and multiplies a block of
+    images at a time (``_image_blocks``). The forward and the input
+    gradient write each block's GEMM into its own rows of one output. A
+    GEMM over a block's rows gives them the bits of one GEMM over the batch
+    when both run OpenBLAS's blocked kernel, as the UNet's do; one of about
+    1e6 multiplies or fewer may take a small-matrix kernel that rounds
+    otherwise. The weight gradient sums the blocks' GEMMs.
 
     No window matrix outlives the call: the weight gradient rebuilds the
     windows from x when it runs, so a conv costs its backward one extra
@@ -133,21 +159,33 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     p = k // 2
     oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
     xd, wd = x.data, w.data
+    blocks = _image_blocks(n, oh * ow * k * k * c)
 
-    def windows():
-        xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))) if p else xd
+    def windows(b):
+        xb = xd[b]
+        xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
         return _im2col_nhwc(xp, k, stride, oh, ow)
 
-    out = (windows() @ wd.reshape(k * k * c, co)).reshape(n, oh, ow, co)
+    out = np.empty((n, oh, ow, co), dtype=np.result_type(xd, wd))
+    wmat = wd.reshape(k * k * c, co)
+    for b in blocks:
+        np.matmul(windows(b), wmat, out=out[b].reshape(-1, co))
 
     def dx(g):
-        canvas = np.zeros((n, h + 2 * p, wid + 2 * p, co), dtype=g.dtype)
-        canvas[:, p:p + h:stride, p:p + wid:stride, :] = g
         w_rot = wd[::-1, ::-1].swapaxes(2, 3).reshape(k * k * co, c)
-        return (_im2col_nhwc(canvas, k, 1, h, wid) @ w_rot).reshape(n, h, wid, c)
+        d = np.empty((n, h, wid, c), dtype=np.result_type(g, w_rot))
+        for b in _image_blocks(n, h * wid * k * k * co):
+            gb = g[b]
+            canvas = np.zeros((len(gb), h + 2 * p, wid + 2 * p, co), dtype=g.dtype)
+            canvas[:, p:p + h:stride, p:p + wid:stride, :] = gb
+            np.matmul(_im2col_nhwc(canvas, k, 1, h, wid), w_rot, out=d[b].reshape(-1, c))
+        return d
 
     def dw(g):
-        dwmat = windows().T @ g.reshape(n * oh * ow, co)
+        first, *rest = blocks
+        dwmat = windows(first).T @ g[first].reshape(-1, co)
+        for b in rest:
+            dwmat += windows(b).T @ g[b].reshape(-1, co)
         return dwmat.reshape(w.shape)
 
     return record("conv2d", out, (x, dx), (w, dw))

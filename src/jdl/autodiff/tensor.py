@@ -11,10 +11,12 @@ per input, where the vjp maps the output gradient to that input's gradient.
 ``record`` alone decides which gradients exist: it keeps the pairs whose
 parent requires grad and drops the rest, and under ``no_grad`` it keeps
 none. A dropped vjp is freed with whatever it alone captured, and a node
-is built only when some pair is kept. Nodes carry a monotonically
-increasing sequence number; ``backward`` replays the nodes reachable from
-the loss in reverse insertion order, visiting each exactly once and
-accumulating gradients additively across fan-out.
+is built only when some pair is kept. A node holds each kept parent's node,
+or the parent itself when it is a leaf, never an intermediate tensor: an
+activation lives only while a kept vjp or the caller holds its data. Nodes
+carry a monotonically increasing sequence number; ``backward`` replays the
+nodes reachable from the loss in reverse insertion order, visiting each
+exactly once and accumulating gradients additively across fan-out.
 
 ``backward`` consumes the graph: each node drops its backward rule and its
 parents once replayed, so the activations and buffers the rules hold are
@@ -48,13 +50,14 @@ _grad_enabled = True
 
 
 class Node:
-    """One recorded primitive application: its kind, the parents that
-    require grad, and a backward rule that maps the output gradient to one
+    """One recorded primitive application: its kind, one parent per input
+    that requires grad (that input's ``Node``, or the input itself when it
+    is a leaf), and a backward rule that maps the output gradient to one
     gradient per parent, in order."""
 
     __slots__ = ("kind", "parents", "backward_fn", "seq")
 
-    def __init__(self, kind: str, parents: Sequence["Tensor"],
+    def __init__(self, kind: str, parents: Sequence["Node | Tensor"],
                  backward_fn: Callable[[np.ndarray], Sequence[np.ndarray]]):
         self.kind = kind
         self.parents = tuple(parents)
@@ -132,7 +135,8 @@ def record(kind: str, out_data: np.ndarray,
     out = Tensor(out_data, requires_grad=bool(kept))
     if kept:
         parents, vjps = zip(*kept)
-        out.node = Node(kind, parents, lambda g: [vjp(g) for vjp in vjps])
+        out.node = Node(kind, [p.node or p for p in parents],
+                        lambda g: [vjp(g) for vjp in vjps])
     return out
 
 
@@ -170,8 +174,8 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         reachable.append(node)
         for p in node.parents:
-            if p.node is not None and id(p.node) not in seen:
-                stack.append(p.node)
+            if isinstance(p, Node) and id(p) not in seen:
+                stack.append(p)
 
     reachable.sort(key=lambda n: n.seq, reverse=True)
 
@@ -184,10 +188,10 @@ def backward(loss: Tensor) -> None:
         parents, backward_fn = node.parents, node.backward_fn
         node.parents, node.backward_fn = (), None
         for parent, g in zip(parents, backward_fn(out_grad)):
-            if parent.node is None:
+            if not isinstance(parent, Node):
                 _accumulate(parent, g)
             else:
-                key = id(parent.node)
+                key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + g
                 else:

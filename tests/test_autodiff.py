@@ -83,6 +83,20 @@ def test_backward_consumes_the_graph():
         ad.backward(loss)
 
 
+def test_graph_keeps_no_intermediate_that_no_rule_reads():
+    # neither add's rules nor mul's read h, so once the caller lets go of it
+    # nothing holds its data, before backward runs as after
+    x = ad.Tensor(rand(3), requires_grad=True)
+    b = ad.Tensor(rand(3), requires_grad=True)
+    h = ad.add(x, b)
+    loss = weighted_sum(ad.mul(h, 2.0))
+    alive = weakref.ref(h.data)
+    del h
+    assert alive() is None
+    ad.backward(loss)
+    assert np.array_equal(x.grad, np.full(3, 2.0)) and np.array_equal(b.grad, x.grad)
+
+
 def test_fanout_accumulates_both_branches():
     x = ad.Tensor([[2.0]], requires_grad=True)
     loss = ad.reshape(ad.add(ad.matmul(x, x), ad.mul(x, 3.0)), ())  # x^2 + 3x
@@ -247,6 +261,12 @@ def test_conv2d_geometry():
     for shape in ((2, 2, 2, 3), (3, 1, 2, 3)):
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, ad.Tensor(rand(*shape)))
+    # an empty batch is one empty block: no output, and a zero weight gradient
+    w1 = ad.Tensor(rand(3, 3, 2, 3), requires_grad=True)
+    out = ad.conv2d(ad.Tensor(np.zeros((0, 5, 5, 2))), w1)
+    assert out.shape == (0, 5, 5, 3)
+    (dw,) = out.node.backward_fn(np.zeros(out.shape))
+    assert dw.shape == w1.shape and not dw.any()
 
 
 def test_conv2d_keeps_no_window_matrix():
@@ -260,6 +280,59 @@ def test_conv2d_keeps_no_window_matrix():
         tracemalloc.stop()
     # the window matrix alone would be 9 * x.nbytes
     assert kept < out.data.nbytes + x.data.nbytes
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("per_block", [2, 0.5], ids=["two_images", "under_one_image"])
+@pytest.mark.parametrize("stride,k,ci,co", [(1, 3, 32, 32), (2, 3, 128, 32), (1, 1, 128, 128),
+                                            (2, 1, 512, 128)],
+                         ids=["1-3x3", "2-3x3", "1-1x1", "2-1x1"])
+def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co):
+    # The forward and the input gradient gather as many window elements per
+    # image (C_in is 4 C_out at stride 2), so both run the same blocks: 2, 2
+    # and 1 images over 5, or one at a time. The sizes are the UNet's: an
+    # image is 64 or 256 GEMM rows, and every GEMM runs the BLAS's blocked
+    # kernel, which gives a block of rows the bits of one GEMM over the batch.
+    # A GEMM of a few rows or about 1e6 multiplies or fewer may take a
+    # small-matrix kernel that rounds otherwise.
+    x = ad.Tensor(rand(5, 16, 16, ci), requires_grad=True)
+    w = ad.Tensor(rand(k, k, ci, co), requires_grad=True)
+    side = (16 - 1) // stride + 1
+    g = rand(5, side, side, co)
+    per_image = side * side * k * k * ci
+    assert per_image == 16 * 16 * k * k * co
+
+    def products(cap):
+        monkeypatch.setattr(ops, "WINDOW_BLOCK", cap)
+        out = ad.conv2d(x, w, stride=stride)
+        return [out.data, *out.node.backward_fn(g)]
+
+    cap = int(per_block * per_image)
+    monkeypatch.setattr(ops, "WINDOW_BLOCK", cap)
+    sizes = [len(range(5)[b]) for b in ops._image_blocks(5, per_image)]
+    assert sizes == ([2, 2, 1] if per_block == 2 else [1] * 5)
+    whole = products(5 * per_image)
+    out, dx, dw = products(cap)
+    assert np.array_equal(out, whole[0]) and np.array_equal(dx, whole[1])
+    assert np.allclose(dw, whole[2], rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_gathers_a_block_of_images_at_a_time():
+    x = ad.Tensor(rand(16, 32, 32, 16), requires_grad=True)
+    w = ad.Tensor(rand(3, 3, 16, 16), requires_grad=True)
+    g = np.ones(x.shape, dtype=x.data.dtype)
+    padded = x.data.nbytes * 34 * 34 // (32 * 32)
+    block = 4 << 20                 # the windows a block gathers, at most
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, stride=1)
+        out.node.backward_fn(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the input gradient, the output, a padded input, a dx canvas and one
+    # block of windows; a one-shot window matrix alone would be 9 times x
+    assert peak < x.data.nbytes + out.data.nbytes + 2 * padded + block
 
 
 def test_conv2d_keeps_no_weight_copy():

@@ -174,5 +174,14 @@ def test_pgm_writer_bytes(tmp_path):
     assert not (tmp_path / "bad.pgm").exists()
 
 
+@pytest.mark.parametrize("bad", [np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]]),
+                                 np.zeros((0, 3))], ids=["nan", "inf", "empty"])
+def test_pgm_writer_rejects_an_image_it_cannot_write(tmp_path, bad):
+    # NaN used to be written as byte 0 and inf as 255, with only a warning
+    with pytest.raises(IoError):
+        write_pgm(tmp_path / "bad.pgm", bad)
+    assert not (tmp_path / "bad.pgm").exists()
+
+
 def test_class_names_fixed():
     assert CLASS_NAMES == ("cardiomegaly", "nodule", "effusion")

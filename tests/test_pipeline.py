@@ -48,9 +48,15 @@ def test_phantoms_train_then_sample():
 # at 2 threads, measured on OpenBLAS 0.3.31), so the comparison below has work
 # that is really split. Two joint train steps, both losses on, put the
 # backward rules, the weight-gradient GEMMs and Adam under the same check.
+# A window cap of 2^17 elements splits most conv products into blocks of 1
+# to 7 images (3, 3 and 2 for a 16-channel conv at full resolution over
+# n = 8), so the blocked GEMMs and the weight-gradient sum over the blocks
+# run too.
 _DIGESTS = """
 import hashlib, json
 import numpy as np
+import jdl.autodiff.ops
+jdl.autodiff.ops.WINDOW_BLOCK = 1 << 17
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.sampling import GuidanceConfig, ddim_reverse_from, ddim_subsequence
