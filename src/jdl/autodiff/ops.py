@@ -32,7 +32,9 @@ it).
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
 and ``group_norm`` takes each per-group statistic as one per-channel
-reduction, with the variance centred.
+reduction, with the variance centred. Their vjps keep only what they read:
+``silu``'s keeps its sigmoid and its output, never its input, and
+``group_norm``'s keep ``xhat`` and the inverse spread, never their output.
 A primitive writes in place only into buffers it allocated itself, never
 into an input's data, an array that a kept vjp holds, or the output
 gradient ``g``, which ``add``'s vjp hands to both of its parents.
@@ -223,25 +225,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x). The sigmoid s = 0.5 * tanh(x / 2) + 0.5 never
-    overflows; it takes four passes in place over one buffer, which the vjp
-    keeps, and the output one more. The vjp computes
-    g * s * (1 + x * (1 - s)) in five passes in place over one new buffer.
+    overflows; it takes four passes in place over one buffer, and the output
+    one more. The vjp keeps s and the output, not x: it computes
+    g * (s + out * (1 - s)) in four passes in place over one new buffer. In
+    training the next conv's weight gradient holds the output anyway, so
+    x, in the UNet a group-norm output that no other rule reads, is freed
+    as soon as the caller lets go of it.
     """
     xd = x.data
     s = np.multiply(xd, 0.5)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
+    out = xd * s
 
     def dx(g):
         d = 1.0 - s
-        d *= xd
-        d += 1.0
-        d *= s
+        d *= out
+        d += s
         d *= g
         return d
 
-    return record("silu", xd * s, (x, dx))
+    return record("silu", out, (x, dx))
 
 
 def leaky_relu(x: Tensor) -> Tensor:

@@ -1,10 +1,15 @@
 """Joint semi-supervised optimization.
 
 Every step draws a diffusion batch from all samples and, once past the
-warmup, a classification batch from the labeled pool only. Both losses are
-combined into one scalar and a single optimizer update runs with separate
-learning rates for the shared UNet (encoder+decoder) and the classifier
-head.
+warmup, a classification batch from the labeled pool only. The step runs one
+backward per loss into the same gradient buffers, then a single optimizer
+update with separate learning rates for the shared UNet (encoder+decoder)
+and the classifier head. The weighted classification term is built and
+backpropagated first, the diffusion term after it, so only one loss's graph
+is alive at a time. The two graphs share nothing but the weights, and a
+parameter gets at most one contribution from each, so its gradient is the
+same sum of two floats that one backward of the loss sum would form, bit
+for bit.
 
 All batch indices, timesteps and noise draws come from per-step rng streams
 keyed by (seed, purpose, step), so runs are reproducible bit for bit and
@@ -148,12 +153,19 @@ def _step_count(arrays: dict[str, np.ndarray], key: str) -> int:
 
 class Adam:
     """Adaptive moment estimation with per-group learning rates, betas
-    ``ADAM_BETAS`` and eps ``ADAM_EPS``."""
+    ``ADAM_BETAS`` and eps ``ADAM_EPS``.
+
+    ``t`` counts each parameter's own updates, by name, as in Kingma & Ba's
+    Algorithm 1: a count advances only on a step where its parameter has a
+    gradient, so a parameter whose first gradient comes late (the head,
+    before ``class_start_step``) gets the bias corrections of a first
+    update then, and moves about ``lr`` on it.
+    """
 
     def __init__(self, groups):
         # groups: list of (named_params: dict[str, Tensor], lr)
         self.groups = [(dict(named), float(lr)) for named, lr in groups]
-        self.t = 0
+        self.t = {name: 0 for named, _ in self.groups for name in named}
         self.m = {name: np.zeros_like(p.data)
                   for named, _ in self.groups for name, p in named.items()}
         self.v = {name: np.zeros_like(p.data)
@@ -165,14 +177,14 @@ class Adam:
                 p.grad = None
 
     def step(self) -> None:
-        self.t += 1
         b1, b2 = ADAM_BETAS
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
         for named, lr in self.groups:
             for name, p in named.items():
                 if p.grad is None:
                     continue
+                t = self.t[name] = self.t[name] + 1
+                c1 = 1.0 - b1 ** t
+                c2 = 1.0 - b2 ** t
                 g = p.grad
                 self.m[name] = b1 * self.m[name] + (1 - b1) * g
                 self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
@@ -205,6 +217,12 @@ def classification_loss(model: JointModel, images: np.ndarray, labels: np.ndarra
     return ad.bce_with_logits(logits, labels)
 
 
+def _finite(loss: float, step: int) -> float:
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"loss became {loss} at step {step}")
+    return loss
+
+
 def make_optimizer(model: JointModel, cfg: TrainConfig) -> Adam:
     """Adam over the shared UNet at ``lr_diffusion`` and the classifier head
     (the ``cls.`` parameters) at ``lr_classifier``."""
@@ -227,6 +245,21 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
     ``model.cfg.num_classes``, no labeled sample for a classification
     step, or an ``opt`` that does not hold exactly ``model.params``) raises
     before step 0.
+
+    Each step runs two backwards into the same ``.grad`` buffers: first the
+    weighted classification term's, as soon as that term is built, then the
+    diffusion term's, built only after the first graph is freed. The
+    terms' graphs share only the weights, and each parameter gets at most
+    one contribution from each, so every gradient is bitwise that of one
+    backward of ``ad.add(d_term, ad.mul(c_term, class_loss_weight))``.
+    ``total_loss`` is the sum of the two terms' data, as that sum's forward
+    computes it.
+
+    A step whose loss is not finite raises ``TrainingDiverged`` before
+    ``opt.step()``: the weighted classification term is checked before its
+    backward, and the total before the diffusion backward. On a raise the
+    weights, the Adam moments and the step counts are those of the last
+    finished step; only the ``.grad`` buffers may hold a partial gradient.
     """
     if not is_count(start_step) or not 0 <= start_step <= cfg.total_steps:
         raise ConfigInvalid(
@@ -251,31 +284,26 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
         opt.zero_grad()
         d_term = None
         c_term = None
+        weighted = None
 
-        if cfg.diffusion_enabled:
-            idx = stream(cfg.seed, "diff-batch", step).integers(0, data.n, cfg.batch_diffusion)
-            d_term = diffusion_loss(model, data.z0[idx], sched,
-                                    stream(cfg.seed, "diff-draw", step))
-
-        use_class = cfg.class_loss_weight > 0 and step >= cfg.class_start_step
-        if use_class:
+        if cfg.class_loss_weight > 0 and step >= cfg.class_start_step:
             pick = stream(cfg.seed, "class-batch", step).integers(
                 0, labeled_idx.size, cfg.batch_classification)
             cidx = labeled_idx[pick]
             c_term = classification_loss(model, data.z0[cidx], data.labels[cidx],
                                          sched, stream(cfg.seed, "class-draw", step))
+            weighted = ad.mul(c_term, cfg.class_loss_weight)
+            total_val = _finite(weighted.item(), step)
+            ad.backward(weighted)
 
-        if d_term is not None and c_term is not None:
-            total = ad.add(d_term, ad.mul(c_term, cfg.class_loss_weight))
-        elif d_term is not None:
-            total = d_term
-        else:
-            total = ad.mul(c_term, cfg.class_loss_weight)
-
-        total_val = total.item()
-        if not np.isfinite(total_val):
-            raise TrainingDiverged(f"loss became {total_val} at step {step}")
-        ad.backward(total)
+        if cfg.diffusion_enabled:
+            idx = stream(cfg.seed, "diff-batch", step).integers(0, data.n, cfg.batch_diffusion)
+            d_term = diffusion_loss(model, data.z0[idx], sched,
+                                    stream(cfg.seed, "diff-draw", step))
+            # the add that the forward of ad.add(d_term, weighted) runs
+            total = d_term.data if weighted is None else d_term.data + weighted.data
+            total_val = _finite(float(total), step)
+            ad.backward(d_term)
         opt.step()
 
         report = TrainStepReport(
@@ -292,13 +320,13 @@ def train_joint(model: JointModel, data: TrainData, cfg: TrainConfig,
 
 def save_training_checkpoint(path, model: JointModel, opt: Adam, step: int) -> None:
     """Write the model's parameters under their own names, Adam's moments as
-    ``opt.m.<name>`` and ``opt.v.<name>``, its step as ``opt.step`` and the
-    training step as ``train.step``."""
+    ``opt.m.<name>`` and ``opt.v.<name>``, its update counts as
+    ``opt.t.<name>`` and the training step as ``train.step``."""
     arrays = dict(model.state_arrays())
     for name in opt.m:
         arrays[f"opt.m.{name}"] = opt.m[name]
         arrays[f"opt.v.{name}"] = opt.v[name]
-    arrays["opt.step"] = np.asarray(float(opt.t))
+        arrays[f"opt.t.{name}"] = np.asarray(float(opt.t[name]))
     arrays["train.step"] = np.asarray(float(step))
     ad.save_weights(path, arrays)
 
@@ -313,13 +341,16 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
     ``opt`` the file must be a training checkpoint: one without
     ``train.step`` or without the optimizer's full state raises
     ``CheckpointMismatch``, so a resume never runs on a fresh Adam. Either
-    way, a ``train.step`` or ``opt.step`` that is there must be a finite,
-    non-negative whole number, and every array that is read must be finite.
+    way, a ``train.step`` or an ``opt.t.<name>`` count of a model parameter
+    that is there must be a finite, non-negative whole number, and every
+    array that is read must be finite.
     Everything is checked before anything is assigned, so a rejected file
     changes neither the model nor the optimizer.
     """
     arrays = ad.load_weights(path)
-    steps = {key: _step_count(arrays, key) for key in ("train.step", "opt.step")
+    counted = model.params if opt is None else opt.t
+    keys = ["train.step", *(f"opt.t.{name}" for name in counted)]
+    steps = {key: _step_count(arrays, key) for key in keys
              if opt is not None or key in arrays}
     shapes = {name: p.shape for name, p in model.params.items()}
     if opt is not None:
@@ -332,7 +363,7 @@ def load_training_checkpoint(path, model: JointModel, opt: Optional[Adam] = None
         raise CheckpointMismatch(f"non-finite values in {bad[:3]}")
     model.load_state(arrays)
     if opt is not None:
-        opt.t = steps["opt.step"]
+        opt.t = {name: steps[f"opt.t.{name}"] for name in opt.t}
         # the file is float64; a moment left so would run Adam, and from it
         # the weights, in float64
         for name in opt.m:

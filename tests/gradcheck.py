@@ -5,18 +5,22 @@ central differences of step ``H``; ``grad_check`` holds the gradient that
 ``backward`` computes for a scalar ``Tensor`` function against it. Both are
 test helpers, not package API, so a function that is not finite where they
 evaluate it raises a plain ``ValueError``. ``weighted_sum`` turns a tensor
-into the scalar loss that the checks differentiate.
+into the scalar loss that the checks differentiate, and ``traced`` measures
+what a call allocates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+import tracemalloc
+from typing import Callable, Iterable, Optional, TypeVar
 
 import numpy as np
 
 from jdl.autodiff import Tensor, backward, matmul, reshape
 
 H = 1e-5
+
+T = TypeVar("T")
 
 
 def weighted_sum(y: Tensor, weights=None) -> Tensor:
@@ -27,6 +31,19 @@ def weighted_sum(y: Tensor, weights=None) -> Tensor:
     n = y.size
     w = np.ones(n) if weights is None else np.reshape(weights, n)
     return reshape(matmul(reshape(y, (1, n)), Tensor(w.reshape(n, 1))), ())
+
+
+def traced(f: Callable[[], T]) -> tuple[T, int, int]:
+    """Run ``f()`` under ``tracemalloc``; return its result, the bytes that
+    the call left allocated (the result included) and its peak, both
+    counted from the call's start."""
+    tracemalloc.start()
+    try:
+        result = f()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -1,5 +1,4 @@
 import tempfile
-import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -14,7 +13,7 @@ import jdl.autodiff.ops as ops
 from jdl.errors import (CheckpointMismatch, ConfigInvalid, GraphConsumed, NotScalar,
                         ShapeMismatch)
 
-from gradcheck import grad_check, weighted_sum
+from gradcheck import grad_check, traced, weighted_sum
 
 RNG = np.random.default_rng(0)
 
@@ -272,12 +271,7 @@ def test_conv2d_geometry():
 def test_conv2d_keeps_no_window_matrix():
     x = ad.Tensor(rand(4, 16, 16, 8), requires_grad=True)
     w = ad.Tensor(rand(3, 3, 8, 8), requires_grad=True)
-    tracemalloc.start()
-    try:
-        out = ad.conv2d(x, w, stride=1)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, kept, _ = traced(lambda: ad.conv2d(x, w, stride=1))
     # the window matrix alone would be 9 * x.nbytes
     assert kept < out.data.nbytes + x.data.nbytes
 
@@ -323,13 +317,13 @@ def test_conv2d_gathers_a_block_of_images_at_a_time():
     g = np.ones(x.shape, dtype=x.data.dtype)
     padded = x.data.nbytes * 34 * 34 // (32 * 32)
     block = 4 << 20                 # the windows a block gathers, at most
-    tracemalloc.start()
-    try:
+
+    def forward_and_backward():
         out = ad.conv2d(x, w, stride=1)
         out.node.backward_fn(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return out
+
+    out, _, peak = traced(forward_and_backward)
     # the input gradient, the output, a padded input, a dx canvas and one
     # block of windows; a one-shot window matrix alone would be 9 times x
     assert peak < x.data.nbytes + out.data.nbytes + 2 * padded + block
@@ -340,12 +334,7 @@ def test_conv2d_keeps_no_weight_copy():
     # be 36 times x
     x = ad.Tensor(np.ones((1, 4, 4, 64)), requires_grad=True)
     w = ad.Tensor(np.ones((3, 3, 64, 64)))
-    tracemalloc.start()
-    try:
-        out = ad.conv2d(x, w, stride=1)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, kept, _ = traced(lambda: ad.conv2d(x, w, stride=1))
     assert kept < out.data.nbytes + x.data.nbytes
 
 
@@ -424,6 +413,21 @@ def test_group_norm_float32_keeps_a_large_mean_out_of_the_variance():
     var = ((xg - mu) ** 2).mean(axis=(1, 2, 4), keepdims=True)
     ref = ((xg - mu) / np.sqrt(var + 1e-5)).reshape(x.shape) * gamma + beta
     assert np.abs(out - ref).max() <= 5e-5
+
+
+def test_silu_keeps_no_input():
+    # the vjp reads its sigmoid and its output, so the group-norm output
+    # that feeds it is freed once the caller lets go of it, as in the UNet
+    x = ad.Tensor(rand(2, 4, 4, 8), requires_grad=True)
+    gamma = ad.Tensor(1.0 + 0.1 * rand(8))
+    beta = ad.Tensor(0.1 * rand(8))
+    h = ad.group_norm(x, gamma, beta)
+    y = ad.silu(h)
+    alive = weakref.ref(h.data)
+    del h
+    assert alive() is None
+    ad.backward(weighted_sum(y, rand(2, 4, 4, 8)))
+    assert x.grad is not None and np.isfinite(x.grad).all()
 
 
 def test_silu_far_out_is_finite_and_quiet():
@@ -621,12 +625,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_load_weights_holds_the_file_once(tmp_path):
     path = tmp_path / "w.jdlw"
     ad.save_weights(path, {f"w{i}": np.ones((64, 1024)) for i in range(4)})
-    tracemalloc.start()
-    try:
-        ad.load_weights(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: ad.load_weights(path))
     # the arrays alone are 1x; a copy of the file on top of them is 2x
     assert peak < 1.25 * path.stat().st_size
 

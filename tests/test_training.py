@@ -7,11 +7,11 @@ from jdl.errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, Sh
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.schedule import make_linear_schedule
-from jdl.training import (Adam, TrainConfig, TrainData, classification_loss, diffusion_loss,
-                          load_training_checkpoint, make_optimizer,
+from jdl.training import (ADAM_EPS, Adam, TrainConfig, TrainData, classification_loss,
+                          diffusion_loss, load_training_checkpoint, make_optimizer,
                           save_training_checkpoint, t_class_max, train_joint)
 
-from gradcheck import H
+from gradcheck import H, traced
 
 CFG = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
                  time_embed_dim=8, classifier_hidden=16)
@@ -43,6 +43,24 @@ def _assert_same_weights(a: JointModel, b: JointModel):
     assert a.params.keys() == b.params.keys()
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data), name
+
+
+def _perturbed(cfg: UNetConfig = CFG) -> JointModel:
+    # a built model's dec.out and cls.fc2 are zero, and so are the gradients
+    # behind them; noise on every weight gives each one a gradient
+    model = JointModel.build(cfg, seed=1)
+    r = stream(2, "perturb")
+    model.load_state({k: p.data + 0.1 * r.standard_normal(p.shape)
+                      for k, p in model.params.items()})
+    return model
+
+
+def _state(model: JointModel, opt: Adam) -> dict:
+    """The bytes of every weight and Adam moment, and the update counts."""
+    arrays = {**{k: p.data for k, p in model.params.items()},
+              **{f"m.{k}": m for k, m in opt.m.items()},
+              **{f"v.{k}": v for k, v in opt.v.items()}}
+    return {"t": dict(opt.t), **{k: a.tobytes() for k, a in arrays.items()}}
 
 
 def test_same_seed_is_bitwise_reproducible():
@@ -168,22 +186,69 @@ def test_resume_from_checkpoint_equals_uninterrupted_run(tmp_path):
     _assert_same_weights(resumed, full)
 
 
+@pytest.mark.parametrize("k", [1, 3], ids=["before_the_head_starts", "after_it_starts"])
+def test_resume_across_a_late_head_start_equals_uninterrupted_run(tmp_path, k):
+    # the head starts at step 2, so its update counts lag the others' by 2
+    cfg = _cfg(class_start_step=2)
+    path = tmp_path / "train.jdlw"
+    full = JointModel.build(CFG, seed=1)
+    opt = make_optimizer(full, cfg)
+
+    def save_at_k(report):
+        if report.step == k - 1:
+            save_training_checkpoint(path, full, opt, k)
+
+    straight = train_joint(full, _data(), cfg, SCHED, on_step=save_at_k, opt=opt)
+    resumed = JointModel.build(CFG, seed=99)
+    opt2 = make_optimizer(resumed, cfg)
+    assert load_training_checkpoint(path, resumed, opt2) == k
+    rest = train_joint(resumed, _data(), cfg, SCHED, opt=opt2, start_step=k)
+
+    assert _losses(rest) == _losses(straight)[k:]
+    assert _state(resumed, opt2) == _state(full, opt)
+    assert (opt.t["enc.stem.w"], opt.t["cls.fc2.b"]) == (STEPS, STEPS - 2)
+
+
+def test_a_late_starting_head_moves_lr_on_its_first_update():
+    # Adam's bias corrections count the head's own updates, so its first one,
+    # at class_start_step 2, moves each weight by lr * g / (|g| + eps), like
+    # any parameter's first update; counted from step 0 it would move about
+    # 0.64 lr
+    cfg = _cfg(class_start_step=2, total_steps=3, lr_classifier=1e-2)
+    model = _perturbed()
+    seen = {}
+
+    def on_step(report):
+        seen[report.step] = {k: (p.data.copy(), p.grad) for k, p in model.params.items()
+                             if k.startswith("cls.")}
+
+    train_joint(model, _data(), cfg, SCHED, on_step=on_step)
+    assert all(g is None for _, g in seen[1].values())
+    for name, (after, g) in seen[2].items():
+        before = seen[1][name][0].astype(np.float64)
+        assert np.abs(g).max() > 1e-3, name
+        expect = before - cfg.lr_classifier * g / (np.abs(g) + ADAM_EPS)
+        assert np.abs(after - expect).max() <= 1e-6, name
+
+
 def test_checkpoint_layout(tmp_path):
     model = JointModel.build(CFG, seed=1)
     opt = make_optimizer(model, _cfg())
     train_joint(model, _data(), _cfg(total_steps=2), SCHED, opt=opt)
     path = tmp_path / "train.jdlw"
-    # a step apart from opt.t, so the two keys cannot stand in for each other
+    # a step apart from the counts, so the keys cannot stand in for each other
     save_training_checkpoint(path, model, opt, 3)
     arrays = ad.load_weights(path)
     names = list(model.params)
-    assert set(arrays) == {*names, *(f"opt.{moment}.{name}" for name in names
-                                     for moment in "mv"), "opt.step", "train.step"}
+    assert set(arrays) == {*names, *(f"opt.{part}.{name}" for name in names
+                                     for part in "mvt"), "train.step"}
     for name, p in model.params.items():
         assert np.array_equal(arrays[name], p.data), name
         assert np.array_equal(arrays[f"opt.m.{name}"], opt.m[name]), name
         assert np.array_equal(arrays[f"opt.v.{name}"], opt.v[name]), name
-    assert arrays["opt.step"] == opt.t == 2 and arrays["train.step"] == 3
+        # class_start_step 1: the head has had one update, everything else two
+        assert arrays[f"opt.t.{name}"] == opt.t[name] == (1 if name.startswith("cls.") else 2)
+    assert arrays["train.step"] == 3
 
     # a model-only file restores the weights at step 0
     ad.save_weights(path, model.state_arrays())
@@ -195,7 +260,7 @@ def test_checkpoint_layout(tmp_path):
 @pytest.mark.parametrize("drop,swap", [
     (("opt.", "train."), {}),          # a model-only file
     (("train.step",), {}),
-    (("opt.step",), {}),
+    (("opt.t.cls.fc2.b",), {}),
     (("opt.v.enc.stem.w",), {}),
     ((), {"opt.m.cls.fc1.w": np.zeros(3)}),
     ((), {"opt.v.enc.stem.w": np.full((3, 3, 1, 8), np.inf)}),
@@ -210,9 +275,11 @@ def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, swap):
     arrays.update(swap)
     ad.save_weights(path, arrays)
     fresh = JointModel.build(CFG, seed=2)
+    fresh_opt = make_optimizer(fresh, _cfg())
     with pytest.raises(CheckpointMismatch):
-        load_training_checkpoint(path, fresh, make_optimizer(fresh, _cfg()))
-    _assert_same_weights(fresh, JointModel.build(CFG, seed=2))
+        load_training_checkpoint(path, fresh, fresh_opt)
+    blank = JointModel.build(CFG, seed=2)
+    assert _state(fresh, fresh_opt) == _state(blank, make_optimizer(blank, _cfg()))
     # without an optimizer, the model weights alone still load: no moment is read
     load_training_checkpoint(path, fresh)
     _assert_same_weights(fresh, model)
@@ -222,12 +289,15 @@ def test_resume_rejects_incomplete_optimizer_state(tmp_path, drop, swap):
     ("cls.fc2.b", np.zeros(5)),          # a model parameter, mis-shaped
     ("cls.fc2.b", np.array([0.0, np.nan, 0.0])),   # used to load, and predict NaN
     ("train.step", np.asarray(np.nan)),
-    ("opt.step", np.asarray(np.nan)),
+    ("opt.t.enc.stem.w", np.asarray(np.nan)),
     ("train.step", np.asarray(-4.0)),
     ("train.step", np.asarray(3.7)),
-    ("opt.step", np.asarray(2.5)),
+    ("opt.t.cls.fc2.b", np.asarray(2.5)),
+    ("opt.t.dec.out.w", np.asarray(-1.0)),
+    ("opt.t.dec.out.w", np.zeros(1)),
 ], ids=["misshaped_param", "nan_param", "nan_train_step", "nan_opt_step",
-        "negative_train_step", "fractional_train_step", "fractional_opt_step"])
+        "negative_train_step", "fractional_train_step", "fractional_opt_step",
+        "negative_opt_step", "non_scalar_opt_step"])
 def test_rejected_resume_changes_nothing(tmp_path, key, value):
     model = JointModel.build(CFG, seed=1)
     opt = make_optimizer(model, _cfg())
@@ -243,9 +313,8 @@ def test_rejected_resume_changes_nothing(tmp_path, key, value):
         load_training_checkpoint(path, fresh, opt2)
     with pytest.raises(CheckpointMismatch):
         load_training_checkpoint(path, fresh)
-    _assert_same_weights(fresh, JointModel.build(CFG, seed=2))
-    assert opt2.t == 0
-    assert not any(m.any() or v.any() for m, v in zip(opt2.m.values(), opt2.v.values()))
+    blank = JointModel.build(CFG, seed=2)
+    assert _state(fresh, opt2) == _state(blank, make_optimizer(blank, _cfg()))
 
 
 @pytest.mark.parametrize("z0,labels,mask,error", [
@@ -354,6 +423,76 @@ def test_non_finite_loss_raises():
     model.params["enc.stem.w"].data[0, 0, 0, 0] = np.nan
     with pytest.raises(TrainingDiverged):
         train_joint(model, _data(), _cfg(), SCHED)
+
+
+def test_two_backwards_give_the_gradients_of_one_backward_of_the_sum():
+    # a joint step backpropagates the weighted classification term, then the
+    # diffusion term; one backward of their sum on the same streams, over a
+    # copy of the model, must give every gradient and the total bitwise
+    cfg = _cfg(total_steps=2)
+    model, ref = _perturbed(), _perturbed()
+    grads = {}
+
+    def on_step(report):
+        grads.update({k: p.grad.copy() for k, p in model.params.items()})
+
+    summary = train_joint(model, _data(), cfg, SCHED, on_step=on_step, start_step=1)
+
+    data, step = _data(), 1
+    idx = stream(cfg.seed, "diff-batch", step).integers(0, data.n, cfg.batch_diffusion)
+    d_term = diffusion_loss(ref, data.z0[idx], SCHED, stream(cfg.seed, "diff-draw", step))
+    labeled = np.flatnonzero(data.labeled_mask)
+    cidx = labeled[stream(cfg.seed, "class-batch", step).integers(
+        0, labeled.size, cfg.batch_classification)]
+    c_term = classification_loss(ref, data.z0[cidx], data.labels[cidx], SCHED,
+                                 stream(cfg.seed, "class-draw", step))
+    total = ad.add(d_term, ad.mul(c_term, cfg.class_loss_weight))
+    ad.backward(total)
+
+    assert summary.reports[0].total_loss == total.item()
+    assert grads.keys() == ref.params.keys()
+    for name, p in ref.params.items():
+        assert np.array_equal(grads[name], p.grad), name
+
+
+def test_a_diverged_step_changes_no_weight_moment_or_count():
+    # a NaN in the decoder's last bias makes the diffusion term NaN while the
+    # classification term stays finite, so the step fails after the
+    # classification backward has written .grad, and before opt.step()
+    model = _perturbed()
+    opt = make_optimizer(model, _cfg())
+    train_joint(model, _data(), _cfg(total_steps=2), SCHED, opt=opt)
+    model.params["dec.out.b"].data[0] = np.nan
+    before = _state(model, opt)
+    with pytest.raises(TrainingDiverged):
+        train_joint(model, _data(), _cfg(), SCHED, opt=opt, start_step=2)
+    assert model.params["cls.fc2.b"].grad is not None
+    assert _state(model, opt) == before
+
+
+def test_a_joint_step_holds_one_loss_graph_at_a_time():
+    # the classification graph is freed by its backward before the diffusion
+    # graph is built, so a joint step peaks about where the diffusion term
+    # alone does; both graphs alive until one backward would peak 14 % higher
+    unet = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=16,
+                      time_embed_dim=8, classifier_hidden=16)
+    r = np.random.default_rng(1)
+    data = TrainData(z0=r.standard_normal((16, 1, 16, 16)),
+                     labels=(r.random((16, 3)) > 0.5).astype(float),
+                     labeled_mask=np.arange(16) % 2 == 0)
+
+    def peak(weight: float) -> int:
+        cfg = TrainConfig(total_steps=2, class_start_step=1, batch_diffusion=8,
+                          batch_classification=8, class_loss_weight=weight)
+        model = _perturbed(unet)
+        opt = make_optimizer(model, cfg)
+        train_joint(model, data, cfg, SCHED, opt=opt)      # warm-up
+        summary, _, step_peak = traced(
+            lambda: train_joint(model, data, cfg, SCHED, opt=opt, start_step=1))
+        assert (summary.reports[0].classification_loss is None) == (weight == 0)
+        return step_peak
+
+    assert peak(0.05) <= 1.05 * peak(0.0)
 
 
 def test_t_class_max_is_the_classifier_window():
