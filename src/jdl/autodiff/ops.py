@@ -13,21 +13,28 @@ cache-friendly direction for the im2col gather; no other axis order exists
 inside the graph. They fix the geometry the UNet fixes rather than take it
 as arguments: a convolution is same-padded (by K // 2, for an odd square
 kernel K), pooling and upsampling work by 2, and ``concat`` joins two
-tensors. Every convolution product runs a block of images at a time, as
-many as keep the windows it gathers under ``WINDOW_BLOCK`` elements (4 MiB
-of float32), and at least one: it gathers the block's windows from strided
-views and multiplies them in one BLAS GEMM. No window matrix is kept for
-the backward: the weight gradient gathers the windows again from the input
-it already holds, and the input gradient is the stride-1 convolution of the
-output gradient, spread at the forward stride over a zero canvas the size
-of the padded block, with the kernel rotated 180° and its channel axes
-swapped. The forward and the input gradient write each block's GEMM into
-that block's rows of one output, which at the UNet's sizes is bitwise one
-GEMM over the batch. The weight gradient sums the blocks' GEMMs in block
-order, so its rounding depends on the block count. Every sum runs inside a
-GEMM or over the blocks in that fixed order, neither of which depends on
-the BLAS thread count (``test_results_independent_of_blas_threads`` checks
-it).
+tensors. A convolution is one graph node that does a conv's whole job: it
+adds its (C_out,) bias in place into its output, and its bias rule is the
+reduction a broadcast ``add`` would run.
+
+Every convolution product runs a block of images at a time, as many as
+keep the windows it gathers under ``WINDOW_BLOCK`` elements (4 MiB of
+float32), and at least one: it writes the block into the interior of a
+zeroed canvas, gathers the block's windows from strided views of it and
+multiplies them in one BLAS GEMM. Each product zeroes one canvas per call
+and reuses it for every block, since only the interior is ever written: the
+forward and the weight gradient write the input at every pixel, and the
+input gradient writes the output gradient at every stride-th pixel of a
+canvas the size of the padded input, whose stride-1 convolution with the
+kernel rotated 180° and its channel axes swapped is the input gradient. No
+window matrix or canvas is kept for the backward: the weight gradient
+gathers the windows again from the input it already holds. The forward and
+the input gradient write each block's GEMM into that block's rows of one
+output, which at the UNet's sizes is bitwise one GEMM over the batch. The
+weight gradient sums the blocks' GEMMs in block order, so its rounding
+depends on the block count. Every sum runs inside a GEMM or over the blocks
+in that fixed order, neither of which depends on the BLAS thread count
+(``test_results_independent_of_blas_threads`` checks it).
 
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
@@ -120,31 +127,56 @@ def _image_blocks(n: int, per_image: int) -> list:
     return [slice(i, i + step) for i in range(0, max(n, 1), step)]
 
 
+def _padded_blocks(a: np.ndarray, blocks: list, h: int, w: int, p: int, s: int = 1):
+    """Yield ``(block, canvas)`` for each block of the NHWC batch ``a``, with
+    the block's images written at every ``s``-th pixel from offset ``p`` into
+    the interior of an (images, h + 2p, w + 2p, C) canvas.
+
+    One zeroed buffer, as many images deep as the first block, serves every
+    block: only the same strided interior is ever written, so the border and
+    the gaps between strided pixels stay zero, and each canvas is a view of
+    the buffer's first ``len(block)`` images, valid until the next one.
+    """
+    buf = np.zeros((len(a[blocks[0]]), h + 2 * p, w + 2 * p, a.shape[3]), dtype=a.dtype)
+    interior = buf[:, p:p + h:s, p:p + w:s]
+    for b in blocks:
+        ab = a[b]
+        interior[:len(ab)] = ab
+        yield b, buf[:len(ab)]
+
+
 def _nhwc_dims(x: Tensor) -> tuple:
     if x.data.ndim != 4:
         raise ShapeMismatch(f"need a 4-d NHWC batch, got {x.shape}")
     return x.shape
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """2-d cross-correlation of an NHWC batch, zero-padded by K // 2, with
-    (K, K, C_in, C_out) weights for odd K, which the GEMM reads in place.
-    The NHWC output has side (H - 1) // stride + 1.
+    (K, K, C_in, C_out) weights for odd K, which the GEMM reads in place,
+    plus the (C_out,) bias ``b``. The NHWC output has side
+    (H - 1) // stride + 1.
 
     Each of the three products pads, gathers and multiplies a block of
     images at a time (``_image_blocks``). The forward and the input
-    gradient write each block's GEMM into its own rows of one output. A
-    GEMM over a block's rows gives them the bits of one GEMM over the batch
-    when both run OpenBLAS's blocked kernel, as the UNet's do; one of about
-    1e6 multiplies or fewer may take a small-matrix kernel that rounds
-    otherwise. The weight gradient sums the blocks' GEMMs.
+    gradient write each block's GEMM into its own rows of one output, and
+    the forward adds the bias there in place. A GEMM over a block's rows
+    gives them the bits of one GEMM over the batch when both run OpenBLAS's
+    blocked kernel, as the UNet's do; one of about 1e6 multiplies or fewer
+    may take a small-matrix kernel that rounds otherwise. The weight
+    gradient sums the blocks' GEMMs in block order, and the bias gradient
+    sums the output gradient over every pixel, as a broadcast ``add`` would.
 
-    No window matrix outlives the call: the weight gradient rebuilds the
-    windows from x when it runs, so a conv costs its backward one extra
-    gather instead of holding K*K copies of x until then. The input gradient
-    gathers the K×K windows of a canvas that holds the output gradient at
-    every stride-th pixel from offset K // 2, and multiplies them by the
-    rotated kernel, which it builds only when it runs.
+    Every product pads through ``_padded_blocks``: one zeroed canvas per
+    call, reused by each of its blocks. The forward and the weight gradient
+    write blocks of x into it at stride 1; the input gradient writes blocks
+    of the output gradient at every stride-th pixel of a canvas the size of
+    the padded input, and multiplies its K×K windows by the kernel rotated
+    180° with its channel axes swapped, which it builds only when it runs.
+    No window matrix or canvas outlives the call that made it: the weight
+    gradient gathers the windows again from x, in a canvas of its own, so
+    a conv costs its backward one extra gather instead of holding K*K
+    copies of x until then.
     """
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
@@ -154,43 +186,40 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv2d: a {k}x{kw} kernel is not square and odd")
     if ci != c:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
+    if b.shape != (co,):
+        raise ShapeMismatch(f"conv2d: bias {b.shape} for {co} output channels")
     if not is_count(stride) or stride < 1:
         raise ShapeMismatch(f"conv2d: stride {stride!r} must be an integer >= 1")
-    if h < 1 or wid < 1:
-        raise ShapeMismatch(f"conv2d: empty input {x.shape}")
+    if min(h, wid, c, co) < 1:
+        raise ShapeMismatch(f"conv2d: empty input {x.shape} or weights {w.shape}")
     p = k // 2
     oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
-    xd, wd = x.data, w.data
+    xd, wd, bd = x.data, w.data, b.data
     blocks = _image_blocks(n, oh * ow * k * k * c)
-
-    def windows(b):
-        xb = xd[b]
-        xp = np.pad(xb, ((0, 0), (p, p), (p, p), (0, 0))) if p else xb
-        return _im2col_nhwc(xp, k, stride, oh, ow)
 
     out = np.empty((n, oh, ow, co), dtype=np.result_type(xd, wd))
     wmat = wd.reshape(k * k * c, co)
-    for b in blocks:
-        np.matmul(windows(b), wmat, out=out[b].reshape(-1, co))
+    for blk, xp in _padded_blocks(xd, blocks, h, wid, p):
+        ob = out[blk]
+        np.matmul(_im2col_nhwc(xp, k, stride, oh, ow), wmat, out=ob.reshape(-1, co))
+        ob += bd
 
     def dx(g):
         w_rot = wd[::-1, ::-1].swapaxes(2, 3).reshape(k * k * co, c)
         d = np.empty((n, h, wid, c), dtype=np.result_type(g, w_rot))
-        for b in _image_blocks(n, h * wid * k * k * co):
-            gb = g[b]
-            canvas = np.zeros((len(gb), h + 2 * p, wid + 2 * p, co), dtype=g.dtype)
-            canvas[:, p:p + h:stride, p:p + wid:stride, :] = gb
-            np.matmul(_im2col_nhwc(canvas, k, 1, h, wid), w_rot, out=d[b].reshape(-1, c))
+        for blk, gp in _padded_blocks(g, _image_blocks(n, h * wid * k * k * co),
+                                      h, wid, p, stride):
+            np.matmul(_im2col_nhwc(gp, k, 1, h, wid), w_rot, out=d[blk].reshape(-1, c))
         return d
 
     def dw(g):
-        first, *rest = blocks
-        dwmat = windows(first).T @ g[first].reshape(-1, co)
-        for b in rest:
-            dwmat += windows(b).T @ g[b].reshape(-1, co)
+        dwmat = np.zeros((k * k * c, co), dtype=np.result_type(xd, g))
+        for blk, xp in _padded_blocks(xd, blocks, h, wid, p):
+            dwmat += _im2col_nhwc(xp, k, stride, oh, ow).T @ g[blk].reshape(-1, co)
         return dwmat.reshape(w.shape)
 
-    return record("conv2d", out, (x, dx), (w, dw))
+    return record("conv2d", out, (x, dx), (w, dw),
+                  (b, lambda g: _unbroadcast(g, (co,))))
 
 
 def avg_pool2d(x: Tensor) -> Tensor:
@@ -274,6 +303,8 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gradients are one reduction each.
     """
     n, h, w, c = _nhwc_dims(x)
+    if min(h, w, c) < 1:
+        raise ShapeMismatch(f"group_norm: empty input {x.shape}")
     g_ = min(4, c)
     if c % g_:
         raise ShapeMismatch(f"group_norm: {g_} groups do not divide {c} channels")
@@ -321,7 +352,10 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
+    """``x`` in ``shape``, every dim of which is an integer >= 0."""
+    shape = tuple(shape)
+    if not all(is_count(s) and s >= 0 for s in shape):
+        raise ShapeMismatch(f"reshape: dims must be integers >= 0, got {shape}")
     if np.prod(shape, dtype=int) != x.size:
         raise ShapeMismatch(f"reshape: {x.shape} -> {shape}")
     orig = x.shape

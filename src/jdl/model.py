@@ -9,11 +9,12 @@ from either loss land in the same arrays.
 
 The architecture is fixed; ``UNetConfig`` sets only sizes. Each stage has
 one residual block on the way down (``enc.s{i}r0``) and one on the way up
-(``dec.s{i}``). Every GroupNorm uses min(4, C) groups and eps 1e-5, and the
-classifier's hidden layer is a LeakyReLU of slope 0.2. The classifier
-flattens the bottleneck, average-pooled by 2 when its side is even and
-unpooled when its side is odd. ``cls.fc1`` takes as many inputs as that
-gives, 2048 at the default config.
+(``dec.s{i}``). A conv layer is one graph node, ``ad.conv2d`` with its bias.
+Every GroupNorm uses min(4, C) groups and eps 1e-5, and the classifier's
+hidden layer is a LeakyReLU of slope 0.2. The classifier flattens the
+bottleneck, average-pooled by 2 when its side is even and unpooled when its
+side is odd. ``cls.fc1`` takes as many inputs as that gives, 2048 at the
+default config.
 
 The forward is the only description of the network. Parameters come into
 being on ``build``'s one forward pass: each layer asks ``_param`` for its
@@ -180,8 +181,7 @@ class JointModel:
 
     def _conv(self, name, h, cout, k=3, stride=1, zero=False):
         w = self._param(f"{name}.w", (k, k, h.shape[3], cout), 0.0 if zero else None)
-        h = ad.conv2d(h, w, stride=stride)
-        return ad.add(h, self._param(f"{name}.b", (cout,), 0.0))
+        return ad.conv2d(h, w, self._param(f"{name}.b", (cout,), 0.0), stride=stride)
 
     def _linear(self, name, h, fout, zero=False):
         w = self._param(f"{name}.w", (h.shape[-1], fout), 0.0 if zero else None)

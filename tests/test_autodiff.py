@@ -36,14 +36,14 @@ def test_sigmoid_at_zero():
 
 def test_conv2d_single_receptive_field():
     # brute-force oracle: 3x3 ones over a zero-padded 3x3 of ones counts the
-    # ones under each window, 9 at the centre and 4 at a corner
+    # ones under each window, 9 at the centre and 4 at a corner, plus the bias
     x = ad.Tensor(np.ones((1, 3, 3, 1)))
     w = ad.Tensor(np.ones((3, 3, 1, 1)))
-    out = ad.conv2d(x, w, stride=1)
+    out = ad.conv2d(x, w, ad.Tensor([0.5]), stride=1)
     assert out.shape == (1, 3, 3, 1)
     padded = np.pad(x.data[0, :, :, 0], 1)
-    assert out.data[0, 1, 1, 0] == padded[1:4, 1:4].sum() == 9.0
-    assert out.data[0, 0, 0, 0] == padded[0:3, 0:3].sum() == 4.0
+    assert out.data[0, 1, 1, 0] == padded[1:4, 1:4].sum() + 0.5 == 9.5
+    assert out.data[0, 0, 0, 0] == padded[0:3, 0:3].sum() + 0.5 == 4.5
 
 
 def test_backward_square():
@@ -229,40 +229,56 @@ def test_grad_matmul():
 ], ids=["1-1", "2-1", "1x1", "2-1-odd", "5x5", "2-5x5", "2-5x5-odd", "2-1x1", "3to2"])
 def test_grad_conv2d(stride, k, side, ci, co):
     w = ad.Tensor(rand(k, k, ci, co))
+    b = ad.Tensor(_weights(30, co))
     x0 = ad.Tensor(rand(2, side, side, ci))
     # a uniform output gradient would hide a gradient sent to the wrong pixel
-    r = rand(*ad.conv2d(x0, w, stride=stride).shape)
+    r = rand(*ad.conv2d(x0, w, b, stride=stride).shape)
 
-    def loss(x, w_):
-        return weighted_sum(ad.conv2d(x, w_, stride=stride), r)
+    def loss(x, w_, b_):
+        return weighted_sum(ad.conv2d(x, w_, b_, stride=stride), r)
 
-    _check(lambda x: loss(x, w), rand(2, side, side, ci))
-    _check(lambda w_: loss(x0, w_), rand(k, k, ci, co))
+    _check(lambda x: loss(x, w, b), rand(2, side, side, ci))
+    _check(lambda w_: loss(x0, w_, b), rand(k, k, ci, co))
+    _check(lambda b_: loss(x0, w, b_), _weights(31, co))
     x1 = ad.Tensor(rand(2, side, side, ci), requires_grad=True)
     w1 = ad.Tensor(rand(k, k, ci, co), requires_grad=True)
+    b1 = ad.Tensor(b.data, requires_grad=True)
     if (stride, k, side) == (2, 3, 5):
-        ad.backward(weighted_sum(ad.conv2d(x1, w, stride=stride)))
+        ad.backward(weighted_sum(ad.conv2d(x1, w, b, stride=stride)))
         assert x1.grad[:, :, :, 0].any(axis=(0, 1)).all()
         assert x1.grad[:, :, :, 0].any(axis=(0, 2)).all()
-    assert _recorded(ad.conv2d(x1, w, stride=stride)) == (x1,)
-    assert _recorded(ad.conv2d(x0, w1, stride=stride)) == (w1,)
-    assert _recorded(ad.conv2d(x1, w1, stride=stride)) == (x1, w1)
+    # the bias rule is kept only for a bias that requires grad
+    assert _recorded(ad.conv2d(x1, w, b, stride=stride)) == (x1,)
+    assert _recorded(ad.conv2d(x0, w1, b, stride=stride)) == (w1,)
+    assert _recorded(ad.conv2d(x0, w, b1, stride=stride)) == (b1,)
+    assert _recorded(ad.conv2d(x1, w1, b1, stride=stride)) == (x1, w1, b1)
 
 
 def test_conv2d_geometry():
     x = ad.Tensor(rand(1, 5, 5, 2))
     w = ad.Tensor(rand(3, 3, 2, 3))
+    b = ad.Tensor(np.zeros(3))
     # a fractional stride used to raise a bare TypeError
     for stride in (0, -1, 1.5, True):
         with pytest.raises(ShapeMismatch):
-            ad.conv2d(x, w, stride=stride)
+            ad.conv2d(x, w, b, stride=stride)
     # the padding is K // 2, which centres only an odd square kernel
     for shape in ((2, 2, 2, 3), (3, 1, 2, 3)):
         with pytest.raises(ShapeMismatch):
-            ad.conv2d(x, ad.Tensor(rand(*shape)))
+            ad.conv2d(x, ad.Tensor(rand(*shape)), b)
+    # one bias per output channel
+    for shape in ((2,), (1, 3), ()):
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(x, w, ad.Tensor(np.zeros(shape)))
+    # no input or no output channels used to raise a bare ZeroDivisionError
+    # or ValueError
+    for xs, ws in (((1, 5, 5, 0), (3, 3, 0, 3)), ((1, 5, 5, 2), (3, 3, 2, 0))):
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(ad.Tensor(np.zeros(xs)), ad.Tensor(np.zeros(ws)),
+                      ad.Tensor(np.zeros(ws[3])))
     # an empty batch is one empty block: no output, and a zero weight gradient
     w1 = ad.Tensor(rand(3, 3, 2, 3), requires_grad=True)
-    out = ad.conv2d(ad.Tensor(np.zeros((0, 5, 5, 2))), w1)
+    out = ad.conv2d(ad.Tensor(np.zeros((0, 5, 5, 2))), w1, b)
     assert out.shape == (0, 5, 5, 3)
     (dw,) = out.node.backward_fn(np.zeros(out.shape))
     assert dw.shape == w1.shape and not dw.any()
@@ -271,7 +287,8 @@ def test_conv2d_geometry():
 def test_conv2d_keeps_no_window_matrix():
     x = ad.Tensor(rand(4, 16, 16, 8), requires_grad=True)
     w = ad.Tensor(rand(3, 3, 8, 8), requires_grad=True)
-    out, kept, _ = traced(lambda: ad.conv2d(x, w, stride=1))
+    b = ad.Tensor(np.zeros(8), requires_grad=True)
+    out, kept, _ = traced(lambda: ad.conv2d(x, w, b, stride=1))
     # the window matrix alone would be 9 * x.nbytes
     assert kept < out.data.nbytes + x.data.nbytes
 
@@ -291,6 +308,7 @@ def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co
     # small-matrix kernel that rounds otherwise.
     x = ad.Tensor(rand(5, 16, 16, ci), requires_grad=True)
     w = ad.Tensor(rand(k, k, ci, co), requires_grad=True)
+    b = ad.Tensor(_weights(32, co), requires_grad=True)
     side = (16 - 1) // stride + 1
     g = rand(5, side, side, co)
     per_image = side * side * k * k * ci
@@ -298,7 +316,7 @@ def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co
 
     def products(cap):
         monkeypatch.setattr(ops, "WINDOW_BLOCK", cap)
-        out = ad.conv2d(x, w, stride=stride)
+        out = ad.conv2d(x, w, b, stride=stride)
         return [out.data, *out.node.backward_fn(g)]
 
     cap = int(per_block * per_image)
@@ -306,20 +324,22 @@ def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co
     sizes = [len(range(5)[b]) for b in ops._image_blocks(5, per_image)]
     assert sizes == ([2, 2, 1] if per_block == 2 else [1] * 5)
     whole = products(5 * per_image)
-    out, dx, dw = products(cap)
+    out, dx, dw, db = products(cap)
     assert np.array_equal(out, whole[0]) and np.array_equal(dx, whole[1])
     assert np.allclose(dw, whole[2], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(db, whole[3])
 
 
 def test_conv2d_gathers_a_block_of_images_at_a_time():
     x = ad.Tensor(rand(16, 32, 32, 16), requires_grad=True)
     w = ad.Tensor(rand(3, 3, 16, 16), requires_grad=True)
+    b = ad.Tensor(np.zeros(16), requires_grad=True)
     g = np.ones(x.shape, dtype=x.data.dtype)
     padded = x.data.nbytes * 34 * 34 // (32 * 32)
     block = 4 << 20                 # the windows a block gathers, at most
 
     def forward_and_backward():
-        out = ad.conv2d(x, w, stride=1)
+        out = ad.conv2d(x, w, b, stride=1)
         out.node.backward_fn(g)
         return out
 
@@ -334,7 +354,7 @@ def test_conv2d_keeps_no_weight_copy():
     # be 36 times x
     x = ad.Tensor(np.ones((1, 4, 4, 64)), requires_grad=True)
     w = ad.Tensor(np.ones((3, 3, 64, 64)))
-    out, kept, _ = traced(lambda: ad.conv2d(x, w, stride=1))
+    out, kept, _ = traced(lambda: ad.conv2d(x, w, ad.Tensor(np.zeros(64)), stride=1))
     assert kept < out.data.nbytes + x.data.nbytes
 
 
@@ -383,6 +403,12 @@ def test_grad_group_norm():
     g1 = ad.Tensor(gamma.data, requires_grad=True)
     b1 = ad.Tensor(beta.data, requires_grad=True)
     assert _recorded(ad.group_norm(x1, g1, b1)) == (x1, g1, b1)
+    # no channels used to raise a bare ZeroDivisionError; no pixels, NaN
+    for shape in ((2, 3, 3, 0), (2, 0, 3, 4)):
+        c = shape[3]
+        with pytest.raises(ShapeMismatch):
+            ad.group_norm(ad.Tensor(np.zeros(shape)), ad.Tensor(np.ones(c)),
+                          ad.Tensor(np.zeros(c)))
 
 
 @pytest.mark.usefixtures("float64")
@@ -508,6 +534,12 @@ def test_grad_reshape_mean():
     # the mean as a sum scaled by 1/n
     _check(lambda x: ad.mul(weighted_sum(ad.reshape(x, (6,)), weight), 1.0 / 6),
            rand(2, 3))
+    # every dim is an integer >= 0: (-2, -2) used to raise a bare ValueError,
+    # and 2.5 ran as 2
+    x4 = ad.Tensor(np.ones(4))
+    for shape in ((-2, -2), (2.5, 2), (True, 4), (5,)):
+        with pytest.raises(ShapeMismatch):
+            ad.reshape(x4, shape)
 
 
 @pytest.mark.usefixtures("float64")
@@ -543,9 +575,10 @@ def test_grad_conv_group_norm_composite():
     w = ad.Tensor(0.3 * rand(3, 3, 2, 4))
     gamma = ad.Tensor(np.ones(4))
     beta = ad.Tensor(np.zeros(4))
+    b = ad.Tensor(0.1 * _weights(33, 4))
 
     def f(x):
-        h = ad.conv2d(x, w, stride=1)
+        h = ad.conv2d(x, w, b, stride=1)
         h = ad.group_norm(h, gamma, beta)
         return weighted_sum(ad.silu(h))
 

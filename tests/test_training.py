@@ -6,6 +6,7 @@ from jdl.errors import (CheckpointMismatch, ConfigInvalid, EmptyLabeledBatch, Sh
                         TrainingDiverged)
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
+from jdl.sampling import GuidanceConfig, guided_epsilon
 from jdl.schedule import make_linear_schedule
 from jdl.training import (ADAM_EPS, Adam, TrainConfig, TrainData, classification_loss,
                           diffusion_loss, load_training_checkpoint, make_optimizer,
@@ -493,6 +494,24 @@ def test_a_joint_step_holds_one_loss_graph_at_a_time():
         return step_peak
 
     assert peak(0.05) <= 1.05 * peak(0.0)
+
+
+def test_primitive_counts_of_a_step():
+    # a conv adds its own bias, so no step runs an add per conv; each count
+    # was 17 adds higher for an epsilon and 26 for a train step with one
+    def count(f) -> tuple:
+        with ad.op_count() as ops:
+            f()
+        return sum(ops.values()), ops["add"], ops["conv2d"]
+
+    model = JointModel.build(CFG, seed=1)
+    z = np.zeros((2, 1, 8, 8))
+    guided = GuidanceConfig(target_class=1, scale=1.0)
+    assert count(lambda: guided_epsilon(model, z, 5, guided, SCHED)) == (82, 18, 17)
+    assert count(lambda: guided_epsilon(model, z, 5, GuidanceConfig(), SCHED)) == (72, 16, 17)
+    step = TrainConfig(total_steps=1, class_start_step=0, batch_diffusion=4,
+                       batch_classification=3, seed=5)
+    assert count(lambda: train_joint(model, _data(), step, SCHED)) == (122, 28, 26)
 
 
 def test_t_class_max_is_the_classifier_window():

@@ -1,0 +1,47 @@
+"""Tests of the drift harness: it finds no drift where there is none, and
+finds a wrong backward rule in the outputs that run a backward and nowhere
+else.
+
+Run from the repository root: ``python -m pytest tools/tests -q``.
+"""
+
+import shutil
+import subprocess
+import sys
+
+import drift
+
+GROUPS = ["build", "predict_noise", "class_probs", "class_score_grad", "guided_epsilon",
+          "guided_sample", "train", "checkpoint"]
+BACKWARD = {"class_score_grad", "guided_epsilon", "guided_sample", "train", "checkpoint"}
+
+
+def test_head_against_itself_is_bitwise_equal():
+    proc = subprocess.run([sys.executable, "tools/drift.py", "--against", "HEAD"],
+                          cwd=drift.ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [*GROUPS, "all"]
+    for row in rows:
+        equal, total = map(int, row[1].split("/"))
+        assert equal == total > 0, row
+
+
+def test_a_wrong_silu_rule_drifts_only_where_a_backward_runs(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(drift.ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    ops = src / "jdl" / "autodiff" / "ops.py"
+    text = ops.read_text()
+    start, end = text.index("def silu("), text.index("def leaky_relu(")
+    rule = text[start:end]
+    assert rule.count("d *= g\n") == 1
+    ops.write_text(text[:start] + rule.replace("d *= g\n", "d *= g[::-1]\n") + text[end:])
+
+    rows = drift.compare(drift.run_tree(src), drift.run_tree(drift.ROOT / "src"))
+    assert [row[0] for row in rows] == GROUPS
+    for group, equal, total, d_abs, d_rel in rows:
+        assert total > 0, group
+        if group in BACKWARD:
+            assert equal < total and d_abs > 0 and d_rel > 0, group
+        else:
+            assert equal == total and d_abs == d_rel == 0, group
