@@ -364,10 +364,11 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def mse(pred: Tensor, target) -> Tensor:
     """Mean squared error over all elements, reduced to a scalar, against a
-    constant ``target`` array cast to ``pred``'s dtype."""
+    constant ``target`` array cast to ``pred``'s dtype; an empty ``pred``
+    has no mean, and raises ``ShapeMismatch``."""
     target = np.asarray(target, dtype=pred.data.dtype)
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"mse: {pred.shape} vs {target.shape}")
+    if pred.shape != target.shape or pred.size == 0:
+        raise ShapeMismatch(f"mse: {pred.shape} vs {target.shape}, need one non-empty shape")
     diff = pred.data - target
     n = pred.size
     out = np.asarray((diff * diff).mean())
@@ -376,10 +377,12 @@ def mse(pred: Tensor, target) -> Tensor:
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Mean binary cross-entropy against sigmoid(logits), numerically stable,
-    with constant ``targets`` cast to the logits' dtype."""
+    with constant ``targets`` cast to the logits' dtype; empty ``logits``
+    have no mean, and raise ``ShapeMismatch``."""
     y = np.asarray(targets, dtype=logits.data.dtype)
-    if logits.shape != y.shape:
-        raise ShapeMismatch(f"bce_with_logits: {logits.shape} vs {y.shape}")
+    if logits.shape != y.shape or logits.size == 0:
+        raise ShapeMismatch(
+            f"bce_with_logits: {logits.shape} vs {y.shape}, need one non-empty shape")
     x = logits.data
     n = logits.size
     # max(x,0) - x*y + log(1 + exp(-|x|))

@@ -18,9 +18,26 @@ activations under ``no_grad``. Scale 0 turns guidance off and returns the
 plain ``no_grad`` prediction (bitwise), so guided and unguided runs share
 identical rng streams and trajectories.
 
-``ddim_reverse_from`` validates its timesteps and the guidance target
-against the schedule and ``model.cfg`` once, before the first step, and
-``guided_epsilon`` its ``t`` before any model work.
+``guided_epsilon`` runs the model over blocks of at most ``EPSILON_BLOCK``
+images and writes each block's rows into one output, so a step's working set
+(the encoder graph the classifier gradient runs back through, and the
+decoder's activations) is O(``EPSILON_BLOCK``) images rather than O(N).
+Every op of the UNet works per image: GroupNorm normalises each sample on
+its own, the convs already run in image blocks, the head works row by row,
+and the score -n * mean(bce) has a vjp of exactly -1 per item for any n. So
+the outputs are bitwise those of one batch wherever the BLAS rounds a
+block's GEMM rows as it rounds them in the batch. At the default config it
+does for blocks of a multiple of 4 images. A block of another size rounds
+the small head and time-MLP GEMMs otherwise, and so does a block whose GEMM
+falls under about 1e6 multiply-adds, where the batch's does not, and takes
+the BLAS's small-matrix kernel (the 4-image remainder of a base-8 side-16
+batch of 20). Those rows move by float32 rounding, to the values one batch
+of the block's own images gives.
+
+``ddim_reverse_from`` validates its timesteps, the guidance target and the
+batch against the schedule and ``model.cfg`` once, before the first step,
+and ``guided_epsilon`` its ``t`` and batch before any model work; a batch
+with no images raises ``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -29,10 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, TimestepOutOfRange, is_count, is_real
+from .errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange, is_count, is_real
 from .schedule import NoiseSchedule
 
 GRAD_CLIP_NORM = 1e3  # per-item cap against off-manifold classifier blow-ups
+
+# The most images ``guided_epsilon`` runs through the model at once: a
+# multiple of 4, so that the default config's outputs stay bitwise those of
+# one batch.
+EPSILON_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -70,13 +92,42 @@ class GuidanceStats:
     total: int = 0
 
 
+def _check_batch(z: np.ndarray) -> None:
+    if z.ndim == 0 or len(z) == 0:
+        raise ShapeMismatch(f"need a batch of one or more images, got shape {z.shape}")
+
+
 def guided_epsilon(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
                    sched: NoiseSchedule, stats: GuidanceStats | None = None) -> np.ndarray:
     """Adjusted noise prediction for one reverse step (whole batch at t).
-    Raises ``TimestepOutOfRange``, before any model work, unless ``t`` is an
-    integer in [1, T]."""
+
+    Runs the model over blocks of at most ``EPSILON_BLOCK`` images, each
+    block's rows written into one output: at scale 0 each block runs
+    ``predict_noise``; above it, ``encode``, ``class_score_grad``,
+    ``predict_noise`` and the per-item clip. The step's memory is therefore
+    O(``EPSILON_BLOCK``) images, and its output bitwise that of one batch
+    where the BLAS rounds a block's rows as it rounds the batch's (see the
+    module docstring). Raises ``TimestepOutOfRange`` unless ``t`` is an
+    integer in [1, T], and ``ShapeMismatch`` for a batch with no images,
+    both before any model work."""
     if not is_count(t) or not 1 <= t <= sched.T:
         raise TimestepOutOfRange(f"t must be an integer in [1, {sched.T}], got {t!r}")
+    z_t = np.asarray(z_t)
+    _check_batch(z_t)
+    n = len(z_t)
+    out = None
+    for i in range(0, n, EPSILON_BLOCK):
+        eps = _guided_block(model, z_t[i:i + EPSILON_BLOCK], t, g, sched, stats)
+        if out is None:
+            out = np.empty((n, *eps.shape[1:]), dtype=eps.dtype)
+        out[i:i + len(eps)] = eps
+    return out
+
+
+def _guided_block(model, z_t: np.ndarray, t: int, g: GuidanceConfig,
+                  sched: NoiseSchedule, stats: GuidanceStats | None) -> np.ndarray:
+    """``guided_epsilon`` of one block. Not the public name: the benchmark
+    wraps ``guided_epsilon`` and counts one call per reverse step."""
     if g.scale == 0:
         return model.predict_noise(z_t, t)
     # score backward before the decoder: the encoder graph is freed by then
@@ -116,8 +167,9 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
 
     Any eta in [0, 1] runs here; ``ddim_sample`` runs 0 and 1 only. Raises
     ``TimestepOutOfRange`` unless ``taus`` are strictly increasing integers
-    in [1, T], and ``ConfigInvalid`` for an eta outside [0, 1] or a guidance
-    target outside ``model.cfg.num_classes``, whatever the scale.
+    in [1, T], ``ConfigInvalid`` for an eta outside [0, 1] or a guidance
+    target outside ``model.cfg.num_classes``, whatever the scale, and
+    ``ShapeMismatch`` for a batch with no images.
     """
     taus = np.asarray(taus)
     if (taus.ndim != 1 or taus.size == 0 or not np.issubdtype(taus.dtype, np.integer)
@@ -130,6 +182,7 @@ def ddim_reverse_from(model, z: np.ndarray, taus: np.ndarray, g: GuidanceConfig,
         raise ConfigInvalid(
             f"class {g.target_class} outside [0, {model.cfg.num_classes})")
     z = np.asarray(z, dtype=np.float64)
+    _check_batch(z)
     for i in range(len(taus) - 1, -1, -1):
         t = int(taus[i])
         t_prev = int(taus[i - 1]) if i > 0 else 0

@@ -570,6 +570,15 @@ def test_grad_bce_with_logits():
         ad.bce_with_logits(graph, y.reshape(-1))
 
 
+@pytest.mark.parametrize("loss", [ad.mse, ad.bce_with_logits], ids=["mse", "bce"])
+def test_losses_reject_an_empty_prediction(loss):
+    # each used to return NaN after a RuntimeWarning, and mse's backward then
+    # raised a bare ZeroDivisionError
+    for shape in ((0, 3), (3, 0), (0,)):
+        with pytest.raises(ShapeMismatch):
+            loss(ad.Tensor(np.zeros(shape), requires_grad=True), np.zeros(shape))
+
+
 @pytest.mark.usefixtures("float64")
 def test_grad_conv_group_norm_composite():
     w = ad.Tensor(0.3 * rand(3, 3, 2, 4))

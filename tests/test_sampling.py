@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 import jdl.autodiff as ad
-from jdl.errors import ConfigInvalid, TimestepOutOfRange
+from jdl import sampling
+from jdl.errors import ConfigInvalid, ShapeMismatch, TimestepOutOfRange
 from jdl.model import JointModel, UNetConfig
 from jdl.rng import stream
 from jdl.sampling import (GRAD_CLIP_NORM, GuidanceConfig, GuidanceStats,
                           SamplerConfig, ddim_reverse_from, ddim_sample,
                           ddim_subsequence, guided_epsilon)
 from jdl.schedule import make_linear_schedule
+
+from gradcheck import traced
 
 CFG = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
                  time_embed_dim=8, classifier_hidden=16)
@@ -284,6 +287,91 @@ def test_guided_epsilon_matches_two_pass_reference(model, sched, direction):
     ref = eps - 2.0 * np.sqrt(1.0 - sched.alpha_bars[6]) * (grad * keep.reshape(3, 1, 1, 1))
     assert (stats.clipped, stats.total) == (1, 3) and norms[1] > 0
     assert out.tobytes() == ref.tobytes()
+
+
+class LoudMarked:
+    """The real model, with the classifier gradient scaled past the clip for
+    every item whose input's first pixel is ``MARK``, in whichever block it
+    runs."""
+
+    MARK = 4.0
+
+    def __init__(self, model):
+        self.model = model
+        self.cfg = model.cfg
+        self.encode = model.encode
+        self.predict_noise = model.predict_noise
+
+    def class_score_grad(self, enc, t, k, toward=True):
+        grad = self.model.class_score_grad(enc, t, k, toward)
+        grad[enc.leaf.data[:, 0, 0, 0] == self.MARK] *= 1e7
+        return grad
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+@pytest.mark.parametrize("direction", ["toward", "away"])
+def test_guided_epsilon_blocks_match_one_batch(monkeypatch, model, sched, scale, direction):
+    # Bitwise on CFG (base 8, side 8, float32): at these batch sizes each of
+    # its GEMMs is under about 1e6 multiply-adds in a block and in the whole
+    # batch alike, so each runs the BLAS's small-matrix kernel both ways, and
+    # with rows in multiples of 4 a block rounds as the batch does. A config
+    # whose GEMMs cross that size between a block and the batch, such as
+    # base 8 at side 16, moves by float32 rounding.
+    z = np.random.default_rng(15).standard_normal((4 * 2 + 4, 1, 8, 8))
+    z[6, 0, 0, 0] = LoudMarked.MARK
+    g = GuidanceConfig(direction=direction, target_class=1, scale=scale)
+    runs = []
+    for block in (len(z), 4):
+        monkeypatch.setattr(sampling, "EPSILON_BLOCK", block)
+        stats = GuidanceStats()
+        runs.append((guided_epsilon(LoudMarked(model), z, 6, g, sched, stats=stats), stats))
+    (whole, whole_stats), (blocks, block_stats) = runs
+    assert blocks.dtype == whole.dtype and blocks.tobytes() == whole.tobytes()
+    expected = GuidanceStats(clipped=1, total=len(z)) if scale else GuidanceStats()
+    assert block_stats == whole_stats == expected
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_guided_epsilon_holds_one_block_at_a_time(monkeypatch, model, sched, scale):
+    # one pass over the whole batch peaks about 4x the one block's peak
+    monkeypatch.setattr(sampling, "EPSILON_BLOCK", 4)
+    z = np.random.default_rng(16).standard_normal((16, 1, 8, 8))
+    g = GuidanceConfig(target_class=1, scale=scale)
+    guided_epsilon(model, z, 6, g, sched)               # warm any lazy set-up
+    _, _, one_block = traced(lambda: guided_epsilon(model, z[:4], 6, g, sched))
+    _, _, four_blocks = traced(lambda: guided_epsilon(model, z, 6, g, sched))
+    assert four_blocks < 1.25 * one_block
+
+
+def test_reverse_chain_calls_guided_epsilon_once_per_step(monkeypatch, model, sched):
+    # the benchmark wraps the public name to time one reverse step, so the
+    # block loop must never call it
+    monkeypatch.setattr(sampling, "EPSILON_BLOCK", 2)
+    inner, calls = sampling.guided_epsilon, []
+
+    def counted(model, z_t, t, *args):
+        calls.append((len(z_t), t))
+        return inner(model, z_t, t, *args)
+
+    monkeypatch.setattr(sampling, "guided_epsilon", counted)
+    z = np.random.default_rng(17).standard_normal((5, 1, 8, 8))
+    g = GuidanceConfig(target_class=1, scale=2.0)
+    ddim_reverse_from(model, z, np.array([2, 5, 9]), g, sched, stream(0, "c"), eta=0.5)
+    assert calls == [(5, 9), (5, 5), (5, 2)]
+
+
+def test_empty_batch_is_rejected_before_any_model_work(model, sched):
+    # scale 0 used to return an empty array, and scale 1 to warn of the mean
+    # of an empty slice
+    z = np.zeros((0, 1, 8, 8))
+    with ad.op_count() as ops:
+        for scale in (0.0, 1.0):
+            g = GuidanceConfig(target_class=1, scale=scale)
+            with pytest.raises(ShapeMismatch):
+                guided_epsilon(model, z, 5, g, sched)
+            with pytest.raises(ShapeMismatch):
+                ddim_reverse_from(model, z, np.arange(1, 4), g, sched, stream(0, "e"))
+    assert ops == {}
 
 
 def test_guided_step_runs_the_encoder_once(model, sched):

@@ -1,17 +1,20 @@
 """Which outputs of ``jdl`` a change moves, and by how much.
 
-    python tools/drift.py --against REV
+    python tools/drift.py --against REV [--dtype float64]
 
 extracts ``REV``'s ``src/`` with ``git archive`` and runs one fixed set of
 outputs on that tree and on the working tree's ``src/``, each in its own
 subprocess with ``OPENBLAS_NUM_THREADS=1``, so that no sum depends on the
-BLAS thread count. For each group of outputs it prints how many are bitwise
-equal (same dtype, shape and bytes) and the largest absolute and relative
-drift, where an output's relative drift is its largest absolute difference
-over its largest magnitude. It exits 1 if any output differs.
+BLAS thread count. ``--dtype float64`` sets ``jdl.autodiff.tensor.DTYPE``
+to float64 in both subprocesses, as ``tests/conftest.py`` does, so a change
+can report its drift in float64 as well as in float32, the default. For
+each group of outputs it prints how many are bitwise equal (same dtype,
+shape and bytes) and the largest absolute and relative drift, where an
+output's relative drift is its largest absolute difference over its largest
+magnitude. It exits 1 if any output differs.
 
-The set, in float32 on the default config (base 32, multipliers (1, 2, 4),
-side 32) and on a base-8 side-16 one, takes a few seconds per tree:
+The set, on the default config (base 32, multipliers (1, 2, 4), side 32)
+and on a base-8 side-16 one, takes a few seconds per tree:
 
 - ``build``: every initial weight;
 - on a perturbed model, for a batch of 4 (the default model's first stage
@@ -19,6 +22,10 @@ side 32) and on a base-8 side-16 one, takes a few seconds per tree:
   ``class_probs`` at t = 1, 17 and per item, ``class_score_grad`` at t = 17
   for every class in both directions, guided ε at t = 1, 17 and 300, and a
   guided ``ddim_reverse_from`` over 3 steps at η = 0.5;
+- on the same model, for a batch of 20, which ``guided_epsilon`` runs as 2
+  blocks of ``sampling.EPSILON_BLOCK`` = 8 images and a remainder of 4:
+  guided ε at scale 0 and at scale 2, and a guided ``ddim_reverse_from`` at
+  η = 0.5, in the ``guided_epsilon`` and ``guided_sample`` groups;
 - ``train``: the losses of 2 joint steps, then every weight and Adam moment;
   a batch of 8 splits the default model's weight gradients into blocks of 3,
   3 and 2 images;
@@ -84,6 +91,17 @@ def outputs() -> dict[str, np.ndarray]:
         g = GuidanceConfig(target_class=2, direction="away", scale=3.0)
         out[f"guided_sample/{tag}"] = ddim_reverse_from(
             model, z, np.array([10, 150, 300]), g, sched, stream(1, "drift-sample"), eta=0.5)
+        # fixed, so that both trees see one input: 2 blocks of
+        # ``sampling.EPSILON_BLOCK`` = 8 images and a remainder of 4
+        blocks = stream(1, "drift-blocks").standard_normal((20, 1, side, side))
+        for scale in (0.0, 2.0):
+            g = GuidanceConfig(target_class=1, direction="away", scale=scale)
+            out[f"guided_epsilon/{tag}/blocks/scale{scale:g}"] = guided_epsilon(
+                model, blocks, 250, g, sched)
+        g = GuidanceConfig(target_class=0, direction="toward", scale=2.0)
+        out[f"guided_sample/{tag}/blocks"] = ddim_reverse_from(
+            model, blocks, np.array([10, 150, 300]), g, sched, stream(1, "drift-sample"),
+            eta=0.5)
 
         model = JointModel.build(cfg, seed=2)
         r = stream(2, "drift-data")
@@ -107,17 +125,19 @@ def outputs() -> dict[str, np.ndarray]:
     return out
 
 
-def run_tree(src: Path) -> dict[str, np.ndarray]:
+def run_tree(src: Path, dtype: str = "float32") -> dict[str, np.ndarray]:
     """``outputs()`` of the ``jdl`` under ``src``, run in a fresh interpreter
-    with BLAS pinned to one thread."""
+    with BLAS pinned to one thread and the graph computing in ``dtype``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
     code = ("import sys, numpy, jdl, drift; from pathlib import Path\n"
+            "import jdl.autodiff.tensor as tensor\n"
             "assert Path(jdl.__file__).parents[1] == Path(sys.argv[1]), jdl.__file__\n"
+            "tensor.DTYPE = numpy.dtype(sys.argv[3]).type\n"
             "numpy.savez(sys.argv[2], **drift.outputs())")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "outputs.npz"
-        subprocess.run([sys.executable, "-c", code, str(src.resolve()), str(path)],
+        subprocess.run([sys.executable, "-c", code, str(src.resolve()), str(path), dtype],
                        env=env, check=True)
         with np.load(path) as saved:
             return {name: saved[name] for name in saved.files}
@@ -167,13 +187,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV",
                         help="the git revision whose src/ the working tree is compared with")
+    parser.add_argument("--dtype", choices=["float32", "float64"], default="float32",
+                        help="the dtype the graph computes in, on both trees")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        old = run_tree(_extract_src(args.against, Path(tmp)))
-    new = run_tree(ROOT / "src")
+        old = run_tree(_extract_src(args.against, Path(tmp)), args.dtype)
+    new = run_tree(ROOT / "src", args.dtype)
     rows = compare(new, old)
     print(f"{'group':<18} {'equal':>9} {'max abs':>10} {'max rel':>10}   "
-          f"(working tree against {args.against})")
+          f"(working tree against {args.against}, {args.dtype})")
     for group, equal, total, d_abs, d_rel in rows:
         print(f"{group:<18} {f'{equal}/{total}':>9} {d_abs:>10.3g} {d_rel:>10.3g}")
     equal, total = sum(r[1] for r in rows), sum(r[2] for r in rows)

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
+
 import drift
 
 GROUPS = ["build", "predict_noise", "class_probs", "class_score_grad", "guided_epsilon",
@@ -16,15 +18,28 @@ GROUPS = ["build", "predict_noise", "class_probs", "class_score_grad", "guided_e
 BACKWARD = {"class_score_grad", "guided_epsilon", "guided_sample", "train", "checkpoint"}
 
 
-def test_head_against_itself_is_bitwise_equal():
-    proc = subprocess.run([sys.executable, "tools/drift.py", "--against", "HEAD"],
+def _assert_head_against_itself_is_bitwise_equal(*args):
+    proc = subprocess.run([sys.executable, "tools/drift.py", "--against", "HEAD", *args],
                           cwd=drift.ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    header, *lines = proc.stdout.splitlines()
+    rows = [line.split() for line in lines]
     assert [row[0] for row in rows] == [*GROUPS, "all"]
     for row in rows:
         equal, total = map(int, row[1].split("/"))
         assert equal == total > 0, row
+    return header
+
+
+def test_head_against_itself_is_bitwise_equal():
+    assert "float32" in _assert_head_against_itself_is_bitwise_equal()
+
+
+def test_float64_head_against_itself_is_bitwise_equal_in_float64():
+    assert "float64" in _assert_head_against_itself_is_bitwise_equal("--dtype", "float64")
+    out = drift.run_tree(drift.ROOT / "src", "float64")
+    weights = [a for name, a in out.items() if name.startswith("train/") and "/weights/" in name]
+    assert weights and all(a.dtype == np.float64 for a in weights)
 
 
 def test_a_wrong_silu_rule_drifts_only_where_a_backward_runs(tmp_path):
