@@ -63,7 +63,8 @@ def check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, tuple]) -> Non
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any malformed file raises ``CheckpointMismatch``.
+    """Read a checkpoint; any malformed file, one that repeats a record
+    name included, raises ``CheckpointMismatch``.
 
     Each field is read from the file straight into its own array, so a load
     holds the checkpoint once."""
@@ -93,6 +94,9 @@ def load_weights(path) -> dict[str, np.ndarray]:
                 name = read(int(name_len), "u1", "name").tobytes().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointMismatch(f"{path}: name before byte {pos} is not UTF-8") from exc
+            if name in out:
+                # a later record would replace the earlier one without a word
+                raise CheckpointMismatch(f"{path}: a second record named {name!r}")
             (rank,) = read(1, "<u8", "rank")
             dims = tuple(int(d) for d in read(int(rank), "<u8", f"dims of {name!r}"))
             data = read(math.prod(dims), "<f8", f"data for {name!r}")

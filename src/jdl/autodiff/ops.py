@@ -38,12 +38,14 @@ in that fixed order, neither of which depends on the BLAS thread count
 
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
-and ``group_norm`` takes each per-group statistic as one per-channel
-reduction, with the variance centred. Their vjps keep only what they read:
-``silu``'s keeps its sigmoid and its output, never its input, and
-``group_norm``'s keep ``xhat`` and the inverse spread, never their output.
-A primitive writes in place only into buffers it allocated itself, never
-into an input's data, an array that a kept vjp holds, or the output
+and ``group_norm``, a GroupNorm and the SiLU after it as one node, takes
+each per-group statistic as one per-channel reduction, with the variance
+centred. Their vjps keep only what they read: ``silu``'s keeps its sigmoid
+and its output, never its input. ``group_norm``'s keep ``xhat`` and the
+inverse spread, never the input, the sigmoid or the output: their backward
+rebuilds the sigmoid from ``xhat`` once per node, for the three rules to
+share. A primitive writes in place only into buffers it allocated itself,
+never into an input's data, an array that a kept vjp holds, or the output
 gradient ``g``, which ``add``'s vjp hands to both of its parents.
 
 Only the rules the model runs exist. ``add(a, b)`` has ``a``'s shape and
@@ -252,20 +254,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x). The sigmoid s = 0.5 * tanh(x / 2) + 0.5 never
-    overflows; it takes four passes in place over one buffer, and the output
-    one more. The vjp keeps s and the output, not x: it computes
-    g * (s + out * (1 - s)) in four passes in place over one new buffer. In
-    training the next conv's weight gradient holds the output anyway, so
-    x, in the UNet a group-norm output that no other rule reads, is freed
-    as soon as the caller lets go of it.
-    """
-    xd = x.data
-    s = np.multiply(xd, 0.5)
+def _tanh_sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) as 0.5 * tanh(x / 2) + 0.5, which never overflows: four
+    passes in place over one new buffer."""
+    s = np.multiply(x, 0.5)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
+    return s
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x), the sigmoid from ``_tanh_sigmoid`` and the output one
+    more pass. The vjp keeps s and the output, not x: it computes
+    g * (s + out * (1 - s)) in four passes in place over one new buffer. The
+    UNet runs it on the time MLP alone; every GroupNorm's SiLU is part of
+    ``group_norm``.
+    """
+    xd = x.data
+    s = _tanh_sigmoid(xd)
     out = xd * s
 
     def dx(g):
@@ -285,9 +292,11 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Group normalization of an NHWC batch over (H, W, C/G) per sample and
-    group, with G = min(4, C), eps 1e-5 and per-channel ``gamma`` and
-    ``beta`` of shape (C,).
+    """Group normalization of an NHWC batch followed by SiLU, as one node:
+    y = xhat * ``gamma`` + ``beta`` and the output y * sigmoid(y), where
+    xhat normalises x over (H, W, C/G) per sample and group, with
+    G = min(4, C), eps 1e-5 and per-channel ``gamma`` and ``beta`` of shape
+    (C,). Every GroupNorm in the UNet feeds a SiLU, so no other form exists.
 
     It works on the (N, H·W, C) view. Each per-group statistic is a
     per-channel reduction, ``einsum("npc->nc")`` or
@@ -296,11 +305,22 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     is subtracted into the kernel's own ``xhat`` buffer first, and the
     variance is the mean of its squares, because E[x²] − E[x]² cancels
     float32 digits when a group's mean is large. The forward makes two
-    reductions and four elementwise passes: the centring into ``xhat``, its
-    scaling in place and the affine into the output. The dx makes two
-    reductions, over the output gradient and its product with ``xhat``, and
-    four elementwise passes into two new buffers. The ``gamma`` and ``beta``
-    gradients are one reduction each.
+    reductions, the centring into ``xhat``, its scaling in place, the
+    affine into the output, the sigmoid of ``_tanh_sigmoid`` and one more
+    pass that multiplies the output by it in place.
+
+    The rules keep ``xhat``, the inverse spread 1/σ and the ``gamma`` and
+    ``beta`` arrays: no input, no sigmoid and no output. The first rule to
+    run for an output gradient g rebuilds y and its sigmoid s from them and
+    makes dy = g * (s + y s (1 - s)), the gradient at y, in ``silu``'s
+    passes; y and s are freed on return, and the x, ``gamma`` and ``beta``
+    rules share dy, which goes with them when ``backward`` drops the node's
+    rules, before the next node runs. The dx makes two reductions, over dy
+    and its product with ``xhat``, and four elementwise passes into two new
+    buffers. The ``gamma`` and ``beta`` gradients are one reduction of dy
+    each. Every pass runs in the order that a GroupNorm node and a ``silu``
+    node after it ran them, so the output and every gradient keep those
+    nodes' bits.
     """
     n, h, w, c = _nhwc_dims(x)
     if min(h, w, c) < 1:
@@ -312,6 +332,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeMismatch("group_norm: gamma/beta must have shape (C,)")
     cg = c // g_
     count = h * w * cg
+    gd, bd = gamma.data, beta.data
 
     def group_mean(per_channel):
         """(N, C) channel sums -> (N, 1, C) means of each channel's group."""
@@ -323,22 +344,41 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = group_mean(np.einsum("npc,npc->nc", xhat, xhat))
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
+    out = xhat * gd
+    out += bd
+    out *= _tanh_sigmoid(out)
 
-    def dx(gr):
-        g3 = gr.reshape(n, h * w, c)
-        # the means of dxhat = g * gamma and of dxhat * xhat, per group
-        m1 = group_mean(np.einsum("npc->nc", g3) * gamma.data)
-        m2 = group_mean(np.einsum("npc,npc->nc", g3, xhat) * gamma.data)
-        d = g3 * (gamma.data * inv)
+    shared = []     # (g, dy) for the output gradient the rules last saw
+
+    def silu_grad(g):
+        """dy for the output gradient ``g``, made by the first rule that
+        asks for it."""
+        if shared and shared[0] is g:
+            return shared[1]
+        y = xhat * gd
+        y += bd
+        s = _tanh_sigmoid(y)
+        y *= s                  # the output, as the forward made it
+        d = 1.0 - s
+        d *= y
+        d += s
+        d *= g.reshape(n, h * w, c)
+        shared[:] = (g, d)
+        return d
+
+    def dx(g):
+        dy = silu_grad(g)
+        # the means of dxhat = dy * gamma and of dxhat * xhat, per group
+        m1 = group_mean(np.einsum("npc->nc", dy) * gd)
+        m2 = group_mean(np.einsum("npc,npc->nc", dy, xhat) * gd)
+        d = dy * (gd * inv)
         d -= xhat * (m2 * inv)
         d -= m1 * inv
         return d.reshape(n, h, w, c)
 
     return record("group_norm", out.reshape(n, h, w, c), (x, dx),
-                  (gamma, lambda gr: np.einsum("npc,npc->c", gr.reshape(n, h * w, c), xhat)),
-                  (beta, lambda gr: np.einsum("npc->c", gr.reshape(n, h * w, c))))
+                  (gamma, lambda g: np.einsum("npc,npc->c", silu_grad(g), xhat)),
+                  (beta, lambda g: np.einsum("npc->c", silu_grad(g))))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

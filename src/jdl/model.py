@@ -10,11 +10,13 @@ from either loss land in the same arrays.
 The architecture is fixed; ``UNetConfig`` sets only sizes. Each stage has
 one residual block on the way down (``enc.s{i}r0``) and one on the way up
 (``dec.s{i}``). A conv layer is one graph node, ``ad.conv2d`` with its bias.
-Every GroupNorm uses min(4, C) groups and eps 1e-5, and the classifier's
-hidden layer is a LeakyReLU of slope 0.2. The classifier flattens the
-bottleneck, average-pooled by 2 when its side is even and unpooled when its
-side is odd. ``cls.fc1`` takes as many inputs as that gives, 2048 at the
-default config.
+Every GroupNorm uses min(4, C) groups and eps 1e-5 and feeds a SiLU, and
+the pair is one graph node, ``ad.group_norm``; ``ad.silu`` runs alone only
+after the time MLP's linear layer. The classifier's hidden layer is a
+LeakyReLU of slope 0.2. The classifier flattens the bottleneck,
+average-pooled by 2 when its side is even and unpooled when its side is
+odd. ``cls.fc1`` takes as many inputs as that gives, 2048 at the default
+config.
 
 The forward is the only description of the network. Parameters come into
 being on ``build``'s one forward pass: each layer asks ``_param`` for its
@@ -188,15 +190,16 @@ class JointModel:
         return ad.add(ad.matmul(h, w), self._param(f"{name}.b", (fout,), 0.0))
 
     def _norm(self, name, h):
+        """GroupNorm then SiLU, one ``ad.group_norm`` node."""
         c = h.shape[3]
         return ad.group_norm(h, self._param(f"{name}.g", (c,), 1.0),
                              self._param(f"{name}.b", (c,), 0.0))
 
     def _res(self, name, x, temb, cout):
-        h = self._conv(f"{name}.conv1", ad.silu(self._norm(f"{name}.gn1", x)), cout)
+        h = self._conv(f"{name}.conv1", self._norm(f"{name}.gn1", x), cout)
         tproj = self._linear(f"{name}.time", temb, cout)
         h = ad.add(h, ad.reshape(tproj, (tproj.shape[0], 1, 1, cout)))
-        h = self._conv(f"{name}.conv2", ad.silu(self._norm(f"{name}.gn2", h)), cout)
+        h = self._conv(f"{name}.conv2", self._norm(f"{name}.gn2", h), cout)
         skip = x if x.shape[3] == cout else self._conv(f"{name}.skip", x, cout, k=1)
         return ad.add(h, skip)
 
@@ -234,7 +237,7 @@ class JointModel:
             h = self._res(f"dec.s{i}", ad.concat(h, enc.skips[i]), enc.temb, chans[i])
             if i > 0:
                 h = self._conv(f"dec.up{i}", ad.upsample_nearest(h), chans[i - 1])
-        h = ad.silu(self._norm("dec.outgn", h))
+        h = self._norm("dec.outgn", h)
         return ad.reshape(self._conv("dec.out", h, 1, zero=True), enc.leaf.shape)
 
     def _head(self, bottleneck: Tensor) -> Tensor:

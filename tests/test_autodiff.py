@@ -437,21 +437,117 @@ def test_group_norm_float32_keeps_a_large_mean_out_of_the_variance():
     xg = x.reshape(2, 8, 8, 4, 2)
     mu = xg.mean(axis=(1, 2, 4), keepdims=True)
     var = ((xg - mu) ** 2).mean(axis=(1, 2, 4), keepdims=True)
-    ref = ((xg - mu) / np.sqrt(var + 1e-5)).reshape(x.shape) * gamma + beta
+    y = ((xg - mu) / np.sqrt(var + 1e-5)).reshape(x.shape) * gamma + beta
+    ref = y / (1.0 + np.exp(-y))
     assert np.abs(out - ref).max() <= 5e-5
 
 
+def _silu_of_group_norm(x, gamma, beta, g):
+    """silu(group_norm(x)) in plain numpy, and the x, gamma and beta
+    gradients for the output gradient ``g``, pass for pass as a GroupNorm
+    node and a ``silu`` node after it compute them."""
+    n, h, w, c = x.shape
+    cg = c // 4
+
+    def group_mean(per_channel):
+        means = per_channel.reshape(n, 4, cg).sum(axis=2) / (h * w * cg)
+        return np.repeat(means, cg, axis=1)[:, None, :]
+
+    x3 = x.reshape(n, h * w, c)
+    xhat = x3 - group_mean(np.einsum("npc->nc", x3))
+    inv = 1.0 / np.sqrt(group_mean(np.einsum("npc,npc->nc", xhat, xhat)) + 1e-5)
+    xhat = xhat * inv
+    y = xhat * gamma + beta
+    s = np.tanh(y * 0.5) * 0.5 + 0.5
+    out = y * s
+    dy = ((1.0 - s) * out + s) * g.reshape(n, h * w, c)
+    m1 = group_mean(np.einsum("npc->nc", dy) * gamma)
+    m2 = group_mean(np.einsum("npc,npc->nc", dy, xhat) * gamma)
+    dx = dy * (gamma * inv) - xhat * (m2 * inv) - m1 * inv
+    return (out.reshape(x.shape), dx.reshape(x.shape),
+            np.einsum("npc,npc->c", dy, xhat), np.einsum("npc->c", dy))
+
+
+@pytest.mark.parametrize("affine_grad", [True, False], ids=["trainable", "frozen"])
+def test_group_norm_is_bitwise_silu_of_group_norm(affine_grad):
+    r = np.random.default_rng(24)
+    x = ad.Tensor(r.standard_normal((4, 8, 8, 32)), requires_grad=True)
+    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(32), requires_grad=affine_grad)
+    beta = ad.Tensor(0.1 * r.standard_normal(32), requires_grad=affine_grad)
+    g = ad.Tensor(r.standard_normal(x.shape)).data
+    y = ad.group_norm(x, gamma, beta)
+    ad.backward(weighted_sum(y, g))
+    out, dx, dgamma, dbeta = _silu_of_group_norm(x.data, gamma.data, beta.data, g)
+    assert y.data.dtype == x.grad.dtype == np.float32
+    assert np.array_equal(y.data, out) and np.array_equal(x.grad, dx)
+    if affine_grad:
+        assert np.array_equal(gamma.grad, dgamma) and np.array_equal(beta.grad, dbeta)
+    else:
+        assert gamma.grad is None and beta.grad is None
+
+
+def test_group_norm_keeps_xhat_and_its_output():
+    # a GroupNorm node and a silu node after it kept about 3 x.nbytes: xhat,
+    # the sigmoid and the output
+    r = np.random.default_rng(25)
+    x = ad.Tensor(r.standard_normal((4, 16, 16, 32)), requires_grad=True)
+    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(32), requires_grad=True)
+    beta = ad.Tensor(0.1 * r.standard_normal(32), requires_grad=True)
+    ad.group_norm(x, gamma, beta)       # numpy's first-call allocations
+    y, kept, _ = traced(lambda: ad.group_norm(x, gamma, beta))
+    assert 2 * x.data.nbytes <= kept <= 2.1 * x.data.nbytes
+
+
+def test_group_norm_builds_the_silu_derivative_once(monkeypatch):
+    calls = []
+    sigmoid = ops._tanh_sigmoid
+    monkeypatch.setattr(ops, "_tanh_sigmoid", lambda a: calls.append(a.shape) or sigmoid(a))
+    r = np.random.default_rng(26)
+    x = ad.Tensor(r.standard_normal((2, 4, 4, 8)), requires_grad=True)
+    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True)
+    beta = ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True)
+    y = ad.group_norm(x, gamma, beta)
+    assert calls == [(2, 16, 8)]
+    ad.backward(weighted_sum(y, r.standard_normal(y.shape)))
+    assert calls == [(2, 16, 8)] * 2
+    assert all(t.grad is not None for t in (x, gamma, beta))
+
+
+def _arrays_held(fn) -> list:
+    """Every distinct array that the function ``fn`` holds through its
+    closure, and through the closures of the functions, tensors, lists and
+    tuples held there, each once."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, ad.Tensor):
+            todo.append(value.data)
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif callable(value):
+            todo.extend(cell.cell_contents for cell in getattr(value, "__closure__", None) or ())
+    return found
+
+
 def test_silu_keeps_no_input():
-    # the vjp reads its sigmoid and its output, so the group-norm output
-    # that feeds it is freed once the caller lets go of it, as in the UNet
+    # group_norm's rules read xhat and rebuild the SiLU's sigmoid, so the
+    # conv output that feeds it in the UNet is freed once the caller lets
+    # go of it, and the one full-size array they hold is xhat
     x = ad.Tensor(rand(2, 4, 4, 8), requires_grad=True)
-    gamma = ad.Tensor(1.0 + 0.1 * rand(8))
-    beta = ad.Tensor(0.1 * rand(8))
-    h = ad.group_norm(x, gamma, beta)
-    y = ad.silu(h)
+    gamma = ad.Tensor(1.0 + 0.1 * rand(8), requires_grad=True)
+    beta = ad.Tensor(0.1 * rand(8), requires_grad=True)
+    h = ad.mul(x, 1.5)
+    y = ad.group_norm(h, gamma, beta)
     alive = weakref.ref(h.data)
     del h
     assert alive() is None
+    full = [a for a in _arrays_held(y.node.backward_fn) if a.size == y.size]
+    assert len(full) == 1 and not np.shares_memory(full[0], y.data)
     ad.backward(weighted_sum(y, rand(2, 4, 4, 8)))
     assert x.grad is not None and np.isfinite(x.grad).all()
 
@@ -485,26 +581,22 @@ def _add_of_two_branches(silu_first: bool, lone=None):
 @pytest.mark.parametrize("silu_first", [True, False], ids=["group_norm_vjp_first",
                                                            "silu_vjp_first"])
 def test_backward_writes_into_no_array_it_does_not_own(monkeypatch, silu_first):
-    held = []   # every array that a silu or group_norm rule keeps, with a copy
+    held = {}   # kind -> every array that its rules keep, with a copy
     real = ops.record
 
     def record(kind, out_data, *rules):
         if kind in ("silu", "group_norm"):
-            for _, vjp in rules:
-                for cell in vjp.__closure__ or ():
-                    value = cell.cell_contents
-                    value = value.data if isinstance(value, ad.Tensor) else value
-                    if isinstance(value, np.ndarray):
-                        held.append((value, value.copy()))
+            arrays = _arrays_held(tuple(vjp for _, vjp in rules))
+            held[kind] = [(a, a.copy()) for a in arrays]
         return real(kind, out_data, *rules)
 
     monkeypatch.setattr(ops, "record", record)
     loss, leaves = _add_of_two_branches(silu_first)
     inputs = [(t.data, t.data.copy()) for group in leaves.values() for t in group]
     ad.backward(loss)
-    # x.data, gamma and beta, and the kept s, xhat and 1/std
-    assert len(held) >= 5
-    for array, before in inputs + held:
+    # silu's s and output; group_norm's xhat, 1/std, gamma and beta
+    assert {kind: len(arrays) for kind, arrays in held.items()} == {"silu": 2, "group_norm": 4}
+    for array, before in inputs + held["silu"] + held["group_norm"]:
         assert np.array_equal(array, before)
     for name, group in leaves.items():
         alone, alone_leaves = _add_of_two_branches(silu_first, lone=name)
@@ -588,8 +680,7 @@ def test_grad_conv_group_norm_composite():
 
     def f(x):
         h = ad.conv2d(x, w, b, stride=1)
-        h = ad.group_norm(h, gamma, beta)
-        return weighted_sum(ad.silu(h))
+        return weighted_sum(ad.group_norm(h, gamma, beta))
 
     _check(f, rand(1, 4, 4, 2))
 
@@ -676,6 +767,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jdlw"
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(CheckpointMismatch):
+        ad.load_weights(path)
+    # two records named "w": the second used to replace the first silently
+    ad.save_weights(path, {"w": np.array([1.0, 2.0])})
+    first = path.read_bytes()
+    ad.save_weights(path, {"w": np.array([7.0, 8.0])})
+    path.write_bytes(first + path.read_bytes()[len(b"JDLW1"):])
+    with pytest.raises(CheckpointMismatch, match="second record named 'w'"):
         ad.load_weights(path)
 
 

@@ -26,13 +26,19 @@ and on a base-8 side-16 one, takes a few seconds per tree:
   blocks of ``sampling.EPSILON_BLOCK`` = 8 images and a remainder of 4:
   guided ε at scale 0 and at scale 2, and a guided ``ddim_reverse_from`` at
   η = 0.5, in the ``guided_epsilon`` and ``guided_sample`` groups;
+- ``ddim_sample``: an unguided ``ddim_sample`` of 4 images from noise over
+  3 DDIM steps, on the same model;
 - ``train``: the losses of 2 joint steps, then every weight and Adam moment;
   a batch of 8 splits the default model's weight gradients into blocks of 3,
   3 and 2 images;
-- ``checkpoint``: the bytes of the training checkpoint after those steps.
+- ``train_class``: the same for 2 classification-only steps
+  (``diffusion_enabled=False``) on a batch of 8, whose backward runs over
+  the encoder and the head alone;
+- ``checkpoint``: the bytes of the training checkpoint after each of the
+  two.
 
 Only the groups ``class_score_grad``, ``guided_epsilon``, ``guided_sample``,
-``train`` and ``checkpoint`` run a backward.
+``train``, ``checkpoint`` and ``train_class`` run a backward.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ def outputs() -> dict[str, np.ndarray]:
     # imported here: the process that compares two trees imports neither
     from jdl.model import JointModel, UNetConfig
     from jdl.rng import stream
-    from jdl.sampling import GuidanceConfig, ddim_reverse_from, guided_epsilon
+    from jdl.sampling import (GuidanceConfig, SamplerConfig, ddim_reverse_from, ddim_sample,
+                              guided_epsilon)
     from jdl.schedule import make_linear_schedule
     from jdl.training import (TrainConfig, TrainData, make_optimizer, save_training_checkpoint,
                               train_joint)
@@ -102,26 +109,36 @@ def outputs() -> dict[str, np.ndarray]:
         out[f"guided_sample/{tag}/blocks"] = ddim_reverse_from(
             model, blocks, np.array([10, 150, 300]), g, sched, stream(1, "drift-sample"),
             eta=0.5)
+        out[f"ddim_sample/{tag}"] = ddim_sample(
+            model, 4, GuidanceConfig(), SamplerConfig(kind="ddim", ddim_steps=3), sched,
+            stream(1, "drift-ddim"))
 
-        model = JointModel.build(cfg, seed=2)
         r = stream(2, "drift-data")
         data = TrainData(z0=r.standard_normal((24, 1, side, side)),
                          labels=(r.random((24, classes)) > 0.5).astype(float),
                          labeled_mask=np.arange(24) % 3 == 0)
-        tcfg = TrainConfig(total_steps=2, class_start_step=0, batch_diffusion=8,
-                           batch_classification=4, seed=3)
-        opt = make_optimizer(model, tcfg)
-        summary = train_joint(model, data, tcfg, sched, opt=opt)
-        out[f"train/{tag}/losses"] = np.array(
-            [(s.diffusion_loss, s.classification_loss, s.total_loss) for s in summary.reports])
-        for name, p in model.params.items():
-            out[f"train/{tag}/weights/{name}"] = p.data
-            out[f"train/{tag}/adam_m/{name}"] = opt.m[name]
-            out[f"train/{tag}/adam_v/{name}"] = opt.v[name]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "train.jdlw"
-            save_training_checkpoint(path, model, opt, tcfg.total_steps)
-            out[f"checkpoint/{tag}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        runs = {"train": TrainConfig(total_steps=2, class_start_step=0, batch_diffusion=8,
+                                     batch_classification=4, seed=3),
+                "train_class": TrainConfig(total_steps=2, class_start_step=0,
+                                           diffusion_enabled=False, batch_classification=8,
+                                           seed=4)}
+        for group, tcfg in runs.items():
+            model = JointModel.build(cfg, seed=2)
+            opt = make_optimizer(model, tcfg)
+            summary = train_joint(model, data, tcfg, sched, opt=opt)
+            # a loss that the step does not run reads NaN
+            out[f"{group}/{tag}/losses"] = np.array(
+                [(s.diffusion_loss, s.classification_loss, s.total_loss)
+                 for s in summary.reports], dtype=float)
+            for name, p in model.params.items():
+                out[f"{group}/{tag}/weights/{name}"] = p.data
+                out[f"{group}/{tag}/adam_m/{name}"] = opt.m[name]
+                out[f"{group}/{tag}/adam_v/{name}"] = opt.v[name]
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "train.jdlw"
+                save_training_checkpoint(path, model, opt, tcfg.total_steps)
+                out[f"checkpoint/{tag}/{group}"] = np.frombuffer(path.read_bytes(),
+                                                                 dtype=np.uint8)
     return out
 
 
