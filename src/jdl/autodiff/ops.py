@@ -28,7 +28,10 @@ input gradient writes the output gradient at every stride-th pixel of a
 canvas the size of the padded input, whose stride-1 convolution with the
 kernel rotated 180° and its channel axes swapped is the input gradient. No
 window matrix or canvas is kept for the backward: the weight gradient
-gathers the windows again from the input it already holds. The forward and
+gathers the windows again from the input. It holds the input only when the
+input's producer cannot rebuild it; ``group_norm`` and
+``upsample_nearest`` can (``Tensor.rebuild``), so a conv after either holds
+no copy of its input, and its weight gradient rebuilds it. The forward and
 the input gradient write each block's GEMM into that block's rows of one
 output, which at the UNet's sizes is bitwise one GEMM over the batch. The
 weight gradient sums the blocks' GEMMs in block order, so its rounding
@@ -43,10 +46,11 @@ each per-group statistic as one per-channel reduction, with the variance
 centred. Their vjps keep only what they read: ``silu``'s keeps its sigmoid
 and its output, never its input. ``group_norm``'s keep ``xhat`` and the
 inverse spread, never the input, the sigmoid or the output: their backward
-rebuilds the sigmoid from ``xhat`` once per node, for the three rules to
-share. A primitive writes in place only into buffers it allocated itself,
-never into an input's data, an array that a kept vjp holds, or the output
-gradient ``g``, which ``add``'s vjp hands to both of its parents.
+rebuilds the output and its sigmoid from ``xhat`` once per node, for the
+three rules and the weight gradient of the conv after it to share. A
+primitive writes in place only into buffers it allocated itself, never into
+an input's data, an array that a kept vjp holds, or the output gradient
+``g``, which ``add``'s vjp hands to both of its parents.
 
 Only the rules the model runs exist. ``add(a, b)`` has ``a``'s shape and
 broadcasts ``b`` alone: ``b`` has ``a``'s shape, is an (F,) bias over its last
@@ -178,7 +182,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     No window matrix or canvas outlives the call that made it: the weight
     gradient gathers the windows again from x, in a canvas of its own, so
     a conv costs its backward one extra gather instead of holding K*K
-    copies of x until then.
+    copies of x until then. It holds x itself only when ``x.rebuild`` is
+    unset; otherwise it calls ``x.rebuild()`` when it runs, and x's data
+    lives only as long as the caller holds it.
     """
     if w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: weights {w.shape}")
@@ -197,6 +203,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     p = k // 2
     oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
     xd, wd, bd = x.data, w.data, b.data
+    x_again = x.rebuild or (lambda: xd)
     blocks = _image_blocks(n, oh * ow * k * k * c)
 
     out = np.empty((n, oh, ow, co), dtype=np.result_type(xd, wd))
@@ -215,8 +222,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         return d
 
     def dw(g):
-        dwmat = np.zeros((k * k * c, co), dtype=np.result_type(xd, g))
-        for blk, xp in _padded_blocks(xd, blocks, h, wid, p):
+        xs = x_again()
+        dwmat = np.zeros((k * k * c, co), dtype=np.result_type(xs, g))
+        for blk, xp in _padded_blocks(xs, blocks, h, wid, p):
             dwmat += _im2col_nhwc(xp, k, stride, oh, ow).T @ g[blk].reshape(-1, co)
         return dwmat.reshape(w.shape)
 
@@ -242,10 +250,20 @@ def avg_pool2d(x: Tensor) -> Tensor:
 
 def upsample_nearest(x: Tensor) -> Tensor:
     """Nearest-neighbour upsampling of an NHWC batch by 2: each pixel
-    becomes a 2×2 block."""
+    becomes a 2×2 block. The vjp holds nothing; an output with a node
+    rebuilds itself from x, a quarter of its size, for a conv's weight
+    gradient."""
     n, h, w, c = _nhwc_dims(x)
-    return record("upsample_nearest", x.data.repeat(2, axis=1).repeat(2, axis=2),
-                  (x, lambda g: g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))))
+    xd = x.data
+
+    def up():
+        return xd.repeat(2, axis=1).repeat(2, axis=2)
+
+    out = record("upsample_nearest", up(),
+                 (x, lambda g: g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))))
+    if out.node is not None:
+        out.rebuild = up
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -307,13 +325,19 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     float32 digits when a group's mean is large. The forward makes two
     reductions, the centring into ``xhat``, its scaling in place, the
     affine into the output, the sigmoid of ``_tanh_sigmoid`` and one more
-    pass that multiplies the output by it in place.
+    pass that multiplies the output by it in place; a rebuild runs the same
+    passes.
 
     The rules keep ``xhat``, the inverse spread 1/σ and the ``gamma`` and
-    ``beta`` arrays: no input, no sigmoid and no output. The first rule to
-    run for an output gradient g rebuilds y and its sigmoid s from them and
-    makes dy = g * (s + y s (1 - s)), the gradient at y, in ``silu``'s
-    passes; y and s are freed on return, and the x, ``gamma`` and ``beta``
+    ``beta`` arrays: no input, no sigmoid and no output. An output with a
+    node rebuilds itself from them (``Tensor.rebuild``): the affine, the
+    sigmoid s and the product, in the forward's passes, kept together with
+    s until this node's backward takes them. The conv after it in the UNet
+    calls it for its weight gradient, so the conv holds no copy of the
+    output. The first rule to run for an output gradient g takes the
+    rebuilt output and s, rebuilding them if no conv did, and makes
+    dy = g * (s + y s (1 - s)), the gradient at y, in ``silu``'s passes; the
+    output and s are freed on return, and the x, ``gamma`` and ``beta``
     rules share dy, which goes with them when ``backward`` drops the node's
     rules, before the next node runs. The dx makes two reductions, over dy
     and its product with ``xhat``, and four elementwise passes into two new
@@ -344,21 +368,33 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = group_mean(np.einsum("npc,npc->nc", xhat, xhat))
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
-    out = xhat * gd
-    out += bd
-    out *= _tanh_sigmoid(out)
 
+    def output():
+        """The output y * s and the sigmoid s of y = xhat * gamma + beta,
+        in the passes that the forward and every rebuild run."""
+        y = xhat * gd
+        y += bd
+        s = _tanh_sigmoid(y)
+        y *= s
+        return y, s
+
+    rebuilt = []    # (output, s) from rebuild(), until silu_grad takes them
     shared = []     # (g, dy) for the output gradient the rules last saw
+
+    def rebuild():
+        """The output, rebuilt bitwise as the forward made it."""
+        if not rebuilt:
+            rebuilt[:] = output()
+        return rebuilt[0].reshape(n, h, w, c)
 
     def silu_grad(g):
         """dy for the output gradient ``g``, made by the first rule that
         asks for it."""
         if shared and shared[0] is g:
             return shared[1]
-        y = xhat * gd
-        y += bd
-        s = _tanh_sigmoid(y)
-        y *= s                  # the output, as the forward made it
+        rebuild()
+        y, s = rebuilt
+        rebuilt.clear()
         d = 1.0 - s
         d *= y
         d += s
@@ -376,9 +412,12 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         d -= m1 * inv
         return d.reshape(n, h, w, c)
 
-    return record("group_norm", out.reshape(n, h, w, c), (x, dx),
-                  (gamma, lambda g: np.einsum("npc,npc->c", silu_grad(g), xhat)),
-                  (beta, lambda g: np.einsum("npc->c", silu_grad(g))))
+    result = record("group_norm", output()[0].reshape(n, h, w, c), (x, dx),
+                    (gamma, lambda g: np.einsum("npc,npc->c", silu_grad(g), xhat)),
+                    (beta, lambda g: np.einsum("npc->c", silu_grad(g))))
+    if result.node is not None:
+        result.rebuild = rebuild
+    return result
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

@@ -13,7 +13,12 @@ parent requires grad and drops the rest, and under ``no_grad`` it keeps
 none. A dropped vjp is freed with whatever it alone captured, and a node
 is built only when some pair is kept. A node holds each kept parent's node,
 or the parent itself when it is a leaf, never an intermediate tensor: an
-activation lives only while a kept vjp or the caller holds its data. Nodes
+activation lives only while a kept vjp or the caller holds its data. A
+primitive whose output is cheap to rebuild from what its own rules hold
+sets the output's ``rebuild``, a function that returns the data anew, once
+``record`` has given the output a node; a consumer's vjp that reads that
+input calls ``rebuild`` instead of holding the data, so the activation is
+kept once, not twice. Under ``no_grad`` no output has a ``rebuild``. Nodes
 carry a monotonically increasing sequence number; ``backward`` replays the
 nodes reachable from the loss in reverse insertion order, visiting each
 exactly once and accumulating gradients additively across fan-out.
@@ -67,15 +72,17 @@ class Node:
 
 class Tensor:
     """Dense n-dimensional array of dtype ``DTYPE``, optionally tracked by
-    the graph."""
+    the graph. ``rebuild``, when set, returns an array equal to ``data``
+    bitwise, made from what the producing node already holds."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[Node] = None
+        self.rebuild: Optional[Callable[[], np.ndarray]] = None
 
     @property
     def shape(self):

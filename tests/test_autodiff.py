@@ -498,7 +498,10 @@ def test_group_norm_keeps_xhat_and_its_output():
     assert 2 * x.data.nbytes <= kept <= 2.1 * x.data.nbytes
 
 
-def test_group_norm_builds_the_silu_derivative_once(monkeypatch):
+@pytest.mark.parametrize("conv_after", [False, True], ids=["alone", "conv_after"])
+def test_group_norm_builds_the_silu_derivative_once(monkeypatch, conv_after):
+    # a trainable conv after it rebuilds the output for its weight gradient,
+    # and the node's own rules reuse that rebuild's sigmoid
     calls = []
     sigmoid = ops._tanh_sigmoid
     monkeypatch.setattr(ops, "_tanh_sigmoid", lambda a: calls.append(a.shape) or sigmoid(a))
@@ -506,11 +509,17 @@ def test_group_norm_builds_the_silu_derivative_once(monkeypatch):
     x = ad.Tensor(r.standard_normal((2, 4, 4, 8)), requires_grad=True)
     gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True)
     beta = ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True)
-    y = ad.group_norm(x, gamma, beta)
+    w = ad.Tensor(r.standard_normal((3, 3, 8, 4)), requires_grad=True)
+    h = ad.group_norm(x, gamma, beta)
+    y = ad.conv2d(h, w, ad.Tensor(np.zeros(4))) if conv_after else h
     assert calls == [(2, 16, 8)]
     ad.backward(weighted_sum(y, r.standard_normal(y.shape)))
     assert calls == [(2, 16, 8)] * 2
     assert all(t.grad is not None for t in (x, gamma, beta))
+    assert (w.grad is not None) == conv_after
+    # the rebuilt output and sigmoid went with the rule that took them:
+    # the rebuild holds xhat alone
+    assert len([a for a in _arrays_held(h.rebuild) if a.size == h.size]) == 1
 
 
 def _arrays_held(fn) -> list:
@@ -550,6 +559,65 @@ def test_silu_keeps_no_input():
     assert len(full) == 1 and not np.shares_memory(full[0], y.data)
     ad.backward(weighted_sum(y, rand(2, 4, 4, 8)))
     assert x.grad is not None and np.isfinite(x.grad).all()
+
+
+def _conv_after(producer: str, seed: int):
+    """A trainable conv over the output of a trainable ``group_norm`` or
+    ``upsample_nearest``: (conv output, producer output, producer input,
+    conv weights and bias)."""
+    r = np.random.default_rng(seed)
+    # x outsizes the weights, so the tests can tell them apart by size
+    x = ad.Tensor(r.standard_normal((2, 6, 6, 8)), requires_grad=True)
+    if producer == "group_norm":
+        h = ad.group_norm(x, ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True),
+                          ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True))
+    else:
+        h = ad.upsample_nearest(x)
+    w = ad.Tensor(r.standard_normal((3, 3, 8, 4)), requires_grad=True)
+    b = ad.Tensor(r.standard_normal(4), requires_grad=True)
+    return ad.conv2d(h, w, b), h, x, w, b
+
+
+@pytest.mark.parametrize("producer", ["group_norm", "upsample_nearest"])
+def test_rebuild_is_set_only_on_a_recorded_output_and_gives_its_bits(producer):
+    y, h, x, _, _ = _conv_after(producer, 40)
+    assert h.rebuild is not None and y.rebuild is None
+    rebuilt = h.rebuild()
+    assert rebuilt.dtype == h.data.dtype == np.float32
+    assert np.array_equal(rebuilt, h.data) and not np.shares_memory(rebuilt, h.data)
+    # nothing to rebuild for: no graph under no_grad, or no input that
+    # requires grad
+    with ad.no_grad():
+        assert _conv_after(producer, 40)[1].rebuild is None
+    if producer == "upsample_nearest":
+        assert ad.upsample_nearest(ad.Tensor(x.data)).rebuild is None
+
+
+@pytest.mark.parametrize("producer", ["group_norm", "upsample_nearest"])
+def test_conv_holds_no_copy_of_a_rebuildable_input(producer):
+    # the weight gradient rebuilds its input, so the producer's output is
+    # freed once the caller lets go of it, and the conv's rules hold no
+    # array of its size beyond those the producer's own rules hold
+    y, h, x, w, b = _conv_after(producer, 41)
+    g = np.random.default_rng(42).standard_normal(y.shape)
+    held_data = h.data.copy()
+    alive = weakref.ref(h.data)
+    producer_held = {id(a) for a in _arrays_held(h.node.backward_fn)}
+    del h
+    assert alive() is None
+    held = [a for a in _arrays_held(y.node.backward_fn) if a.size >= x.size]
+    if producer == "group_norm":
+        # xhat, which the group_norm rules hold anyway
+        assert len(held) == 1 and id(held[0]) in producer_held
+    else:
+        # the quarter-size source, which the upsample's rules do not hold
+        assert len(held) == 1 and held[0] is x.data and not producer_held
+    # the weight and bias gradients are those of a conv over a held input
+    ad.backward(weighted_sum(y, g))
+    w_ref = ad.Tensor(w.data, requires_grad=True)
+    b_ref = ad.Tensor(b.data, requires_grad=True)
+    ad.backward(weighted_sum(ad.conv2d(ad.Tensor(held_data), w_ref, b_ref), g))
+    assert np.array_equal(w.grad, w_ref.grad) and np.array_equal(b.grad, b_ref.grad)
 
 
 def test_silu_far_out_is_finite_and_quiet():
@@ -683,6 +751,42 @@ def test_grad_conv_group_norm_composite():
         return weighted_sum(ad.group_norm(h, gamma, beta))
 
     _check(f, rand(1, 4, 4, 2))
+
+
+def _check_every_input(f, inputs: dict, tol: dict) -> None:
+    """``_check`` the scalar ``f(**tensors)`` in each input in turn, every
+    other input a tensor that requires grad, so every rule of the graph runs
+    and each node's output has a ``rebuild``."""
+    for name, point in inputs.items():
+        others = {k: ad.Tensor(v, requires_grad=True) for k, v in inputs.items() if k != name}
+        _check(lambda t: f(**others, **{name: t}), point, tol=tol.get(name, 1e-4))
+
+
+@pytest.mark.usefixtures("float64")
+def test_grad_group_norm_conv_composite_every_input_trainable():
+    # the UNet's order: the conv's weight gradient reads group_norm's
+    # rebuilt output
+    r = rand(2, 4, 4, 3)
+
+    def f(x, gamma, beta, w, b):
+        return weighted_sum(ad.conv2d(ad.group_norm(x, gamma, beta), w, b), r)
+
+    _check_every_input(f, {"x": rand(2, 4, 4, 4), "gamma": 1.0 + 0.1 * rand(4),
+                           "beta": 0.1 * rand(4), "w": 0.3 * rand(3, 3, 4, 3),
+                           "b": 0.1 * _weights(34, 3)}, tol={"x": 2e-4})
+
+
+@pytest.mark.usefixtures("float64")
+def test_grad_upsample_conv_composite_every_input_trainable():
+    # the decoder's dec.up convs: the weight gradient reads the upsample's
+    # output rebuilt from its quarter-size input
+    r = rand(2, 8, 8, 3)
+
+    def f(h, w, b):
+        return weighted_sum(ad.conv2d(ad.upsample_nearest(h), w, b), r)
+
+    _check_every_input(f, {"h": rand(2, 4, 4, 2), "w": 0.3 * rand(3, 3, 2, 3),
+                           "b": 0.1 * _weights(35, 3)}, tol={})
 
 
 @pytest.mark.usefixtures("float64")

@@ -34,11 +34,16 @@ and on a base-8 side-16 one, takes a few seconds per tree:
 - ``train_class``: the same for 2 classification-only steps
   (``diffusion_enabled=False``) on a batch of 8, whose backward runs over
   the encoder and the head alone;
+- ``train_per_image``: the ``train`` run again with ``ops.WINDOW_BLOCK``
+  at ``1 << 17``, as ``tests/test_pipeline.py`` sets it. That runs most of
+  the default model's conv products one image per block, and most of the
+  small model's in blocks of 7 and 1. The constant is restored after it;
 - ``checkpoint``: the bytes of the training checkpoint after each of the
-  two.
+  three runs.
 
 Only the groups ``class_score_grad``, ``guided_epsilon``, ``guided_sample``,
-``train``, ``checkpoint`` and ``train_class`` run a backward.
+``train``, ``checkpoint``, ``train_class`` and ``train_per_image`` run a
+backward, and only the last four a weight gradient.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def outputs() -> dict[str, np.ndarray]:
     """The fixed output set of the ``jdl`` on the path, by ``group/...`` name."""
     # imported here: the process that compares two trees imports neither
+    from jdl.autodiff import ops
     from jdl.model import JointModel, UNetConfig
     from jdl.rng import stream
     from jdl.sampling import (GuidanceConfig, SamplerConfig, ddim_reverse_from, ddim_sample,
@@ -117,15 +123,21 @@ def outputs() -> dict[str, np.ndarray]:
         data = TrainData(z0=r.standard_normal((24, 1, side, side)),
                          labels=(r.random((24, classes)) > 0.5).astype(float),
                          labeled_mask=np.arange(24) % 3 == 0)
-        runs = {"train": TrainConfig(total_steps=2, class_start_step=0, batch_diffusion=8,
-                                     batch_classification=4, seed=3),
-                "train_class": TrainConfig(total_steps=2, class_start_step=0,
-                                           diffusion_enabled=False, batch_classification=8,
-                                           seed=4)}
-        for group, tcfg in runs.items():
+        joint = TrainConfig(total_steps=2, class_start_step=0, batch_diffusion=8,
+                            batch_classification=4, seed=3)
+        runs = [("train", joint, ops.WINDOW_BLOCK),
+                ("train_class", TrainConfig(total_steps=2, class_start_step=0,
+                                            diffusion_enabled=False, batch_classification=8,
+                                            seed=4), ops.WINDOW_BLOCK),
+                ("train_per_image", joint, 1 << 17)]
+        for group, tcfg, window in runs:
             model = JointModel.build(cfg, seed=2)
             opt = make_optimizer(model, tcfg)
-            summary = train_joint(model, data, tcfg, sched, opt=opt)
+            ops.WINDOW_BLOCK, default_window = window, ops.WINDOW_BLOCK
+            try:
+                summary = train_joint(model, data, tcfg, sched, opt=opt)
+            finally:
+                ops.WINDOW_BLOCK = default_window
             # a loss that the step does not run reads NaN
             out[f"{group}/{tag}/losses"] = np.array(
                 [(s.diffusion_loss, s.classification_loss, s.total_loss)

@@ -1,6 +1,6 @@
-"""Tests of the drift harness: it finds no drift where there is none, and
-finds a wrong backward rule in the outputs that run a backward and nowhere
-else.
+"""Tests of the drift harness: it finds no drift where there is none, finds
+a wrong backward rule in the outputs that run a backward and nowhere else,
+and a wrong weight-gradient input in the training outputs alone.
 
 Run from the repository root: ``python -m pytest tools/tests -q``.
 """
@@ -14,9 +14,11 @@ import numpy as np
 import drift
 
 GROUPS = ["build", "predict_noise", "class_probs", "class_score_grad", "guided_epsilon",
-          "guided_sample", "ddim_sample", "train", "checkpoint", "train_class"]
-BACKWARD = {"class_score_grad", "guided_epsilon", "guided_sample", "train", "checkpoint",
-            "train_class"}
+          "guided_sample", "ddim_sample", "train", "checkpoint", "train_class",
+          "train_per_image"]
+# the groups whose weights train, and so run a conv's weight gradient
+WEIGHT_GRADIENT = {"train", "checkpoint", "train_class", "train_per_image"}
+BACKWARD = {"class_score_grad", "guided_epsilon", "guided_sample", *WEIGHT_GRADIENT}
 
 
 def _assert_head_against_itself_is_bitwise_equal(*args):
@@ -43,25 +45,42 @@ def test_float64_head_against_itself_is_bitwise_equal_in_float64():
     assert weights and all(a.dtype == np.float64 for a in weights)
 
 
-def test_a_wrong_silu_rule_drifts_only_where_a_backward_runs(tmp_path):
-    # the SiLU derivative inside group_norm's rules, which every backward
-    # through the UNet runs; the time MLP's lone silu keeps no rule under
-    # guidance
+def _assert_drifts_exactly(tmp_path, line: str, mutant: str, groups: set) -> None:
+    """Copy ``src/``, replace the one ``line`` of ``group_norm`` with
+    ``mutant``, and check that the copy drifts from ``src/`` in ``groups``
+    and nowhere else."""
     src = tmp_path / "src"
     shutil.copytree(drift.ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     ops = src / "jdl" / "autodiff" / "ops.py"
     text = ops.read_text()
     start, end = text.index("def group_norm("), text.index("def concat(")
     rule = text[start:end]
-    line = "d *= g.reshape(n, h * w, c)\n"
     assert rule.count(line) == 1
-    ops.write_text(text[:start] + rule.replace(line, line.replace("g.", "g[::-1].")) + text[end:])
+    ops.write_text(text[:start] + rule.replace(line, mutant) + text[end:])
 
     rows = drift.compare(drift.run_tree(src), drift.run_tree(drift.ROOT / "src"))
     assert [row[0] for row in rows] == GROUPS
     for group, equal, total, d_abs, d_rel in rows:
         assert total > 0, group
-        if group in BACKWARD:
+        if group in groups:
             assert equal < total and d_abs > 0 and d_rel > 0, group
         else:
             assert equal == total and d_abs == d_rel == 0, group
+
+
+def test_a_wrong_silu_rule_drifts_only_where_a_backward_runs(tmp_path):
+    # the SiLU derivative inside group_norm's rules, which every backward
+    # through the UNet runs; the time MLP's lone silu keeps no rule under
+    # guidance
+    line = "d *= g.reshape(n, h * w, c)\n"
+    _assert_drifts_exactly(tmp_path, line, line.replace("g.", "g[::-1]."), BACKWARD)
+
+
+def test_a_wrong_rebuild_drifts_only_where_weights_train(tmp_path):
+    # group_norm's rebuilt output is read by the weight gradient of the conv
+    # after it alone: a rebuild that hands that conv y, not y * sigmoid(y),
+    # moves every trained weight, and no guided output, whose weights are
+    # frozen
+    line = "return rebuilt[0].reshape(n, h, w, c)\n"
+    _assert_drifts_exactly(tmp_path, line, "return (xhat * gd + bd).reshape(n, h, w, c)\n",
+                           WEIGHT_GRADIENT)
