@@ -21,8 +21,9 @@ Every convolution product runs a block of images at a time, as many as
 keep the windows it gathers under ``WINDOW_BLOCK`` elements (4 MiB of
 float32), and at least one: it writes the block into the interior of a
 zeroed canvas, gathers the block's windows from strided views of it and
-multiplies them in one BLAS GEMM. Each product zeroes one canvas per call
-and reuses it for every block, since only the interior is ever written: the
+multiplies them in one BLAS GEMM. Each product zeroes one canvas for each
+thread that runs its blocks and reuses it for every block that thread
+takes, since only the interior is ever written: the
 forward and the weight gradient write the input at every pixel, and the
 input gradient writes the output gradient at every stride-th pixel of a
 canvas the size of the padded input, whose stride-1 convolution with the
@@ -36,8 +37,8 @@ the input gradient write each block's GEMM into that block's rows of one
 output, which at the UNet's sizes is bitwise one GEMM over the batch. The
 weight gradient sums the blocks' GEMMs in block order, so its rounding
 depends on the block count. Every sum runs inside a GEMM or over the blocks
-in that fixed order, neither of which depends on the BLAS thread count
-(``test_results_independent_of_blas_threads`` checks it).
+in that fixed order, neither of which depends on the BLAS thread count or
+the core count (``test_results_independent_of_blas_threads`` checks it).
 
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
@@ -52,6 +53,32 @@ primitive writes in place only into buffers it allocated itself, never into
 an input's data, an array that a kept vjp holds, or the output gradient
 ``g``, which ``add``'s vjp hands to both of its parents.
 
+The products and the larger ``group_norm`` passes use every core the
+process may run on (``_CORES``, its CPU affinity). ``_share`` hands a list
+of items, in order, to whichever thread asks first: the calling thread and
+``_POOL``'s, one for each further core. So a core that another process
+slows takes fewer items, and the caller waits for at most one. The items
+are a conv product's blocks of images, and chunks of a ``group_norm``
+input's images for its per-image passes: the statistics and ``xhat``, the
+output and its rebuild, the SiLU derivative and dx. ``group_norm`` shares
+them only from ``WINDOW_BLOCK`` input elements on: below that, handing
+work to a thread costs more than it saves. Each image's bits are those of
+the one thread that ran it, whichever that was, so the core count moves no
+bit; every sum over the batch keeps one order: the ``gamma``, ``beta`` and
+bias reductions run on the calling thread, and the weight gradient adds
+its per-block products in block order (``test_core_count_moves_no_bit``).
+A worker writes only into arrays that the calling thread allocated: rows
+of the output, a canvas, a window buffer and a temporary for each thread,
+and slots for the weight gradient's per-block products. The malloc arena
+of a worker thread keeps what it allocates resident: a prototype whose
+workers allocated their own window buffers added 15 MiB to the resident
+set of a default train step and 5.5 MiB to an 8-image guided ε, while with
+the calling thread's buffers the benchmark's peak RSS moves by under 1 MiB.
+BLAS must run on one thread: the pool already fills the cores, and narrow
+GEMMs of the UNet's shapes ran 20–27× slower on two OpenBLAS threads.
+Graph construction, ``record``, the op counters and ``backward`` stay on
+the calling thread.
+
 Only the rules the model runs exist. ``add(a, b)`` has ``a``'s shape and
 broadcasts ``b`` alone: ``b`` has ``a``'s shape, is an (F,) bias over its last
 axis, or has its rank with 1 on the axes it broadcasts over. Anything else
@@ -62,6 +89,10 @@ arrays, so each of the three records one rule.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from ..errors import ConfigInvalid, ShapeMismatch, is_count, is_real
@@ -69,6 +100,11 @@ from .tensor import Tensor, record
 
 # The most window elements a conv product gathers at once: 4 MiB of float32.
 WINDOW_BLOCK = 1 << 20
+
+# The cores this process may run on, and one pool thread for each core
+# past the caller's; the pool starts its threads on first use.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="jdl-ops")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -110,19 +146,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                   (b, lambda g: a.data.T @ g))
 
 
-def _im2col_nhwc(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Materialize the K×K windows of a padded NHWC batch as (N*OH*OW, K*K*C).
-
-    The innermost (kw, c) run is contiguous in memory, which makes this the
-    cheap direction for the gather.
-    """
+def _windows(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The K×K windows of a padded NHWC batch at ``stride``, as an
+    (N, OH, OW, K, K, C) view of it whose copy is the (N*OH*OW, K*K*C) window
+    matrix. The innermost (kw, c) run is contiguous in memory, which makes
+    this the cheap direction for the gather."""
     n, hp, wp, c = xp.shape
     s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp, (n, oh, ow, k, k, c),
         (s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False)
-    return np.ascontiguousarray(view).reshape(n * oh * ow, k * k * c)
 
 
 def _image_blocks(n: int, per_image: int) -> list:
@@ -133,22 +167,72 @@ def _image_blocks(n: int, per_image: int) -> list:
     return [slice(i, i + step) for i in range(0, max(n, 1), step)]
 
 
-def _padded_blocks(a: np.ndarray, blocks: list, h: int, w: int, p: int, s: int = 1):
-    """Yield ``(block, canvas)`` for each block of the NHWC batch ``a``, with
-    the block's images written at every ``s``-th pixel from offset ``p`` into
-    the interior of an (images, h + 2p, w + 2p, C) canvas.
+def _share(items, job, make=lambda: None) -> None:
+    """``job(item, mine)`` for each of ``items``, handed out in their order
+    to whichever thread asks first: the calling thread and up to
+    ``_CORES - 1`` threads of ``_POOL``. A thread that another process
+    slows down takes fewer items, so the caller waits for at most the one
+    item that thread holds. ``mine`` is what ``make()`` returned for the
+    thread that runs the job; the calling thread makes it for every thread
+    before any starts. Returns once every job is done, and raises what a
+    job raised."""
+    made = [make() for _ in range(max(1, min(_CORES, len(items))))]
+    left, lock = iter(items), threading.Lock()
 
-    One zeroed buffer, as many images deep as the first block, serves every
-    block: only the same strided interior is ever written, so the border and
-    the gaps between strided pixels stay zero, and each canvas is a view of
-    the buffer's first ``len(block)`` images, valid until the next one.
+    def loop(buffers):
+        while True:
+            with lock:
+                item = next(left, None)
+            if item is None:
+                return
+            job(item, buffers)
+
+    others = [_POOL.submit(loop, buffers) for buffers in made[1:]]
+    try:
+        loop(made[0])
+    finally:
+        # a job that has not started by now would find no item left; not
+        # waiting for it keeps a job that shares work from a pool thread
+        # from waiting on itself
+        started = [f for f in others if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+
+
+def _each_window_block(a: np.ndarray, blocks: list, k: int, h: int, w: int,
+                       put: int, take: int, use) -> None:
+    """Call ``use(j, windows)`` for each block ``blocks[j]`` of the NHWC
+    batch ``a``, with the block's images written at every ``put``-th pixel
+    from offset p = K // 2 into the interior of an (images, h + 2p, w + 2p,
+    C) canvas, and ``windows`` the (images*OH*OW, K*K*C) matrix of the
+    canvas's K×K windows at stride ``take``.
+
+    The blocks are shared over the cores (``_share``). Each thread gathers
+    into one zeroed canvas and one window buffer of its own, as many
+    images deep as the first block, which every block it takes reuses:
+    only the same strided interior is ever written, so the border and the
+    gaps between strided pixels stay zero. ``windows`` is valid until
+    ``use`` returns.
     """
-    buf = np.zeros((len(a[blocks[0]]), h + 2 * p, w + 2 * p, a.shape[3]), dtype=a.dtype)
-    interior = buf[:, p:p + h:s, p:p + w:s]
-    for b in blocks:
-        ab = a[b]
-        interior[:len(ab)] = ab
-        yield b, buf[:len(ab)]
+    p, c = k // 2, a.shape[3]
+    oh, ow = (h - 1) // take + 1, (w - 1) // take + 1
+    depth = len(a[blocks[0]])
+
+    def buffers():
+        return (np.zeros((depth, h + 2 * p, w + 2 * p, c), dtype=a.dtype),
+                np.empty((depth * oh * ow, k * k * c), dtype=a.dtype))
+
+    def job(j, mine):
+        canvas, windows = mine
+        ab = a[blocks[j]]
+        m = len(ab)
+        canvas[:m, p:p + h:put, p:p + w:put] = ab
+        cols = windows[:m * oh * ow]
+        np.copyto(cols.reshape(m, oh, ow, k, k, c), _windows(canvas[:m], k, take, oh, ow))
+        use(j, cols)
+
+    _share(range(len(blocks)), job, buffers)
 
 
 def _nhwc_dims(x: Tensor) -> tuple:
@@ -172,9 +256,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     may take a small-matrix kernel that rounds otherwise. The weight
     gradient sums the blocks' GEMMs in block order, and the bias gradient
     sums the output gradient over every pixel, as a broadcast ``add`` would.
+    The cores share the blocks (``_share``): each image's bits are those of
+    the one thread that ran it, the weight gradient adds the blocks'
+    products in block order whichever thread made them, and the bias
+    gradient runs on the calling thread, so no bit depends on the core
+    count.
 
-    Every product pads through ``_padded_blocks``: one zeroed canvas per
-    call, reused by each of its blocks. The forward and the weight gradient
+    Every product pads through ``_each_window_block``: one zeroed canvas
+    per thread, reused by each block that thread takes. The forward and the
+    weight gradient
     write blocks of x into it at stride 1; the input gradient writes blocks
     of the output gradient at every stride-th pixel of a canvas the size of
     the padded input, and multiplies its K×K windows by the kernel rotated
@@ -200,7 +290,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv2d: stride {stride!r} must be an integer >= 1")
     if min(h, wid, c, co) < 1:
         raise ShapeMismatch(f"conv2d: empty input {x.shape} or weights {w.shape}")
-    p = k // 2
     oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
     xd, wd, bd = x.data, w.data, b.data
     x_again = x.rebuild or (lambda: xd)
@@ -208,24 +297,50 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     out = np.empty((n, oh, ow, co), dtype=np.result_type(xd, wd))
     wmat = wd.reshape(k * k * c, co)
-    for blk, xp in _padded_blocks(xd, blocks, h, wid, p):
-        ob = out[blk]
-        np.matmul(_im2col_nhwc(xp, k, stride, oh, ow), wmat, out=ob.reshape(-1, co))
+
+    def forward(j, cols):
+        ob = out[blocks[j]]
+        np.matmul(cols, wmat, out=ob.reshape(-1, co))
         ob += bd
+
+    _each_window_block(xd, blocks, k, h, wid, 1, stride, forward)
 
     def dx(g):
         w_rot = wd[::-1, ::-1].swapaxes(2, 3).reshape(k * k * co, c)
         d = np.empty((n, h, wid, c), dtype=np.result_type(g, w_rot))
-        for blk, gp in _padded_blocks(g, _image_blocks(n, h * wid * k * k * co),
-                                      h, wid, p, stride):
-            np.matmul(_im2col_nhwc(gp, k, 1, h, wid), w_rot, out=d[blk].reshape(-1, c))
+        g_blocks = _image_blocks(n, h * wid * k * k * co)
+
+        def product(j, cols):
+            np.matmul(cols, w_rot, out=d[g_blocks[j]].reshape(-1, c))
+
+        _each_window_block(g, g_blocks, k, h, wid, stride, 1, product)
         return d
 
     def dw(g):
         xs = x_again()
         dwmat = np.zeros((k * k * c, co), dtype=np.result_type(xs, g))
-        for blk, xp in _padded_blocks(xs, blocks, h, wid, p):
-            dwmat += _im2col_nhwc(xp, k, stride, oh, ow).T @ g[blk].reshape(-1, co)
+        # each block's product goes into a free slot, and the thread that
+        # completes the blocks from the first one not yet summed adds them
+        # in block order, so the sum is the same at every core count; an
+        # added slot is free again, so few slots are ever written
+        slots = np.empty((len(blocks), k * k * c, co), dtype=dwmat.dtype)
+        free, done, lock = list(range(len(blocks))), {}, threading.Lock()
+        added = 0
+
+        def product(j, cols):
+            nonlocal added
+            with lock:
+                s = free.pop()
+            np.matmul(cols.T, g[blocks[j]].reshape(-1, co), out=slots[s])
+            with lock:
+                done[j] = s
+                while added in done:
+                    s = done.pop(added)
+                    np.add(dwmat, slots[s], out=dwmat)
+                    free.append(s)
+                    added += 1
+
+        _each_window_block(xs, blocks, k, h, wid, 1, stride, product)
         return dwmat.reshape(w.shape)
 
     return record("conv2d", out, (x, dx), (w, dw),
@@ -272,10 +387,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _tanh_sigmoid(x: np.ndarray) -> np.ndarray:
+def _tanh_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sigmoid(x) as 0.5 * tanh(x / 2) + 0.5, which never overflows: four
-    passes in place over one new buffer."""
-    s = np.multiply(x, 0.5)
+    passes in place over ``out``, or over one new buffer."""
+    s = np.multiply(x, 0.5, out=out)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
@@ -340,11 +455,13 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     output and s are freed on return, and the x, ``gamma`` and ``beta``
     rules share dy, which goes with them when ``backward`` drops the node's
     rules, before the next node runs. The dx makes two reductions, over dy
-    and its product with ``xhat``, and four elementwise passes into two new
-    buffers. The ``gamma`` and ``beta`` gradients are one reduction of dy
-    each. Every pass runs in the order that a GroupNorm node and a ``silu``
-    node after it ran them, so the output and every gradient keep those
-    nodes' bits.
+    and its product with ``xhat``, and four elementwise passes into a new
+    buffer and a temporary of one chunk per thread. The ``gamma`` and
+    ``beta`` gradients are one reduction of dy each, on the calling thread.
+    Every pass runs in the order that a GroupNorm node and a ``silu`` node
+    after it ran them, so the output and every gradient keep those nodes'
+    bits; from ``WINDOW_BLOCK`` elements on, the per-image passes run over
+    chunks of images that the cores share (``_share``).
     """
     n, h, w, c = _nhwc_dims(x)
     if min(h, w, c) < 1:
@@ -358,24 +475,43 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     count = h * w * cg
     gd, bd = gamma.data, beta.data
 
+    # the per-image passes run over chunks of images, which the cores share
+    # once the input holds WINDOW_BLOCK elements: below that, handing work
+    # to a thread costs more than it saves. A chunk holds at most an eighth
+    # of that, so a core that runs faster takes more chunks.
+    chunks = _image_blocks(n, 8 * h * w * c) if x.size >= WINDOW_BLOCK else [slice(0, n)]
+
     def group_mean(per_channel):
-        """(N, C) channel sums -> (N, 1, C) means of each channel's group."""
-        means = per_channel.reshape(n, g_, cg).sum(axis=2) / count
+        """(M, C) channel sums -> (M, 1, C) means of each channel's group."""
+        means = per_channel.reshape(-1, g_, cg).sum(axis=2) / count
         return np.repeat(means, cg, axis=1)[:, None, :]
 
     x3 = x.data.reshape(n, h * w, c)
-    xhat = x3 - group_mean(np.einsum("npc->nc", x3))
-    var = group_mean(np.einsum("npc,npc->nc", xhat, xhat))
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat *= inv
+    xhat = np.empty_like(x3)
+    inv = np.empty((n, 1, c), dtype=x3.dtype)
+
+    def normalise(r, _):
+        xr, hr = x3[r], xhat[r]
+        np.subtract(xr, group_mean(np.einsum("npc->nc", xr)), out=hr)
+        var = group_mean(np.einsum("npc,npc->nc", hr, hr))
+        np.divide(1.0, np.sqrt(var + 1e-5), out=inv[r])
+        hr *= inv[r]
+
+    _share(chunks, normalise)
 
     def output():
         """The output y * s and the sigmoid s of y = xhat * gamma + beta,
         in the passes that the forward and every rebuild run."""
-        y = xhat * gd
-        y += bd
-        s = _tanh_sigmoid(y)
-        y *= s
+        y, s = np.empty_like(xhat), np.empty_like(xhat)
+
+        def affine(r, _):
+            yr = y[r]
+            np.multiply(xhat[r], gd, out=yr)
+            yr += bd
+            _tanh_sigmoid(yr, s[r])
+            yr *= s[r]
+
+        _share(chunks, affine)
         return y, s
 
     rebuilt = []    # (output, s) from rebuild(), until silu_grad takes them
@@ -395,21 +531,34 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         rebuild()
         y, s = rebuilt
         rebuilt.clear()
-        d = 1.0 - s
-        d *= y
-        d += s
-        d *= g.reshape(n, h * w, c)
+        d = np.empty_like(y)
+        g3 = g.reshape(n, h * w, c)
+
+        def chain(r, _):
+            dr = d[r]
+            np.subtract(1.0, s[r], out=dr)
+            dr *= y[r]
+            dr += s[r]
+            dr *= g3[r]
+
+        _share(chunks, chain)
         shared[:] = (g, d)
         return d
 
     def dx(g):
         dy = silu_grad(g)
-        # the means of dxhat = dy * gamma and of dxhat * xhat, per group
-        m1 = group_mean(np.einsum("npc->nc", dy) * gd)
-        m2 = group_mean(np.einsum("npc,npc->nc", dy, xhat) * gd)
-        d = dy * (gd * inv)
-        d -= xhat * (m2 * inv)
-        d -= m1 * inv
+        d = np.empty_like(dy)
+
+        def grad(r, t):
+            dyr, hr, ir, dr = dy[r], xhat[r], inv[r], d[r]
+            # the means of dxhat = dy * gamma and of dxhat * xhat, per group
+            m1 = group_mean(np.einsum("npc->nc", dyr) * gd)
+            m2 = group_mean(np.einsum("npc,npc->nc", dyr, hr) * gd)
+            np.multiply(dyr, gd * ir, out=dr)
+            dr -= np.multiply(hr, m2 * ir, out=t[:len(dr)])
+            dr -= m1 * ir
+
+        _share(chunks, grad, lambda: np.empty_like(dy[chunks[0]]))
         return d.reshape(n, h, w, c)
 
     result = record("group_norm", output()[0].reshape(n, h, w, c), (x, dx),

@@ -29,9 +29,12 @@ freed while backward runs, not when the caller lets go of the loss. Output
 tensors keep their data. A second ``backward`` that reaches a consumed node
 raises ``GraphConsumed``.
 
-Graph construction and backward are single-threaded. A tensor whose data is
-populated and which is not part of a pending graph is immutable by
-convention and safe to share across threads.
+Graph construction and backward are single-threaded. Inside a call, the
+kernels of the conv and ``group_norm`` primitives share blocks of their
+images with a pool of one thread per further core (``ops._share``) and
+return when every block is done; no other thread touches the graph. A
+tensor whose data is populated and which is not part of a pending graph is
+immutable by convention and safe to share across threads.
 """
 
 from __future__ import annotations

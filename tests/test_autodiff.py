@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -330,9 +334,15 @@ def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co
     assert np.array_equal(db, whole[3])
 
 
-def test_conv2d_gathers_a_block_of_images_at_a_time():
-    x = ad.Tensor(rand(16, 32, 32, 16), requires_grad=True)
-    w = ad.Tensor(rand(3, 3, 16, 16), requires_grad=True)
+def _conv_peak(monkeypatch, cores: int, draw) -> tuple:
+    """The tracemalloc peak of a conv's forward and backward over inputs
+    from ``draw(*shape)``, with the kernels split over ``cores`` cores, and
+    the bound that one core's working set keeps under: the input gradient,
+    the output, a padded input, a dx canvas and one block of windows, of
+    which the size of a padded input and of a block of windows follow."""
+    monkeypatch.setattr(ops, "_CORES", cores)
+    x = ad.Tensor(draw(16, 32, 32, 16), requires_grad=True)
+    w = ad.Tensor(draw(3, 3, 16, 16), requires_grad=True)
     b = ad.Tensor(np.zeros(16), requires_grad=True)
     g = np.ones(x.shape, dtype=x.data.dtype)
     padded = x.data.nbytes * 34 * 34 // (32 * 32)
@@ -344,9 +354,94 @@ def test_conv2d_gathers_a_block_of_images_at_a_time():
         return out
 
     out, _, peak = traced(forward_and_backward)
-    # the input gradient, the output, a padded input, a dx canvas and one
-    # block of windows; a one-shot window matrix alone would be 9 times x
-    assert peak < x.data.nbytes + out.data.nbytes + 2 * padded + block
+    # a one-shot window matrix alone would be 9 times x
+    return peak, x.data.nbytes + out.data.nbytes + 2 * padded + block, padded, block
+
+
+def test_conv2d_gathers_a_block_of_images_at_a_time(monkeypatch):
+    peak, bound, _, _ = _conv_peak(monkeypatch, 1, rand)
+    assert peak < bound
+
+
+def test_conv2d_gathers_a_block_of_images_per_core(monkeypatch):
+    # every thread past the caller's gathers into one more canvas and one
+    # more block of windows
+    peak, bound, padded, block = _conv_peak(monkeypatch, ops._CORES,
+                                            lambda *shape: _weights(44, *shape))
+    assert peak < bound + (ops._CORES - 1) * (padded + block)
+
+
+def _products(monkeypatch, cores: int, window: int, f, *inputs) -> list:
+    """The output of ``f(*inputs)`` and every input's gradient for a fixed
+    output gradient, with the kernels shared over ``cores`` cores under a
+    ``WINDOW_BLOCK`` of ``window``."""
+    monkeypatch.setattr(ops, "_CORES", cores)
+    monkeypatch.setattr(ops, "WINDOW_BLOCK", window)
+    out = f(*inputs)
+    return [out.data, *out.node.backward_fn(_weights(43, *out.shape).astype(out.data.dtype))]
+
+
+@pytest.mark.parametrize("cores", [2, 5])
+def test_core_count_moves_no_bit(monkeypatch, cores):
+    # 9 images of 16 x 16 x 32 windows at 3 x 3 make 5 blocks, of 2, 2, 2, 2
+    # and 1 image, under a cap of 2 images: an odd count, which two cores
+    # share unevenly. The group_norm input is above that grain, so each of
+    # its passes shares 9 chunks of one image; it must give the bits of one
+    # pass over the batch, as on one core under a grain above its size. At
+    # 5 cores a pool of 4 threads, whatever the host has, switching every
+    # microsecond, takes blocks and chunks as they come and finishes
+    # weight-gradient products out of block order.
+    window = 2 * 16 * 16 * 9 * 32
+    conv = [ad.Tensor(_weights(45, 9, 16, 16, 32), requires_grad=True),
+            ad.Tensor(_weights(46, 3, 3, 32, 32), requires_grad=True),
+            ad.Tensor(_weights(47, 32), requires_grad=True)]
+    norm = [ad.Tensor(_weights(48, 9, 32, 32, 32), requires_grad=True),
+            ad.Tensor(1.0 + 0.1 * _weights(49, 32), requires_grad=True),
+            ad.Tensor(0.1 * _weights(50, 32), requires_grad=True)]
+    monkeypatch.setattr(ops, "WINDOW_BLOCK", window)
+    assert len(ops._image_blocks(9, 16 * 16 * 9 * 32)) == 5
+    assert window <= norm[0].size < ops.WINDOW_BLOCK << 8
+    pool, interval = ThreadPoolExecutor(cores - 1), sys.getswitchinterval()
+    monkeypatch.setattr(ops, "_POOL", pool)
+    sys.setswitchinterval(1e-6)
+    try:
+        for f, inputs, one_pass in ((ad.conv2d, conv, window), (ad.group_norm, norm, window << 8)):
+            one = _products(monkeypatch, 1, one_pass, f, *inputs)
+            many = _products(monkeypatch, cores, window, f, *inputs)
+            assert len(one) == 4
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(one, many))
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+# Both items of the outer share run at once, one on the pool's only thread,
+# and each shares work of its own: that thread must not wait for a pool job
+# queued behind itself, which would never start. In a process of its own, so
+# that a thread stuck that way cannot hold up this one's exit.
+_NESTED_SHARE = """
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from jdl.autodiff import ops
+ops._CORES, ops._POOL = 2, ThreadPoolExecutor(1)
+both, seen = threading.Barrier(2, timeout=10), []
+
+def outer(i, _):
+    both.wait()
+    ops._share(range(3), lambda j, _: seen.append((i, j)))
+
+ops._share(range(2), outer)
+assert sorted(seen) == [(i, j) for i in range(2) for j in range(3)], seen
+"""
+
+
+def test_share_never_waits_for_a_job_that_has_not_started():
+    src = str(Path(ad.__file__).resolve().parents[2])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NESTED_SHARE], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_conv2d_keeps_no_weight_copy():
@@ -498,24 +593,29 @@ def test_group_norm_keeps_xhat_and_its_output():
     assert 2 * x.data.nbytes <= kept <= 2.1 * x.data.nbytes
 
 
-def _check_silu_derivative_built_once(monkeypatch, conv_after: bool):
+def _check_silu_derivative_built_once(monkeypatch, conv_after: bool, shape=(2, 4, 4, 8),
+                                      chunks=((2, 16, 8),)):
     """The group_norm node computes its sigmoid once forward and once in
-    backward; with ``conv_after`` a trainable conv after it rebuilds the
+    backward, one call per chunk of images, of the (images, H*W, C) shapes
+    in ``chunks``; with ``conv_after`` a trainable conv after it rebuilds the
     output for its weight gradient, and the node's own rules reuse that
     rebuild's sigmoid."""
     calls = []
     sigmoid = ops._tanh_sigmoid
-    monkeypatch.setattr(ops, "_tanh_sigmoid", lambda a: calls.append(a.shape) or sigmoid(a))
+    monkeypatch.setattr(ops, "_tanh_sigmoid",
+                        lambda a, *out: calls.append(a.shape) or sigmoid(a, *out))
+    c = shape[3]
     r = np.random.default_rng(26)
-    x = ad.Tensor(r.standard_normal((2, 4, 4, 8)), requires_grad=True)
-    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True)
-    beta = ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True)
-    w = ad.Tensor(r.standard_normal((3, 3, 8, 4)), requires_grad=True)
+    x = ad.Tensor(r.standard_normal(shape), requires_grad=True)
+    gamma = ad.Tensor(1.0 + 0.1 * r.standard_normal(c), requires_grad=True)
+    beta = ad.Tensor(0.1 * r.standard_normal(c), requires_grad=True)
+    w = ad.Tensor(r.standard_normal((3, 3, c, 4)), requires_grad=True)
     h = ad.group_norm(x, gamma, beta)
     y = ad.conv2d(h, w, ad.Tensor(np.zeros(4))) if conv_after else h
-    assert calls == [(2, 16, 8)]
+    # the threads may finish the chunks in any order
+    assert sorted(calls) == sorted(chunks)
     ad.backward(weighted_sum(y, r.standard_normal(y.shape)))
-    assert calls == [(2, 16, 8)] * 2
+    assert sorted(calls) == sorted(chunks * 2)
     assert all(t.grad is not None for t in (x, gamma, beta))
     assert (w.grad is not None) == conv_after
     # the rebuilt output and sigmoid went with the rule that took them:
@@ -529,6 +629,15 @@ def test_group_norm_builds_the_silu_derivative_once(monkeypatch):
 
 def test_group_norm_builds_the_silu_derivative_once_with_a_conv_after(monkeypatch):
     _check_silu_derivative_built_once(monkeypatch, conv_after=True)
+
+
+@pytest.mark.parametrize("conv_after", [False, True], ids=["alone", "conv_after"])
+def test_group_norm_builds_the_silu_derivative_once_above_the_grain(monkeypatch, conv_after):
+    # 4 x 64 x 64 x 64 is WINDOW_BLOCK elements, so each pass shares its 4
+    # images over the cores in chunks of one image
+    assert 4 * 64 * 64 * 64 == ops.WINDOW_BLOCK
+    _check_silu_derivative_built_once(monkeypatch, conv_after, (4, 64, 64, 64),
+                                      [(1, 64 * 64, 64)] * 4)
 
 
 def _arrays_held(fn) -> list:

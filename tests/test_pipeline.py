@@ -1,5 +1,5 @@
 """End-to-end checks across modules: phantoms -> training -> sampling, and
-results that must not depend on the BLAS thread count."""
+results that must not depend on the BLAS thread count or the core count."""
 
 import json
 import os
@@ -51,7 +51,9 @@ def test_phantoms_train_then_sample():
 # A window cap of 2^17 elements splits most conv products into blocks of 1
 # to 7 images (3, 3 and 2 for a 16-channel conv at full resolution over
 # n = 8), so the blocked GEMMs and the weight-gradient sum over the blocks
-# run too.
+# run too. The two processes that may use every core share those blocks
+# between their threads, unevenly at 3 blocks; a third process, pinned to
+# one CPU before jdl loads, runs every block on the calling thread.
 _DIGESTS = """
 import hashlib, json
 import numpy as np
@@ -95,14 +97,21 @@ print(json.dumps({k: [str(v.dtype), hashlib.sha256(v.tobytes()).hexdigest()]
 """
 
 
+_ONE_CPU = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+"""
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_results_independent_of_blas_threads():
     src = str(Path(jdl.__file__).resolve().parents[1])
     runs = []
-    for threads in ("1", "2"):
+    for threads, pin in (("1", ""), ("2", ""), ("1", _ONE_CPU)):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        runs.append(subprocess.Popen([sys.executable, "-c", _DIGESTS], env=env,
+        runs.append(subprocess.Popen([sys.executable, "-c", pin + _DIGESTS], env=env,
                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                      text=True))
     digests = []
@@ -110,4 +119,4 @@ def test_results_independent_of_blas_threads():
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         digests.append(json.loads(out))
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]

@@ -72,7 +72,7 @@ def test_a_wrong_silu_rule_drifts_only_where_a_backward_runs(tmp_path):
     # the SiLU derivative inside group_norm's rules, which every backward
     # through the UNet runs; the time MLP's lone silu keeps no rule under
     # guidance
-    line = "d *= g.reshape(n, h * w, c)\n"
+    line = "g3 = g.reshape(n, h * w, c)\n"
     _assert_drifts_exactly(tmp_path, line, line.replace("g.", "g[::-1]."), BACKWARD)
 
 
