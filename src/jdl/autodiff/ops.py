@@ -14,8 +14,8 @@ inside the graph. They fix the geometry the UNet fixes rather than take it
 as arguments: a convolution is same-padded (by K // 2, for an odd square
 kernel K), pooling and upsampling work by 2, and ``concat`` joins two
 tensors. A convolution is one graph node that does a conv's whole job: it
-adds its (C_out,) bias in place into its output, and its bias rule is the
-reduction a broadcast ``add`` would run.
+adds its (C_out,) bias, and a per-image (N, C_out) shift if given, in place
+into its output, as ``matmul`` adds a linear layer's (F,) bias.
 
 Every convolution product runs a block of images at a time, as many as
 keep the windows it gathers under ``WINDOW_BLOCK`` elements (4 MiB of
@@ -79,10 +79,8 @@ GEMMs of the UNet's shapes ran 20–27× slower on two OpenBLAS threads.
 Graph construction, ``record``, the op counters and ``backward`` stay on
 the calling thread.
 
-Only the rules the model runs exist. ``add(a, b)`` has ``a``'s shape and
-broadcasts ``b`` alone: ``b`` has ``a``'s shape, is an (F,) bias over its last
-axis, or has its rank with 1 on the axes it broadcasts over. Anything else
-needs an explicit reshape, so ``a``'s gradient is ``g`` itself. ``mul`` scales
+Only the rules the model runs exist. ``add`` joins two tensors of one
+shape, the UNet's residuals, so each gradient is ``g`` itself. ``mul`` scales
 a tensor by a real constant, and the losses take their targets as constant
 arrays, so each of the three records one rule.
 """
@@ -107,27 +105,11 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 _POOL = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="jdl-ops")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were expanded by broadcasting."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """``a + b`` in ``a``'s shape: ``b`` has that shape, is an (F,) bias over
-    ``a``'s last axis, or has ``a``'s rank with 1 on each axis it broadcasts
-    over."""
-    sa, sb = a.shape, b.shape
-    if sb != sa[-1:] and not (len(sb) == len(sa) and all(j in (1, i) for i, j in zip(sa, sb))):
-        raise ShapeMismatch(f"add: {sb} does not broadcast to {sa}")
-    return record("add", a.data + b.data, (a, lambda g: g),
-                  (b, lambda g: _unbroadcast(g, sb)))
+    """``a + b`` for two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"add: {b.shape} against {a.shape}")
+    return record("add", a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(x: Tensor, c) -> Tensor:
@@ -138,12 +120,18 @@ def mul(x: Tensor, c) -> Tensor:
     return record("mul", x.data * c, (x, lambda g: g * c))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b`` for 2-d ``a`` and ``b``, plus the (F,) ``bias`` in place if given."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    return record("matmul", a.data @ b.data,
-                  (a, lambda g: g @ b.data.T),
-                  (b, lambda g: a.data.T @ g))
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise ShapeMismatch(f"matmul: bias {bias.shape} for {b.shape[1]} columns")
+    out = a.data @ b.data
+    rules = [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)]
+    if bias is not None:
+        out += bias.data
+        rules.append((bias, lambda g: g.sum(axis=0)))
+    return record("matmul", out, *rules)
 
 
 def _windows(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -174,12 +162,14 @@ def _share(items, job, make=lambda: None) -> None:
     slows down takes fewer items, so the caller waits for at most the one
     item that thread holds. ``mine`` is what ``make()`` returned for the
     thread that runs the job; the calling thread makes it for every thread
-    before any starts. Returns once every job is done, and raises what a
-    job raised."""
-    made = [make() for _ in range(max(1, min(_CORES, len(items))))]
+    before any starts, and a pool job takes it when it starts, so a job that
+    has not started when the caller returns holds none. Returns once every
+    job is done, and raises what a job raised."""
+    spare = [make() for _ in range(max(1, min(_CORES, len(items))))]
     left, lock = iter(items), threading.Lock()
 
-    def loop(buffers):
+    def loop():
+        buffers = spare.pop()
         while True:
             with lock:
                 item = next(left, None)
@@ -187,15 +177,16 @@ def _share(items, job, make=lambda: None) -> None:
                 return
             job(item, buffers)
 
-    others = [_POOL.submit(loop, buffers) for buffers in made[1:]]
+    others = [_POOL.submit(loop) for _ in spare[1:]]
     try:
-        loop(made[0])
+        loop()
     finally:
         # a job that has not started by now would find no item left; not
         # waiting for it keeps a job that shares work from a pool thread
         # from waiting on itself
         started = [f for f in others if not f.cancel()]
         wait(started)
+        spare.clear()
     for f in started:
         f.result()
 
@@ -241,26 +232,27 @@ def _nhwc_dims(x: Tensor) -> tuple:
     return x.shape
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
+           shift: Tensor | None = None) -> Tensor:
     """2-d cross-correlation of an NHWC batch, zero-padded by K // 2, with
     (K, K, C_in, C_out) weights for odd K, which the GEMM reads in place,
-    plus the (C_out,) bias ``b``. The NHWC output has side
-    (H - 1) // stride + 1.
+    plus the (C_out,) bias ``b`` and, when given, the (N, C_out) ``shift``
+    of each image. The NHWC output has side (H - 1) // stride + 1.
 
     Each of the three products pads, gathers and multiplies a block of
     images at a time (``_image_blocks``). The forward and the input
     gradient write each block's GEMM into its own rows of one output, and
-    the forward adds the bias there in place. A GEMM over a block's rows
-    gives them the bits of one GEMM over the batch when both run OpenBLAS's
-    blocked kernel, as the UNet's do; one of about 1e6 multiplies or fewer
-    may take a small-matrix kernel that rounds otherwise. The weight
-    gradient sums the blocks' GEMMs in block order, and the bias gradient
-    sums the output gradient over every pixel, as a broadcast ``add`` would.
-    The cores share the blocks (``_share``): each image's bits are those of
-    the one thread that ran it, the weight gradient adds the blocks'
-    products in block order whichever thread made them, and the bias
-    gradient runs on the calling thread, so no bit depends on the core
-    count.
+    the forward adds the bias, then the shift, there in place. A GEMM over
+    a block's rows gives them the bits of one GEMM over the batch when both
+    run OpenBLAS's blocked kernel, as the UNet's do; one of about 1e6
+    multiplies or fewer may take a small-matrix kernel that rounds
+    otherwise. The weight gradient sums the blocks' GEMMs in block order;
+    the bias gradient sums g over N, H, then W, and the shift's over H, then
+    W. The cores share the blocks (``_share``): each image's bits are those
+    of the one thread that ran it, the weight gradient adds the blocks'
+    products in block order whichever thread made them, and the bias and
+    shift gradients run on the calling thread, so no bit depends on the
+    core count.
 
     Every product pads through ``_each_window_block``: one zeroed canvas
     per thread, reused by each block that thread takes. The forward and the
@@ -286,6 +278,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv2d: {c} input channels, weights expect {ci}")
     if b.shape != (co,):
         raise ShapeMismatch(f"conv2d: bias {b.shape} for {co} output channels")
+    if shift is not None and shift.shape != (n, co):
+        raise ShapeMismatch(f"conv2d: shift {shift.shape} for {n} images of {co} channels")
     if not is_count(stride) or stride < 1:
         raise ShapeMismatch(f"conv2d: stride {stride!r} must be an integer >= 1")
     if min(h, wid, c, co) < 1:
@@ -302,6 +296,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         ob = out[blocks[j]]
         np.matmul(cols, wmat, out=ob.reshape(-1, co))
         ob += bd
+        if shift is not None:
+            ob += shift.data[blocks[j], None, None, :]
 
     _each_window_block(xd, blocks, k, h, wid, 1, stride, forward)
 
@@ -343,8 +339,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         _each_window_block(xs, blocks, k, h, wid, 1, stride, product)
         return dwmat.reshape(w.shape)
 
-    return record("conv2d", out, (x, dx), (w, dw),
-                  (b, lambda g: _unbroadcast(g, (co,))))
+    rules = [(x, dx), (w, dw), (b, lambda g: g.sum(axis=0).sum(axis=0).sum(axis=0))]
+    if shift is not None:
+        rules.append((shift, lambda g: g.sum(axis=1).sum(axis=1)))
+    return record("conv2d", out, *rules)
 
 
 def avg_pool2d(x: Tensor) -> Tensor:

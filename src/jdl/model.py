@@ -9,7 +9,8 @@ from either loss land in the same arrays.
 
 The architecture is fixed; ``UNetConfig`` sets only sizes. Each stage has
 one residual block on the way down (``enc.s{i}r0``) and one on the way up
-(``dec.s{i}``). A conv layer is one graph node, ``ad.conv2d`` with its bias.
+(``dec.s{i}``). A conv or linear layer is one graph node that adds its bias,
+and a block's first conv adds the block's time projection as its shift.
 Every GroupNorm uses min(4, C) groups and eps 1e-5 and feeds a SiLU, and
 the pair is one graph node, ``ad.group_norm``; ``ad.silu`` runs alone only
 after the time MLP's linear layer. The classifier's hidden layer is a
@@ -181,13 +182,14 @@ class JointModel:
 
     # -- forward pieces (channel-last throughout) ----------------------------
 
-    def _conv(self, name, h, cout, k=3, stride=1, zero=False):
+    def _conv(self, name, h, cout, k=3, stride=1, zero=False, shift=lambda: None):
         w = self._param(f"{name}.w", (k, k, h.shape[3], cout), 0.0 if zero else None)
-        return ad.conv2d(h, w, self._param(f"{name}.b", (cout,), 0.0), stride=stride)
+        b = self._param(f"{name}.b", (cout,), 0.0)
+        return ad.conv2d(h, w, b, stride=stride, shift=shift())
 
     def _linear(self, name, h, fout, zero=False):
         w = self._param(f"{name}.w", (h.shape[-1], fout), 0.0 if zero else None)
-        return ad.add(ad.matmul(h, w), self._param(f"{name}.b", (fout,), 0.0))
+        return ad.matmul(h, w, self._param(f"{name}.b", (fout,), 0.0))
 
     def _norm(self, name, h):
         """GroupNorm then SiLU, one ``ad.group_norm`` node."""
@@ -196,9 +198,8 @@ class JointModel:
                              self._param(f"{name}.b", (c,), 0.0))
 
     def _res(self, name, x, temb, cout):
-        h = self._conv(f"{name}.conv1", self._norm(f"{name}.gn1", x), cout)
-        tproj = self._linear(f"{name}.time", temb, cout)
-        h = ad.add(h, ad.reshape(tproj, (tproj.shape[0], 1, 1, cout)))
+        h = self._conv(f"{name}.conv1", self._norm(f"{name}.gn1", x), cout,
+                       shift=lambda: self._linear(f"{name}.time", temb, cout))
         h = self._conv(f"{name}.conv2", self._norm(f"{name}.gn2", h), cout)
         skip = x if x.shape[3] == cout else self._conv(f"{name}.skip", x, cout, k=1)
         return ad.add(h, skip)

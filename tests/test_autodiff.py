@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -133,9 +134,12 @@ def test_broadcast_policy_rejects_rank_mismatch():
 
 
 @pytest.mark.parametrize("shapes", [((3,), (4, 3)), ((1, 3, 1, 1), (2, 3, 4, 4)),
-                                    ((1, 3), (2, 1))], ids=repr)
-def test_add_broadcasts_only_its_second_operand(shapes):
-    # each used to return the broadcast shape, wider than the first operand
+                                    ((1, 3), (2, 1)),
+                                    # a linear bias, a conv bias and a time shift,
+                                    # which their products add
+                                    ((4, 3), (3,)), ((2, 3, 4, 4), (1, 3, 1, 1)),
+                                    ((2, 4, 4, 3), (2, 1, 1, 3))], ids=repr)
+def test_add_takes_one_shape(shapes):
     a, b = (ad.Tensor(np.ones(s)) for s in shapes)
     with pytest.raises(ShapeMismatch):
         ad.add(a, b)
@@ -150,22 +154,37 @@ def _recorded(out):
 
 
 def test_bias_add_gradients():
+    # a linear layer's bias, added inside its matmul: its gradient sums the
+    # output gradient over the rows
     x = ad.Tensor(rand(4, 3), requires_grad=True)
+    w = ad.Tensor(_weights(51, 3, 3), requires_grad=True)
     b = ad.Tensor(rand(3), requires_grad=True)
-    ad.backward(weighted_sum(ad.add(x, b)))
+    out = ad.matmul(x, w, b)
+    assert np.array_equal(out.data, x.data @ w.data + b.data)
+    ad.backward(weighted_sum(out))
     assert np.allclose(b.grad, 4.0)
-    assert np.allclose(x.grad, 1.0)
+    assert np.allclose(x.grad, w.data.sum(axis=1))
     frozen = ad.Tensor(rand(3))
-    assert _recorded(ad.add(x, frozen)) == (x,)
-    assert _recorded(ad.add(x, b)) == (x, b)
+    assert _recorded(ad.matmul(x, w, frozen)) == (x, w)
+    assert _recorded(ad.matmul(x, ad.Tensor(w.data), b)) == (x, b)
+    assert _recorded(ad.matmul(x, w, b)) == (x, w, b)
 
 
 def test_channel_bias_add():
-    x = ad.Tensor(rand(2, 3, 4, 4), requires_grad=True)
-    b = ad.Tensor(rand(1, 3, 1, 1), requires_grad=True)
-    ad.backward(weighted_sum(ad.add(x, b)))
-    assert b.grad.shape == (1, 3, 1, 1)
-    assert np.allclose(b.grad, 16 * 2)
+    # a time shift per image and channel, added inside the conv after its
+    # bias: its gradient sums the output gradient over each image's pixels
+    x = ad.Tensor(rand(2, 4, 4, 3), requires_grad=True)
+    w = ad.Tensor(_weights(52, 3, 3, 3, 3))
+    b = ad.Tensor(rand(3))
+    shift = ad.Tensor(_weights(53, 2, 3), requires_grad=True)
+    out = ad.conv2d(x, w, b, shift=shift)
+    assert np.array_equal(out.data, ad.conv2d(x, w, b).data + shift.data[:, None, None, :])
+    ad.backward(weighted_sum(out))
+    assert shift.grad.shape == (2, 3)
+    assert np.allclose(shift.grad, 16)
+    frozen = ad.Tensor(shift.data)
+    assert _recorded(ad.conv2d(x, w, b, shift=frozen)) == (x,)
+    assert _recorded(ad.conv2d(x, w, b, shift=shift)) == (x, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +240,22 @@ def test_grad_matmul():
 
 
 @pytest.mark.usefixtures("float64")
+def test_grad_matmul_with_bias_every_input_trainable():
+    weight = _weights(55, 3, 2)
+
+    def f(x, w, b):
+        return weighted_sum(ad.matmul(x, w, b), weight)
+
+    inputs = {"x": _weights(56, 3, 4), "w": _weights(57, 4, 2), "b": _weights(58, 2)}
+    _check_every_input(f, inputs, tol={})
+    # one bias per output column
+    x, w = ad.Tensor(inputs["x"]), ad.Tensor(inputs["w"])
+    for shape in ((3,), (1, 2), (3, 2), ()):
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(x, w, ad.Tensor(np.zeros(shape)))
+
+
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("stride,k,side,ci,co", [
     (1, 3, 6, 2, 3), (2, 3, 6, 2, 3),
     (1, 1, 6, 2, 3),  # the 1x1 skip convs
@@ -258,6 +293,19 @@ def test_grad_conv2d(stride, k, side, ci, co):
     assert _recorded(ad.conv2d(x1, w1, b1, stride=stride)) == (x1, w1, b1)
 
 
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("stride", [1, 2])
+def test_grad_conv2d_with_shift_every_input_trainable(stride):
+    side = (5 - 1) // stride + 1
+    r = _weights(59, 2, side, side, 3)
+
+    def f(x, w, b, shift):
+        return weighted_sum(ad.conv2d(x, w, b, stride=stride, shift=shift), r)
+
+    _check_every_input(f, {"x": _weights(60, 2, 5, 5, 2), "w": 0.3 * _weights(61, 3, 3, 2, 3),
+                           "b": _weights(62, 3), "shift": _weights(63, 2, 3)}, tol={})
+
+
 def test_conv2d_geometry():
     x = ad.Tensor(rand(1, 5, 5, 2))
     w = ad.Tensor(rand(3, 3, 2, 3))
@@ -270,10 +318,13 @@ def test_conv2d_geometry():
     for shape in ((2, 2, 2, 3), (3, 1, 2, 3)):
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, ad.Tensor(rand(*shape)), b)
-    # one bias per output channel
+    # one bias per output channel, and one shift per image and output channel
     for shape in ((2,), (1, 3), ()):
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, w, ad.Tensor(np.zeros(shape)))
+    for shape in ((3,), (2, 3), (1, 2), (1, 1, 1, 3), ()):
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(x, w, b, shift=ad.Tensor(np.zeros(shape)))
     # no input or no output channels used to raise a bare ZeroDivisionError
     # or ValueError
     for xs, ws in (((1, 5, 5, 0), (3, 3, 0, 3)), ((1, 5, 5, 2), (3, 3, 2, 0))):
@@ -390,25 +441,31 @@ def test_core_count_moves_no_bit(monkeypatch, cores):
     # pass over the batch, as on one core under a grain above its size. At
     # 5 cores a pool of 4 threads, whatever the host has, switching every
     # microsecond, takes blocks and chunks as they come and finishes
-    # weight-gradient products out of block order.
+    # weight-gradient products out of block order. The conv adds a time
+    # shift in each block, after its bias.
     window = 2 * 16 * 16 * 9 * 32
     conv = [ad.Tensor(_weights(45, 9, 16, 16, 32), requires_grad=True),
             ad.Tensor(_weights(46, 3, 3, 32, 32), requires_grad=True),
-            ad.Tensor(_weights(47, 32), requires_grad=True)]
+            ad.Tensor(_weights(47, 32), requires_grad=True),
+            ad.Tensor(_weights(54, 9, 32), requires_grad=True)]
     norm = [ad.Tensor(_weights(48, 9, 32, 32, 32), requires_grad=True),
             ad.Tensor(1.0 + 0.1 * _weights(49, 32), requires_grad=True),
             ad.Tensor(0.1 * _weights(50, 32), requires_grad=True)]
     monkeypatch.setattr(ops, "WINDOW_BLOCK", window)
     assert len(ops._image_blocks(9, 16 * 16 * 9 * 32)) == 5
     assert window <= norm[0].size < ops.WINDOW_BLOCK << 8
+
+    def shifted(x, w, b, shift):
+        return ad.conv2d(x, w, b, shift=shift)
+
     pool, interval = ThreadPoolExecutor(cores - 1), sys.getswitchinterval()
     monkeypatch.setattr(ops, "_POOL", pool)
     sys.setswitchinterval(1e-6)
     try:
-        for f, inputs, one_pass in ((ad.conv2d, conv, window), (ad.group_norm, norm, window << 8)):
+        for f, inputs, one_pass in ((shifted, conv, window), (ad.group_norm, norm, window << 8)):
             one = _products(monkeypatch, 1, one_pass, f, *inputs)
             many = _products(monkeypatch, cores, window, f, *inputs)
-            assert len(one) == 4
+            assert len(one) == 1 + len(inputs)
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(one, many))
     finally:
         sys.setswitchinterval(interval)
@@ -442,6 +499,30 @@ def test_share_never_waits_for_a_job_that_has_not_started():
     proc = subprocess.run([sys.executable, "-c", _NESTED_SHARE], env=env, timeout=60,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_share_frees_the_buffers_of_a_job_that_never_started(monkeypatch):
+    # the pool's one thread is busy, so the caller runs every item, and the
+    # job handed to the pool is cancelled while it waits in the pool's
+    # queue; the buffers made for that job must not wait there with it
+    pool, release = ThreadPoolExecutor(1), threading.Event()
+    pool.submit(release.wait, 60)
+    monkeypatch.setattr(ops, "_CORES", 2)
+    monkeypatch.setattr(ops, "_POOL", pool)
+    made, ran = [], []
+
+    def make():
+        buffer = np.zeros(4)
+        made.append(weakref.ref(buffer))
+        return buffer
+
+    try:
+        ops._share(range(3), lambda item, mine: ran.append(item), make)
+        assert ran == [0, 1, 2] and len(made) == 2
+        assert [ref() for ref in made] == [None, None]
+    finally:
+        release.set()
+        pool.shutdown()
 
 
 def test_conv2d_keeps_no_weight_copy():

@@ -1,6 +1,7 @@
 """Tests of the drift harness: it finds no drift where there is none, finds
 a wrong backward rule in the outputs that run a backward and nowhere else,
-and a wrong weight-gradient input in the training outputs alone.
+and a wrong weight-gradient input or a reordered time-shift sum in the
+training outputs alone.
 
 Run from the repository root: ``python -m pytest tools/tests -q``.
 """
@@ -45,15 +46,18 @@ def test_float64_head_against_itself_is_bitwise_equal_in_float64():
     assert weights and all(a.dtype == np.float64 for a in weights)
 
 
-def _assert_drifts_exactly(tmp_path, line: str, mutant: str, groups: set) -> None:
-    """Copy ``src/``, replace the one ``line`` of ``group_norm`` with
-    ``mutant``, and check that the copy drifts from ``src/`` in ``groups``
-    and nowhere else."""
+def _assert_drifts_exactly(tmp_path, function: str, line: str, mutant: str,
+                           groups: set) -> None:
+    """Copy ``src/``, replace the one ``line`` of the ``ops.py`` function
+    ``function`` with ``mutant``, and check that the copy drifts from
+    ``src/`` in ``groups`` and nowhere else."""
     src = tmp_path / "src"
     shutil.copytree(drift.ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     ops = src / "jdl" / "autodiff" / "ops.py"
     text = ops.read_text()
-    start, end = text.index("def group_norm("), text.index("def concat(")
+    start = text.index(f"\ndef {function}(")
+    end = text.find("\ndef ", start + 1)
+    end = len(text) if end < 0 else end
     rule = text[start:end]
     assert rule.count(line) == 1
     ops.write_text(text[:start] + rule.replace(line, mutant) + text[end:])
@@ -73,7 +77,8 @@ def test_a_wrong_silu_rule_drifts_only_where_a_backward_runs(tmp_path):
     # through the UNet runs; the time MLP's lone silu keeps no rule under
     # guidance
     line = "g3 = g.reshape(n, h * w, c)\n"
-    _assert_drifts_exactly(tmp_path, line, line.replace("g.", "g[::-1]."), BACKWARD)
+    _assert_drifts_exactly(tmp_path, "group_norm", line, line.replace("g.", "g[::-1]."),
+                           BACKWARD)
 
 
 def test_a_wrong_rebuild_drifts_only_where_weights_train(tmp_path):
@@ -82,5 +87,14 @@ def test_a_wrong_rebuild_drifts_only_where_weights_train(tmp_path):
     # moves every trained weight, and no guided output, whose weights are
     # frozen
     line = "return rebuilt[0].reshape(n, h, w, c)\n"
-    _assert_drifts_exactly(tmp_path, line, "return (xhat * gd + bd).reshape(n, h, w, c)\n",
+    _assert_drifts_exactly(tmp_path, "group_norm", line,
+                           "return (xhat * gd + bd).reshape(n, h, w, c)\n", WEIGHT_GRADIENT)
+
+
+def test_a_reordered_shift_sum_drifts_only_where_weights_train(tmp_path):
+    # the time shift's gradient sums over H, then W; over W first, it rounds
+    # otherwise. Only trained weights keep the shift's rule: under guidance
+    # the time projection is frozen
+    line = "rules.append((shift, lambda g: g.sum(axis=1).sum(axis=1)))\n"
+    _assert_drifts_exactly(tmp_path, "conv2d", line, line.replace("axis=1).sum", "axis=2).sum"),
                            WEIGHT_GRADIENT)
