@@ -7,15 +7,16 @@ grad: ``record`` keeps the rules of those that do and drops the others. So an
 input-only backward runs no weight-gradient GEMM and no reduction for
 ``gamma``, ``beta`` or a bias.
 
-The spatial primitives (``conv2d``, ``avg_pool2d``, ``upsample_nearest``,
-``group_norm``) take and return channel-last NHWC batches, the
-cache-friendly direction for the im2col gather; no other axis order exists
-inside the graph. They fix the geometry the UNet fixes rather than take it
-as arguments: a convolution is same-padded (by K // 2, for an odd square
-kernel K), pooling and upsampling work by 2, and ``concat`` joins two
-tensors. A convolution is one graph node that does a conv's whole job: it
-adds its (C_out,) bias, and a per-image (N, C_out) shift if given, in place
-into its output, as ``matmul`` adds a linear layer's (F,) bias.
+The spatial primitives (``conv2d``, ``avg_pool2d``, ``group_norm``) take
+and return channel-last NHWC batches, the cache-friendly direction for the
+im2col gather; no other axis order exists inside the graph. They fix the
+geometry the UNet fixes rather than take it as arguments: a convolution is
+same-padded (by K // 2, for an odd square kernel K), pooling works by 2,
+and ``concat`` joins two tensors. A convolution is one graph node that does
+a conv's whole job: it upsamples its input to the nearest neighbour if
+asked (``up``), and adds its (C_out,) bias, and a per-image (N, C_out)
+shift if given, in place into its output, as ``matmul`` adds a linear
+layer's (F,) bias.
 
 Every convolution product runs a block of images at a time, as many as
 keep the windows it gathers under ``WINDOW_BLOCK`` elements (4 MiB of
@@ -23,22 +24,22 @@ float32), and at least one: it writes the block into the interior of a
 zeroed canvas, gathers the block's windows from strided views of it and
 multiplies them in one BLAS GEMM. Each product zeroes one canvas for each
 thread that runs its blocks and reuses it for every block that thread
-takes, since only the interior is ever written: the
-forward and the weight gradient write the input at every pixel, and the
-input gradient writes the output gradient at every stride-th pixel of a
-canvas the size of the padded input, whose stride-1 convolution with the
-kernel rotated 180° and its channel axes swapped is the input gradient. No
-window matrix or canvas is kept for the backward: the weight gradient
-gathers the windows again from the input. It holds the input only when the
-input's producer cannot rebuild it; ``group_norm`` and
-``upsample_nearest`` can (``Tensor.rebuild``), so a conv after either holds
-no copy of its input, and its weight gradient rebuilds it. The forward and
-the input gradient write each block's GEMM into that block's rows of one
-output, which at the UNet's sizes is bitwise one GEMM over the batch. The
-weight gradient sums the blocks' GEMMs in block order, so its rounding
-depends on the block count. Every sum runs inside a GEMM or over the blocks
-in that fixed order, neither of which depends on the BLAS thread count or
-the core count (``test_results_independent_of_blas_threads`` checks it).
+takes, since only the interior is ever written: the forward and the
+weight gradient write each input pixel as an up×up patch, and the input
+gradient writes the output gradient at every stride-th pixel of a canvas
+the size of the padded upsampled input, whose stride-1 convolution with
+the kernel rotated 180° and its channel axes swapped, summed over each
+up×up patch, is the input gradient. No window matrix, canvas or upsampled
+input is kept for the backward: the weight gradient gathers the windows
+again from the input. It holds the input only when the input's producer
+cannot rebuild it; ``group_norm`` can (``Tensor.rebuild``), so a conv after
+it holds no copy of its input. The forward and the input gradient write
+each block's GEMM into that block's rows of one output, which at the UNet's
+sizes is bitwise one GEMM over the batch. The weight gradient sums the
+blocks' GEMMs in block order, so its rounding depends on the block count.
+Every sum runs inside a GEMM or over the blocks in that fixed order,
+neither of which depends on the BLAS thread count or the core count
+(``test_results_independent_of_blas_threads`` checks it).
 
 The elementwise kernels make few full passes, most of them in place, rather
 than one temporary per numpy op: ``silu`` builds its sigmoid in one buffer,
@@ -192,12 +193,13 @@ def _share(items, job, make=lambda: None) -> None:
 
 
 def _each_window_block(a: np.ndarray, blocks: list, k: int, h: int, w: int,
-                       put: int, take: int, use) -> None:
+                       put: int, take: int, use, fill: int = 1) -> None:
     """Call ``use(j, windows)`` for each block ``blocks[j]`` of the NHWC
-    batch ``a``, with the block's images written at every ``put``-th pixel
-    from offset p = K // 2 into the interior of an (images, h + 2p, w + 2p,
-    C) canvas, and ``windows`` the (images*OH*OW, K*K*C) matrix of the
-    canvas's K×K windows at stride ``take``.
+    batch ``a``, with the block's images written at every ``put``-th pixel,
+    each pixel as a ``fill``×``fill`` patch, from offset p = K // 2 into the
+    interior of an (images, h + 2p, w + 2p, C) canvas, and ``windows`` the
+    (images*OH*OW, K*K*C) matrix of the canvas's K×K windows at stride
+    ``take``.
 
     The blocks are shared over the cores (``_share``). Each thread gathers
     into one zeroed canvas and one window buffer of its own, as many
@@ -218,7 +220,9 @@ def _each_window_block(a: np.ndarray, blocks: list, k: int, h: int, w: int,
         canvas, windows = mine
         ab = a[blocks[j]]
         m = len(ab)
-        canvas[:m, p:p + h:put, p:p + w:put] = ab
+        for di in range(fill):
+            for dj in range(fill):
+                canvas[:m, p + di:p + h:put, p + dj:p + w:put] = ab
         cols = windows[:m * oh * ow]
         np.copyto(cols.reshape(m, oh, ow, k, k, c), _windows(canvas[:m], k, take, oh, ow))
         use(j, cols)
@@ -233,11 +237,12 @@ def _nhwc_dims(x: Tensor) -> tuple:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
-           shift: Tensor | None = None) -> Tensor:
-    """2-d cross-correlation of an NHWC batch, zero-padded by K // 2, with
-    (K, K, C_in, C_out) weights for odd K, which the GEMM reads in place,
-    plus the (C_out,) bias ``b`` and, when given, the (N, C_out) ``shift``
-    of each image. The NHWC output has side (H - 1) // stride + 1.
+           shift: Tensor | None = None, up: int = 1) -> Tensor:
+    """2-d cross-correlation of an NHWC batch, upsampled by ``up`` to the
+    nearest neighbour and zero-padded by K // 2, with (K, K, C_in, C_out)
+    weights for odd K, which the GEMM reads in place, plus the (C_out,) bias
+    ``b`` and, when given, the (N, C_out) ``shift`` of each image. The NHWC
+    output has side (up·H - 1) // stride + 1.
 
     Each of the three products pads, gathers and multiplies a block of
     images at a time (``_image_blocks``). The forward and the input
@@ -256,11 +261,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
 
     Every product pads through ``_each_window_block``: one zeroed canvas
     per thread, reused by each block that thread takes. The forward and the
-    weight gradient
-    write blocks of x into it at stride 1; the input gradient writes blocks
+    weight gradient write each pixel of a block of x into it as an up×up
+    patch, so the upsampled x never exists; the input gradient writes blocks
     of the output gradient at every stride-th pixel of a canvas the size of
-    the padded input, and multiplies its K×K windows by the kernel rotated
-    180° with its channel axes swapped, which it builds only when it runs.
+    the padded upsampled input, multiplies its K×K windows by the kernel
+    rotated 180° with its channel axes swapped, which it builds only when it
+    runs, and sums each up×up patch of that product into one pixel of x.
     No window matrix or canvas outlives the call that made it: the weight
     gradient gathers the windows again from x, in a canvas of its own, so
     a conv costs its backward one extra gather instead of holding K*K
@@ -280,11 +286,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
         raise ShapeMismatch(f"conv2d: bias {b.shape} for {co} output channels")
     if shift is not None and shift.shape != (n, co):
         raise ShapeMismatch(f"conv2d: shift {shift.shape} for {n} images of {co} channels")
-    if not is_count(stride) or stride < 1:
-        raise ShapeMismatch(f"conv2d: stride {stride!r} must be an integer >= 1")
+    for name, factor in (("stride", stride), ("up", up)):
+        if not is_count(factor) or factor < 1:
+            raise ShapeMismatch(f"conv2d: {name} {factor!r} must be an integer >= 1")
     if min(h, wid, c, co) < 1:
         raise ShapeMismatch(f"conv2d: empty input {x.shape} or weights {w.shape}")
-    oh, ow = (h - 1) // stride + 1, (wid - 1) // stride + 1
+    uh, uw = up * h, up * wid
+    oh, ow = (uh - 1) // stride + 1, (uw - 1) // stride + 1
     xd, wd, bd = x.data, w.data, b.data
     x_again = x.rebuild or (lambda: xd)
     blocks = _image_blocks(n, oh * ow * k * k * c)
@@ -299,18 +307,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
         if shift is not None:
             ob += shift.data[blocks[j], None, None, :]
 
-    _each_window_block(xd, blocks, k, h, wid, 1, stride, forward)
+    _each_window_block(xd, blocks, k, uh, uw, up, stride, forward, up)
 
     def dx(g):
         w_rot = wd[::-1, ::-1].swapaxes(2, 3).reshape(k * k * co, c)
-        d = np.empty((n, h, wid, c), dtype=np.result_type(g, w_rot))
-        g_blocks = _image_blocks(n, h * wid * k * k * co)
+        d = np.empty((n, uh, uw, c), dtype=np.result_type(g, w_rot))
+        g_blocks = _image_blocks(n, uh * uw * k * k * co)
 
         def product(j, cols):
             np.matmul(cols, w_rot, out=d[g_blocks[j]].reshape(-1, c))
 
-        _each_window_block(g, g_blocks, k, h, wid, stride, 1, product)
-        return d
+        _each_window_block(g, g_blocks, k, uh, uw, stride, 1, product)
+        return d if up == 1 else d.reshape(n, h, up, wid, up, c).sum(axis=(2, 4))
 
     def dw(g):
         xs = x_again()
@@ -336,7 +344,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
                     free.append(s)
                     added += 1
 
-        _each_window_block(xs, blocks, k, h, wid, 1, stride, product)
+        _each_window_block(xs, blocks, k, uh, uw, up, stride, product, up)
         return dwmat.reshape(w.shape)
 
     rules = [(x, dx), (w, dw), (b, lambda g: g.sum(axis=0).sum(axis=0).sum(axis=0))]
@@ -361,24 +369,6 @@ def avg_pool2d(x: Tensor) -> Tensor:
     return record("avg_pool2d", out, (x, dx))
 
 
-def upsample_nearest(x: Tensor) -> Tensor:
-    """Nearest-neighbour upsampling of an NHWC batch by 2: each pixel
-    becomes a 2×2 block. The vjp holds nothing; an output with a node
-    rebuilds itself from x, a quarter of its size, for a conv's weight
-    gradient."""
-    n, h, w, c = _nhwc_dims(x)
-    xd = x.data
-
-    def up():
-        return xd.repeat(2, axis=1).repeat(2, axis=2)
-
-    out = record("upsample_nearest", up(),
-                 (x, lambda g: g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))))
-    if out.node is not None:
-        out.rebuild = up
-    return out
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; select the numerator, then divide once
     e = np.exp(-np.abs(x))
@@ -395,25 +385,28 @@ def _tanh_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return s
 
 
+def _silu_vjp(s: np.ndarray, y: np.ndarray, g: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """g * (s + y * (1 - s)), the gradient at the input of a SiLU whose
+    sigmoid is s and whose output is y, for its output gradient g: four
+    passes in place over ``out``, or over one new buffer."""
+    d = np.subtract(1.0, s, out=out)
+    d *= y
+    d += s
+    d *= g
+    return d
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), the sigmoid from ``_tanh_sigmoid`` and the output one
-    more pass. The vjp keeps s and the output, not x: it computes
-    g * (s + out * (1 - s)) in four passes in place over one new buffer. The
-    UNet runs it on the time MLP alone; every GroupNorm's SiLU is part of
-    ``group_norm``.
+    more pass. The vjp keeps s and the output, not x, and runs
+    ``_silu_vjp``. The UNet runs it on the time MLP alone; every GroupNorm's
+    SiLU is part of ``group_norm``.
     """
     xd = x.data
     s = _tanh_sigmoid(xd)
     out = xd * s
-
-    def dx(g):
-        d = 1.0 - s
-        d *= out
-        d += s
-        d *= g
-        return d
-
-    return record("silu", out, (x, dx))
+    return record("silu", out, (x, lambda g: _silu_vjp(s, out, g)))
 
 
 def leaky_relu(x: Tensor) -> Tensor:
@@ -449,7 +442,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     calls it for its weight gradient, so the conv holds no copy of the
     output. The first rule to run for an output gradient g takes the
     rebuilt output and s, rebuilding them if no conv did, and makes
-    dy = g * (s + y s (1 - s)), the gradient at y, in ``silu``'s passes; the
+    dy = g * (s + y s (1 - s)), the gradient at y, by ``_silu_vjp``; the
     output and s are freed on return, and the x, ``gamma`` and ``beta``
     rules share dy, which goes with them when ``backward`` drops the node's
     rules, before the next node runs. The dx makes two reductions, over dy
@@ -532,14 +525,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         d = np.empty_like(y)
         g3 = g.reshape(n, h * w, c)
 
-        def chain(r, _):
-            dr = d[r]
-            np.subtract(1.0, s[r], out=dr)
-            dr *= y[r]
-            dr += s[r]
-            dr *= g3[r]
-
-        _share(chunks, chain)
+        _share(chunks, lambda r, _: _silu_vjp(s[r], y[r], g3[r], d[r]))
         shared[:] = (g, d)
         return d
 

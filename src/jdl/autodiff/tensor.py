@@ -10,15 +10,18 @@ Every primitive hands ``record`` its output and one ``(parent, vjp)`` pair
 per input, where the vjp maps the output gradient to that input's gradient.
 ``record`` alone decides which gradients exist: it keeps the pairs whose
 parent requires grad and drops the rest, and under ``no_grad`` it keeps
-none. A dropped vjp is freed with whatever it alone captured, and a node
-is built only when some pair is kept. A node holds each kept parent's node,
-or the parent itself when it is a leaf, never an intermediate tensor: an
-activation lives only while a kept vjp or the caller holds its data. A
-primitive whose output is cheap to rebuild from what its own rules hold
-sets the output's ``rebuild``, a function that returns the data anew, once
-``record`` has given the output a node; a consumer's vjp that reads that
-input calls ``rebuild`` instead of holding the data, so the activation is
-kept once, not twice. Under ``no_grad`` no output has a ``rebuild``. Nodes
+none; ``no_grad`` holds for the thread that entered it, and every other
+thread goes on recording. A dropped vjp is freed with whatever it alone
+captured, and a node is built only when some pair is kept. A node holds
+each kept parent's node, or the parent itself when it is a leaf, never an
+intermediate tensor: an activation lives only while a kept vjp or the
+caller holds its data. A primitive whose output is cheap to rebuild from
+what its own rules hold sets the output's ``rebuild``, a function that
+returns the data anew, once ``record`` has given the output a node; a
+consumer's vjp that reads that input calls ``rebuild`` instead of holding
+the data, so the activation is kept once, not twice. ``ops.group_norm`` is
+the one primitive that does, for the conv after it. Under ``no_grad`` no
+output has a ``rebuild``. Nodes
 carry a monotonically increasing sequence number; ``backward`` replays the
 nodes reachable from the loss in reverse insertion order, visiting each
 exactly once and accumulating gradients additively across fan-out.
@@ -34,13 +37,16 @@ kernels of the conv and ``group_norm`` primitives share blocks of their
 images with a pool of one thread per further core (``ops._share``) and
 return when every block is done; no other thread touches the graph. A
 tensor whose data is populated and which is not part of a pending graph is
-immutable by convention and safe to share across threads.
+immutable by convention and safe to share across threads. The
+``op_count`` counters are process-wide: they tally every thread's
+primitives.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,7 +60,11 @@ _node_seq = itertools.count()
 # One count-per-kind dict for each open op_count() context, innermost last.
 _counters: list[dict] = []
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True      # on each thread until it enters no_grad
+
+
+_grad_mode = _GradMode()
 
 
 class Node:
@@ -105,14 +115,14 @@ class Tensor:
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording; forward values are still computed."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording on the calling thread; forward values are
+    still computed, and other threads record as before."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 @contextlib.contextmanager
@@ -120,7 +130,7 @@ def op_count():
     """Count primitive applications by kind within the context.
 
     Yields a dict that fills in place; useful for asserting that a code path
-    runs the encoder once rather than twice.
+    runs the encoder once rather than twice. It counts every thread's.
     """
     counter: dict = {}
     _counters.append(counter)
@@ -141,7 +151,7 @@ def record(kind: str, out_data: np.ndarray,
     per input; only the pairs whose parent requires grad are kept, and none
     under ``no_grad``. The output tracks grad iff some pair is kept."""
     _tally(kind)
-    kept = [(p, vjp) for p, vjp in rules if p.requires_grad] if _grad_enabled else []
+    kept = [(p, vjp) for p, vjp in rules if p.requires_grad] if _grad_mode.enabled else []
     out = Tensor(out_data, requires_grad=bool(kept))
     if kept:
         parents, vjps = zip(*kept)

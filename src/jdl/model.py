@@ -10,7 +10,10 @@ from either loss land in the same arrays.
 The architecture is fixed; ``UNetConfig`` sets only sizes. Each stage has
 one residual block on the way down (``enc.s{i}r0``) and one on the way up
 (``dec.s{i}``). A conv or linear layer is one graph node that adds its bias,
-and a block's first conv adds the block's time projection as its shift.
+and a block's first conv adds the block's time projection as its shift. The
+decoder upsamples as DDPM does, to the nearest neighbour by 2 and then a
+3×3 conv, and that conv (``dec.up{i}``) is one node that upsamples its own
+input, so the upsampled activation never exists.
 Every GroupNorm uses min(4, C) groups and eps 1e-5 and feeds a SiLU, and
 the pair is one graph node, ``ad.group_norm``; ``ad.silu`` runs alone only
 after the time MLP's linear layer. The classifier's hidden layer is a
@@ -182,10 +185,10 @@ class JointModel:
 
     # -- forward pieces (channel-last throughout) ----------------------------
 
-    def _conv(self, name, h, cout, k=3, stride=1, zero=False, shift=lambda: None):
+    def _conv(self, name, h, cout, k=3, stride=1, zero=False, shift=lambda: None, up=1):
         w = self._param(f"{name}.w", (k, k, h.shape[3], cout), 0.0 if zero else None)
         b = self._param(f"{name}.b", (cout,), 0.0)
-        return ad.conv2d(h, w, b, stride=stride, shift=shift())
+        return ad.conv2d(h, w, b, stride=stride, shift=shift(), up=up)
 
     def _linear(self, name, h, fout, zero=False):
         w = self._param(f"{name}.w", (h.shape[-1], fout), 0.0 if zero else None)
@@ -237,7 +240,7 @@ class JointModel:
         for i in reversed(range(len(chans))):
             h = self._res(f"dec.s{i}", ad.concat(h, enc.skips[i]), enc.temb, chans[i])
             if i > 0:
-                h = self._conv(f"dec.up{i}", ad.upsample_nearest(h), chans[i - 1])
+                h = self._conv(f"dec.up{i}", h, chans[i - 1], up=2)
         h = self._norm("dec.outgn", h)
         return ad.reshape(self._conv("dec.out", h, 1, zero=True), enc.leaf.shape)
 

@@ -217,10 +217,6 @@ class PhantomDataset:
     bboxes: list              # per-sample bbox lists
     specs: list               # per-sample PhantomSpec, for recover_labels
 
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
-
 
 def _draw_flags(rng: np.random.Generator) -> tuple:
     return tuple(int(rng.random() < p) for p in CLASS_PRIORS)

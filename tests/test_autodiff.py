@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -124,6 +125,29 @@ def test_no_grad_suppresses_recording():
     assert out.node is None and not out.requires_grad
 
 
+def test_no_grad_holds_on_its_own_thread_alone():
+    # a second thread inside no_grad must not stop this one recording
+    x = ad.Tensor(_weights(66, 3), requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+    inside = []
+
+    def other():
+        with ad.no_grad():
+            inside.append(ad.mul(x, 2.0))
+            entered.set()
+            release.wait(60)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        assert entered.wait(60)
+        here = ad.mul(x, 2.0)
+    finally:
+        release.set()
+        thread.join()
+    assert here.node is not None and inside[0].node is None
+
+
 def test_broadcast_policy_rejects_rank_mismatch():
     with pytest.raises(ShapeMismatch):
         ad.add(ad.Tensor(rand(2, 3)), ad.Tensor(rand(3, 1, 1)))
@@ -206,6 +230,14 @@ def _weights(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def _draw_for(up: int, seed: int):
+    """``rand`` for a conv that does not upsample; for one that does,
+    ``_weights`` from ``seed`` on, one seed per draw, so that its cases
+    leave the shared ``RNG`` stream as it was."""
+    seeds = itertools.count(seed)
+    return rand if up == 1 else lambda *shape: _weights(next(seeds), *shape)
+
+
 @pytest.mark.usefixtures("float64")
 def test_grad_add():
     other = ad.Tensor(rand(3, 4))
@@ -256,41 +288,45 @@ def test_grad_matmul_with_bias_every_input_trainable():
 
 
 @pytest.mark.usefixtures("float64")
-@pytest.mark.parametrize("stride,k,side,ci,co", [
-    (1, 3, 6, 2, 3), (2, 3, 6, 2, 3),
-    (1, 1, 6, 2, 3),  # the 1x1 skip convs
-    (2, 3, 5, 2, 3),  # odd side: the last window is centred on the last row
-    (1, 5, 6, 2, 3),
+@pytest.mark.parametrize("stride,k,side,ci,co,up", [
+    (1, 3, 6, 2, 3, 1), (2, 3, 6, 2, 3, 1),
+    (1, 1, 6, 2, 3, 1),  # the 1x1 skip convs
+    (2, 3, 5, 2, 3, 1),  # odd side: the last window is centred on the last row
+    (1, 5, 6, 2, 3, 1),
     # the dx canvas holds g from offset K // 2 = 2, every other pixel
-    (2, 5, 6, 2, 3), (2, 5, 7, 2, 3),
-    (2, 1, 6, 2, 3),  # no padding: g on the even pixels only
-    (1, 3, 6, 3, 2),  # the dx GEMM's inner dimension K*K*C_out is the smaller
-], ids=["1-1", "2-1", "1x1", "2-1-odd", "5x5", "2-5x5", "2-5x5-odd", "2-1x1", "3to2"])
-def test_grad_conv2d(stride, k, side, ci, co):
-    w = ad.Tensor(rand(k, k, ci, co))
+    (2, 5, 6, 2, 3, 1), (2, 5, 7, 2, 3, 1),
+    (2, 1, 6, 2, 3, 1),  # no padding: g on the even pixels only
+    (1, 3, 6, 3, 2, 1),  # the dx GEMM's inner dimension K*K*C_out is the smaller
+    # the decoder's upsampling convs: each pixel of x is a 2x2 patch
+    (1, 3, 3, 2, 3, 2), (2, 3, 3, 2, 3, 2),
+], ids=["1-1", "2-1", "1x1", "2-1-odd", "5x5", "2-5x5", "2-5x5-odd", "2-1x1", "3to2",
+        "up2-1", "up2-2"])
+def test_grad_conv2d(stride, k, side, ci, co, up):
+    draw = _draw_for(up, 67)
+    w = ad.Tensor(draw(k, k, ci, co))
     b = ad.Tensor(_weights(30, co))
-    x0 = ad.Tensor(rand(2, side, side, ci))
+    x0 = ad.Tensor(draw(2, side, side, ci))
     # a uniform output gradient would hide a gradient sent to the wrong pixel
-    r = rand(*ad.conv2d(x0, w, b, stride=stride).shape)
+    r = draw(*ad.conv2d(x0, w, b, stride=stride, up=up).shape)
 
     def loss(x, w_, b_):
-        return weighted_sum(ad.conv2d(x, w_, b_, stride=stride), r)
+        return weighted_sum(ad.conv2d(x, w_, b_, stride=stride, up=up), r)
 
-    _check(lambda x: loss(x, w, b), rand(2, side, side, ci))
-    _check(lambda w_: loss(x0, w_, b), rand(k, k, ci, co))
+    _check(lambda x: loss(x, w, b), draw(2, side, side, ci))
+    _check(lambda w_: loss(x0, w_, b), draw(k, k, ci, co))
     _check(lambda b_: loss(x0, w, b_), _weights(31, co))
-    x1 = ad.Tensor(rand(2, side, side, ci), requires_grad=True)
-    w1 = ad.Tensor(rand(k, k, ci, co), requires_grad=True)
+    x1 = ad.Tensor(draw(2, side, side, ci), requires_grad=True)
+    w1 = ad.Tensor(draw(k, k, ci, co), requires_grad=True)
     b1 = ad.Tensor(b.data, requires_grad=True)
     if (stride, k, side) == (2, 3, 5):
         ad.backward(weighted_sum(ad.conv2d(x1, w, b, stride=stride)))
         assert x1.grad[:, :, :, 0].any(axis=(0, 1)).all()
         assert x1.grad[:, :, :, 0].any(axis=(0, 2)).all()
     # the bias rule is kept only for a bias that requires grad
-    assert _recorded(ad.conv2d(x1, w, b, stride=stride)) == (x1,)
-    assert _recorded(ad.conv2d(x0, w1, b, stride=stride)) == (w1,)
-    assert _recorded(ad.conv2d(x0, w, b1, stride=stride)) == (b1,)
-    assert _recorded(ad.conv2d(x1, w1, b1, stride=stride)) == (x1, w1, b1)
+    assert _recorded(ad.conv2d(x1, w, b, stride=stride, up=up)) == (x1,)
+    assert _recorded(ad.conv2d(x0, w1, b, stride=stride, up=up)) == (w1,)
+    assert _recorded(ad.conv2d(x0, w, b1, stride=stride, up=up)) == (b1,)
+    assert _recorded(ad.conv2d(x1, w1, b1, stride=stride, up=up)) == (x1, w1, b1)
 
 
 @pytest.mark.usefixtures("float64")
@@ -314,6 +350,9 @@ def test_conv2d_geometry():
     for stride in (0, -1, 1.5, True):
         with pytest.raises(ShapeMismatch):
             ad.conv2d(x, w, b, stride=stride)
+    for up in (0, -1, 1.5, True):
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(x, w, b, up=up)
     # the padding is K // 2, which centres only an odd square kernel
     for shape in ((2, 2, 2, 3), (3, 1, 2, 3)):
         with pytest.raises(ShapeMismatch):
@@ -350,28 +389,30 @@ def test_conv2d_keeps_no_window_matrix():
 
 @pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("per_block", [2, 0.5], ids=["two_images", "under_one_image"])
-@pytest.mark.parametrize("stride,k,ci,co", [(1, 3, 32, 32), (2, 3, 128, 32), (1, 1, 128, 128),
-                                            (2, 1, 512, 128)],
-                         ids=["1-3x3", "2-3x3", "1-1x1", "2-1x1"])
-def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co):
+@pytest.mark.parametrize("stride,k,ci,co,up", [(1, 3, 32, 32, 1), (2, 3, 128, 32, 1),
+                                               (1, 1, 128, 128, 1), (2, 1, 512, 128, 1),
+                                               (1, 3, 32, 32, 2)],
+                         ids=["1-3x3", "2-3x3", "1-1x1", "2-1x1", "up2-1-3x3"])
+def test_conv2d_blocks_match_one_block(monkeypatch, per_block, stride, k, ci, co, up):
     # The forward and the input gradient gather as many window elements per
     # image (C_in is 4 C_out at stride 2), so both run the same blocks: 2, 2
     # and 1 images over 5, or one at a time. The sizes are the UNet's: an
     # image is 64 or 256 GEMM rows, and every GEMM runs the BLAS's blocked
     # kernel, which gives a block of rows the bits of one GEMM over the batch.
     # A GEMM of a few rows or about 1e6 multiplies or fewer may take a
-    # small-matrix kernel that rounds otherwise.
-    x = ad.Tensor(rand(5, 16, 16, ci), requires_grad=True)
-    w = ad.Tensor(rand(k, k, ci, co), requires_grad=True)
+    # small-matrix kernel that rounds otherwise. An up conv's x is 8 x 8.
+    draw = _draw_for(up, 74)
+    x = ad.Tensor(draw(5, 16 // up, 16 // up, ci), requires_grad=True)
+    w = ad.Tensor(draw(k, k, ci, co), requires_grad=True)
     b = ad.Tensor(_weights(32, co), requires_grad=True)
     side = (16 - 1) // stride + 1
-    g = rand(5, side, side, co)
+    g = draw(5, side, side, co)
     per_image = side * side * k * k * ci
     assert per_image == 16 * 16 * k * k * co
 
     def products(cap):
         monkeypatch.setattr(ops, "WINDOW_BLOCK", cap)
-        out = ad.conv2d(x, w, b, stride=stride)
+        out = ad.conv2d(x, w, b, stride=stride, up=up)
         return [out.data, *out.node.backward_fn(g)]
 
     cap = int(per_block * per_image)
@@ -442,12 +483,14 @@ def test_core_count_moves_no_bit(monkeypatch, cores):
     # 5 cores a pool of 4 threads, whatever the host has, switching every
     # microsecond, takes blocks and chunks as they come and finishes
     # weight-gradient products out of block order. The conv adds a time
-    # shift in each block, after its bias.
+    # shift in each block, after its bias; the up conv gathers as many
+    # windows from an 8 x 8 input, each of its pixels a 2 x 2 patch.
     window = 2 * 16 * 16 * 9 * 32
     conv = [ad.Tensor(_weights(45, 9, 16, 16, 32), requires_grad=True),
             ad.Tensor(_weights(46, 3, 3, 32, 32), requires_grad=True),
             ad.Tensor(_weights(47, 32), requires_grad=True),
             ad.Tensor(_weights(54, 9, 32), requires_grad=True)]
+    up_conv = [ad.Tensor(_weights(77, 9, 8, 8, 32), requires_grad=True), *conv[1:3]]
     norm = [ad.Tensor(_weights(48, 9, 32, 32, 32), requires_grad=True),
             ad.Tensor(1.0 + 0.1 * _weights(49, 32), requires_grad=True),
             ad.Tensor(0.1 * _weights(50, 32), requires_grad=True)]
@@ -458,11 +501,15 @@ def test_core_count_moves_no_bit(monkeypatch, cores):
     def shifted(x, w, b, shift):
         return ad.conv2d(x, w, b, shift=shift)
 
+    def upsampling(x, w, b):
+        return ad.conv2d(x, w, b, up=2)
+
     pool, interval = ThreadPoolExecutor(cores - 1), sys.getswitchinterval()
     monkeypatch.setattr(ops, "_POOL", pool)
     sys.setswitchinterval(1e-6)
     try:
-        for f, inputs, one_pass in ((shifted, conv, window), (ad.group_norm, norm, window << 8)):
+        for f, inputs, one_pass in ((shifted, conv, window), (upsampling, up_conv, window),
+                                    (ad.group_norm, norm, window << 8)):
             one = _products(monkeypatch, 1, one_pass, f, *inputs)
             many = _products(monkeypatch, cores, window, f, *inputs)
             assert len(one) == 1 + len(inputs)
@@ -541,11 +588,21 @@ def test_grad_avg_pool2d():
            rand(2, 4, 4, 3))
 
 
-@pytest.mark.usefixtures("float64")
-def test_grad_upsample_nearest():
-    weight = rand(2, 8, 8, 3)
-    _check(lambda x: weighted_sum(ad.upsample_nearest(x), weight),
-           rand(2, 4, 4, 3))
+def test_conv2d_up_is_bitwise_a_conv_over_the_repeated_input():
+    # the canvas holds what it holds for x repeated 2 x 2, so the blocks, the
+    # windows and the GEMMs are the same, and dx is that conv's input
+    # gradient summed over each 2 x 2 patch
+    g = rand(2, 8, 8, 3)
+    x = ad.Tensor(rand(2, 4, 4, 3), requires_grad=True)
+    big = ad.Tensor(x.data.repeat(2, 1).repeat(2, 2), requires_grad=True)
+    w, w_ref = (ad.Tensor(_weights(64, 3, 3, 3, 3), requires_grad=True) for _ in range(2))
+    b, b_ref = (ad.Tensor(_weights(65, 3), requires_grad=True) for _ in range(2))
+    out, ref = ad.conv2d(x, w, b, up=2), ad.conv2d(big, w_ref, b_ref)
+    assert out.data.dtype == np.float32 and np.array_equal(out.data, ref.data)
+    ad.backward(weighted_sum(out, g))
+    ad.backward(weighted_sum(ref, g))
+    assert np.array_equal(w.grad, w_ref.grad) and np.array_equal(b.grad, b_ref.grad)
+    assert np.array_equal(x.grad, big.grad.reshape(2, 4, 2, 4, 2, 3).sum(axis=(2, 4)))
 
 
 @pytest.mark.usefixtures("float64")
@@ -760,24 +817,26 @@ def test_silu_keeps_no_input():
     assert x.grad is not None and np.isfinite(x.grad).all()
 
 
+# every primitive that gives its output a rebuild, each called as
+# f(x, gamma, beta)
+REBUILDERS = ["group_norm"]
+
+
 def _conv_after(producer: str, seed: int):
-    """A trainable conv over the output of a trainable ``group_norm`` or
-    ``upsample_nearest``: (conv output, producer output, producer input,
-    conv weights and bias)."""
+    """A trainable conv over the output of the trainable ``producer``, one
+    of ``REBUILDERS``: (conv output, producer output, producer input, conv
+    weights and bias)."""
     r = np.random.default_rng(seed)
     # x outsizes the weights, so the tests can tell them apart by size
     x = ad.Tensor(r.standard_normal((2, 6, 6, 8)), requires_grad=True)
-    if producer == "group_norm":
-        h = ad.group_norm(x, ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True),
-                          ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True))
-    else:
-        h = ad.upsample_nearest(x)
+    h = getattr(ad, producer)(x, ad.Tensor(1.0 + 0.1 * r.standard_normal(8), requires_grad=True),
+                              ad.Tensor(0.1 * r.standard_normal(8), requires_grad=True))
     w = ad.Tensor(r.standard_normal((3, 3, 8, 4)), requires_grad=True)
     b = ad.Tensor(r.standard_normal(4), requires_grad=True)
     return ad.conv2d(h, w, b), h, x, w, b
 
 
-@pytest.mark.parametrize("producer", ["group_norm", "upsample_nearest"])
+@pytest.mark.parametrize("producer", REBUILDERS)
 def test_rebuild_is_set_only_on_a_recorded_output_and_gives_its_bits(producer):
     y, h, x, _, _ = _conv_after(producer, 40)
     assert h.rebuild is not None and y.rebuild is None
@@ -788,11 +847,11 @@ def test_rebuild_is_set_only_on_a_recorded_output_and_gives_its_bits(producer):
     # requires grad
     with ad.no_grad():
         assert _conv_after(producer, 40)[1].rebuild is None
-    if producer == "upsample_nearest":
-        assert ad.upsample_nearest(ad.Tensor(x.data)).rebuild is None
+    frozen = [ad.Tensor(x.data), ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))]
+    assert getattr(ad, producer)(*frozen).rebuild is None
 
 
-@pytest.mark.parametrize("producer", ["group_norm", "upsample_nearest"])
+@pytest.mark.parametrize("producer", REBUILDERS)
 def test_conv_holds_no_copy_of_a_rebuildable_input(producer):
     # the weight gradient rebuilds its input, so the producer's output is
     # freed once the caller lets go of it, and the conv's rules hold no
@@ -805,18 +864,27 @@ def test_conv_holds_no_copy_of_a_rebuildable_input(producer):
     del h
     assert alive() is None
     held = [a for a in _arrays_held(y.node.backward_fn) if a.size >= x.size]
-    if producer == "group_norm":
-        # xhat, which the group_norm rules hold anyway
-        assert len(held) == 1 and id(held[0]) in producer_held
-    else:
-        # the quarter-size source, which the upsample's rules do not hold
-        assert len(held) == 1 and held[0] is x.data and not producer_held
+    # xhat, which the group_norm rules hold anyway
+    assert len(held) == 1 and id(held[0]) in producer_held
     # the weight and bias gradients are those of a conv over a held input
     ad.backward(weighted_sum(y, g))
     w_ref = ad.Tensor(w.data, requires_grad=True)
     b_ref = ad.Tensor(b.data, requires_grad=True)
     ad.backward(weighted_sum(ad.conv2d(ad.Tensor(held_data), w_ref, b_ref), g))
     assert np.array_equal(w.grad, w_ref.grad) and np.array_equal(b.grad, b_ref.grad)
+
+
+def test_up_conv_holds_its_input_and_no_upsampled_copy():
+    # a dec.up conv's input is a residual sum, which has no rebuild: the
+    # rules hold its data, a quarter of the size of the upsampled input,
+    # which never exists
+    r = np.random.default_rng(41)
+    x = ad.Tensor(r.standard_normal((2, 6, 6, 8)), requires_grad=True)
+    w = ad.Tensor(r.standard_normal((3, 3, 8, 4)), requires_grad=True)
+    y = ad.conv2d(x, w, ad.Tensor(r.standard_normal(4), requires_grad=True), up=2)
+    held = [a for a in _arrays_held(y.node.backward_fn) if a.size >= x.size]
+    assert len(held) == 1 and held[0] is x.data
+    assert y.shape == (2, 12, 12, 4)
 
 
 def test_silu_far_out_is_finite_and_quiet():
@@ -977,12 +1045,12 @@ def test_grad_group_norm_conv_composite_every_input_trainable():
 
 @pytest.mark.usefixtures("float64")
 def test_grad_upsample_conv_composite_every_input_trainable():
-    # the decoder's dec.up convs: the weight gradient reads the upsample's
-    # output rebuilt from its quarter-size input
+    # the decoder's dec.up convs: the weight gradient gathers its windows
+    # from the quarter-size input, each pixel a 2 x 2 patch
     r = rand(2, 8, 8, 3)
 
     def f(h, w, b):
-        return weighted_sum(ad.conv2d(ad.upsample_nearest(h), w, b), r)
+        return weighted_sum(ad.conv2d(h, w, b, up=2), r)
 
     _check_every_input(f, {"h": rand(2, 4, 4, 2), "w": 0.3 * rand(3, 3, 2, 3),
                            "b": 0.1 * _weights(35, 3)}, tol={})

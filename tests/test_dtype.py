@@ -21,8 +21,7 @@ CFG = UNetConfig(base_channels=8, channel_multipliers=(1, 2), image_side=8,
 SCHED = make_linear_schedule(50, 1e-3, 0.05)
 # every primitive that a train step runs backward through
 BACKWARD_KINDS = {"conv2d", "group_norm", "silu", "add", "matmul", "concat", "reshape",
-                  "upsample_nearest", "avg_pool2d", "mse", "bce_with_logits",
-                  "leaky_relu", "mul"}
+                  "avg_pool2d", "mse", "bce_with_logits", "leaky_relu", "mul"}
 
 
 def _record_dtypes(monkeypatch) -> list:

@@ -75,7 +75,7 @@ def test_bbox_contains_lesion_and_is_tight():
 def test_nodule_bbox_contrast(dataset):
     train, _ = dataset
     checked = 0
-    for i in range(train.n):
+    for i in range(len(train.images)):
         spec = train.specs[i]
         for k, x0, y0, x1, y1 in train.bboxes[i]:
             if k != 1:
@@ -96,7 +96,7 @@ def test_nodule_bbox_contrast(dataset):
 def test_label_faithfulness_is_exact(dataset):
     train, test = dataset
     for split in (train, test):
-        for i in range(split.n):
+        for i in range(len(split.images)):
             rec = recover_labels(split.images[i, 0], split.specs[i])
             assert np.array_equal(rec, split.labels[i]), f"sample {i}"
 
@@ -122,7 +122,7 @@ def test_prevalence_tracks_priors():
 
 def test_label_fraction_rounding(dataset):
     train, test = dataset
-    assert train.labeled_mask.sum() == round(0.1 * train.n)
+    assert train.labeled_mask.sum() == round(0.1 * len(train.images))
     assert test.labeled_mask.all()
 
 
@@ -133,8 +133,8 @@ def test_label_fraction_one_labels_everything():
 
 def test_train_test_disjoint(dataset):
     train, test = dataset
-    train_bytes = {train.images[i].tobytes() for i in range(train.n)}
-    for i in range(test.n):
+    train_bytes = {train.images[i].tobytes() for i in range(len(train.images))}
+    for i in range(len(test.images)):
         assert test.images[i].tobytes() not in train_bytes
 
 

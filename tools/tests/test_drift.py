@@ -1,7 +1,8 @@
 """Tests of the drift harness: it finds no drift where there is none, finds
 a wrong backward rule in the outputs that run a backward and nowhere else,
-and a wrong weight-gradient input or a reordered time-shift sum in the
-training outputs alone.
+a wrong weight-gradient input or a reordered time-shift sum in the
+training outputs alone, and a wrong upsampling in the outputs that run the
+decoder alone.
 
 Run from the repository root: ``python -m pytest tools/tests -q``.
 """
@@ -20,6 +21,9 @@ GROUPS = ["build", "predict_noise", "class_probs", "class_score_grad", "guided_e
 # the groups whose weights train, and so run a conv's weight gradient
 WEIGHT_GRADIENT = {"train", "checkpoint", "train_class", "train_per_image"}
 BACKWARD = {"class_score_grad", "guided_epsilon", "guided_sample", *WEIGHT_GRADIENT}
+# the groups that run the decoder, and so its upsampling convs
+DECODER = {"predict_noise", "guided_epsilon", "guided_sample", "ddim_sample", "train",
+           "checkpoint", "train_per_image"}
 
 
 def _assert_head_against_itself_is_bitwise_equal(*args):
@@ -98,3 +102,13 @@ def test_a_reordered_shift_sum_drifts_only_where_weights_train(tmp_path):
     line = "rules.append((shift, lambda g: g.sum(axis=1).sum(axis=1)))\n"
     _assert_drifts_exactly(tmp_path, "conv2d", line, line.replace("axis=1).sum", "axis=2).sum"),
                            WEIGHT_GRADIENT)
+
+
+def test_a_wrong_upsampling_fill_drifts_only_where_the_decoder_runs(tmp_path):
+    # the dec.up convs write each input pixel as a 2 x 2 patch into their
+    # canvas; filling the first patch row alone moves every output that runs
+    # the decoder, and neither the encoder, the head nor a classification-only
+    # step
+    line = "for di in range(fill):\n"
+    _assert_drifts_exactly(tmp_path, "_each_window_block", line,
+                           line.replace("range(fill)", "range(1)"), DECODER)
